@@ -13,6 +13,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -21,10 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import Family, extract_features
+from .blas import use_one_blas_thread
 from .dataset import (
     INSTANCES_FILE,
     RUNS_FILE,
     DatasetConfig,
+    _write_atomic,
     dataset_fingerprint,
     instance_master_seed,
     load,
@@ -172,7 +175,7 @@ def _fmt(value: float) -> str:
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
     text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
-    path.write_text(text, encoding="utf-8")
+    _write_atomic(path, text)
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -238,10 +241,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     agent, reward_curve = train_rl(agent, features, scores, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / CHECKPOINT_FILE).open("w", encoding="utf-8") as fh:
-        save_selector(
-            fh, head, agent, fingerprint=dataset_fingerprint(ds.manifest), seed=args.seed
-        )
+    checkpoint = io.StringIO()
+    save_selector(
+        checkpoint, head, agent, fingerprint=dataset_fingerprint(ds.manifest), seed=args.seed
+    )
+    _write_atomic(out / CHECKPOINT_FILE, checkpoint.getvalue())
     _write_csv(
         out / SUPERVISED_CURVE_FILE,
         ("epoch", "loss"),
@@ -336,6 +340,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     report_rows = _read_jsonl(Path(args.report))
     if not labels_rows or not report_rows:
         raise ValueError("labels and report files must be non-empty")
+    covered = {(record["benchmark_id"], int(record["explorer_code"])) for record in runs_rows}
+    for record in labels_rows:
+        missing = [
+            name
+            for code, name in enumerate(EXPLORER_NAMES)
+            if (record["benchmark_id"], code) not in covered
+        ]
+        if missing:
+            raise ValueError(
+                f"{args.runs} has no run of {', '.join(missing)} on benchmark "
+                f"{record['benchmark_id']} named in {args.labels}"
+            )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -459,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    use_one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

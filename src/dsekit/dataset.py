@@ -29,6 +29,7 @@ from .benchmarks import (
     instance_to_record,
     synth_instance,
 )
+from .blas import use_one_blas_thread
 from .explorers import (
     Budget,
     ExplorationResult,
@@ -299,7 +300,7 @@ def run_suite(
         for explorer in ExplorerId
     ]
     cells: dict[tuple[int, int], ExplorationResult] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=use_one_blas_thread) as pool:
         futures = [
             (i, explorer, pool.submit(_explore_cell, *args)) for i, explorer, args in tasks
         ]
@@ -393,14 +394,25 @@ def persist_instances(
 def read_instances(
     path: Path,
 ) -> tuple[tuple[BenchmarkInstance, ...], dict[str, tuple[float, ...]], list[dict]]:
-    """Parse instances.jsonl into objects, features, and the raw records."""
+    """Parse instances.jsonl into objects, features, and the raw records.
+
+    A suite has unique benchmark ids and one size class; a file that breaks
+    either is rejected with its path and line number.
+    """
     if not path.exists():
         raise FileNotFoundError(f"dataset file missing: {path}")
     instances: list[BenchmarkInstance] = []
     feature_map: dict[str, tuple[float, ...]] = {}
     records: list[dict] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         record = json.loads(line)
+        if record["id"] in feature_map:
+            raise ValueError(f"{path}:{lineno}: duplicate benchmark id {record['id']!r}")
+        if records and record["size_class"] != records[0]["size_class"]:
+            raise ValueError(
+                f"{path}:{lineno}: size class {record['size_class']!r} differs from "
+                f"{records[0]['size_class']!r} on line 1; a suite has one size class"
+            )
         instances.append(instance_from_record(record))
         feature_map[record["id"]] = tuple(float(v) for v in record["feature_vector"])
         records.append(record)

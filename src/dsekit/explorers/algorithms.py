@@ -22,7 +22,9 @@ _POP = 40
 
 
 def _random_knobs(rng: np.random.Generator, cards: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(int(rng.integers(0, c)) for c in cards)
+    # One vector draw consumes the generator exactly like one scalar draw per
+    # knob in axis order (pinned by tests/test_explorers.py).
+    return tuple(rng.integers(0, cards).tolist())
 
 
 def _unseen_random(
@@ -336,41 +338,66 @@ def run_pso(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 # -- model-guided explorers ---------------------------------------------------
 
 
+def _design_matrix(levels: np.ndarray, cards: tuple[int, ...]) -> np.ndarray:
+    """Quadratic-surrogate rows for an (n, k) level array.
+
+    Each row is a one-hot block per knob, the pairwise products of the
+    levels scaled to [0, 1], and a trailing 1 for the intercept.
+    """
+    n, k = levels.shape
+    offsets = np.cumsum((0,) + cards[:-1])
+    a, b = np.triu_indices(k, 1)
+    onehot_dim = sum(cards)
+    x = np.zeros((n, onehot_dim + len(a) + 1))
+    x[np.arange(n)[:, None], offsets + levels] = 1.0
+    t = levels / (np.array(cards) - 1)
+    x[:, onehot_dim:-1] = t[:, a] * t[:, b]
+    x[:, -1] = 1.0
+    return x
+
+
+def _dominated(front_logs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Mask of the draws (..., 2) that some front point dominates.
+
+    Exact 2-D staircase test (Kung, Luccio & Preparata 1975): with the front
+    sorted by area and prefix minima of latency, a draw (l, a) is dominated
+    iff a point with area < a has latency <= l, or a point with area <= a
+    has latency < l. Columns are (log-latency, log-area) throughout.
+    """
+    order = np.argsort(front_logs[:, 1], kind="stable")
+    area = front_logs[order, 1]
+    best_lat = np.minimum.accumulate(front_logs[order, 0])
+    lat, a = draws[..., 0], draws[..., 1]
+    below = np.searchsorted(area, a, side="left")
+    upto = np.searchsorted(area, a, side="right")
+    return ((below > 0) & (best_lat[below - 1] <= lat)) | ((upto > 0) & (best_lat[upto - 1] < lat))
+
+
 @register(ExplorerId.SBO)
 def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     """Quadratic regression surrogate with dominance-improvement acquisition."""
     cards = schema.cardinalities
     k = len(cards)
-    offsets = np.cumsum([0] + [c for c in cards])
-    onehot_dim = int(offsets[-1])
-    pair_axes = [(a, b) for a in range(k) for b in range(a + 1, k)]
-
-    def encode(knobs: tuple[int, ...]) -> np.ndarray:
-        row = np.zeros(onehot_dim + len(pair_axes) + 1)
-        t = []
-        for axis, level in enumerate(knobs):
-            row[offsets[axis] + level] = 1.0
-            t.append(level / (cards[axis] - 1))
-        for j, (a, b) in enumerate(pair_axes):
-            row[onehot_dim + j] = t[a] * t[b]
-        row[-1] = 1.0
-        return row
-
     for _ in range(10):
         ev.evaluate(_unseen_random(ev, rng, cards))
     coef = None
     sigma = np.ones(2)
     fitted_at = -1
+    # ev.evaluated only ever grows, so the design matrix is extended with the
+    # points evaluated since the last refit instead of rebuilt
+    x = _design_matrix(np.zeros((0, k), dtype=np.int64), cards)
+    y = np.zeros((0, 2))
     while True:
         if coef is None or ev.evaluations_used - fitted_at >= 25:
-            x = np.array([encode(p.knobs) for p in ev.evaluated])
-            y = np.array([_log_objectives(p) for p in ev.evaluated])
+            fresh = ev.evaluated[len(x) :]
+            x = np.concatenate((x, _design_matrix(np.array([p.knobs for p in fresh]), cards)))
+            y = np.concatenate((y, [_log_objectives(p) for p in fresh]))
             coef, *_ = np.linalg.lstsq(x, y, rcond=None)
             resid = y - x @ coef
             sigma = np.maximum(resid.std(axis=0), 1e-3)
             fitted_at = ev.evaluations_used
         front = ev.front_points()
-        pool = {_random_knobs(rng, cards) for _ in range(256)}
+        pool = set(map(tuple, rng.integers(0, cards, size=(256, k)).tolist()))
         for p in front:
             for axis in range(k):
                 for move in (-1, 1):
@@ -381,14 +408,11 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         if not cands:
             ev.evaluate(_unseen_random(ev, rng, cards))
             continue
-        mu = np.array([encode(c) for c in cands]) @ coef
+        mu = _design_matrix(np.array(cands), cards) @ coef
         draws = mu[:, None, :] + rng.standard_normal((len(cands), 8, 2)) * sigma
         front_logs = np.array([_log_objectives(p) for p in front])
         # a draw is an improvement when no front point weakly dominates it
-        le = (front_logs[:, None, None, :] <= draws[None, :, :, :]).all(axis=3)
-        lt = (front_logs[:, None, None, :] < draws[None, :, :, :]).any(axis=3)
-        dominated = (le & lt).any(axis=0)
-        scores = 1.0 - dominated.mean(axis=1)
+        scores = 1.0 - _dominated(front_logs, draws).mean(axis=1)
         order = sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
         # coverage-greedy batch: among candidates likely to improve the front,
         # pick predictions farthest from what is already evaluated so the batch

@@ -27,17 +27,6 @@ class Grads:
     w2: np.ndarray
     b2: np.ndarray
 
-    def scaled(self, factor: float) -> "Grads":
-        return Grads(self.w1 * factor, self.b1 * factor, self.w2 * factor, self.b2 * factor)
-
-    def plus(self, other: "Grads") -> "Grads":
-        return Grads(
-            self.w1 + other.w1,
-            self.b1 + other.b1,
-            self.w2 + other.w2,
-            self.b2 + other.b2,
-        )
-
 
 @dataclass(frozen=True)
 class Mlp:

@@ -91,3 +91,100 @@ def naive_mlp_forward(w1, b1, w2, b2, x) -> list[float]:
             acc += weight * hi
         out.append(acc)
     return out
+
+
+def _scalar_random_knobs(rng: np.random.Generator, cards: tuple[int, ...]) -> tuple[int, ...]:
+    """One scalar draw per knob, in axis order."""
+    return tuple(int(rng.integers(0, c)) for c in cards)
+
+
+def _scalar_unseen_random(ev, rng: np.random.Generator, cards: tuple[int, ...], tries: int = 64):
+    knobs = _scalar_random_knobs(rng, cards)
+    for _ in range(tries):
+        if not ev.seen(knobs):
+            break
+        knobs = _scalar_random_knobs(rng, cards)
+    return knobs
+
+
+def _log_objectives(point) -> tuple[float, float]:
+    return math.log(point.objectives.latency), math.log(point.objectives.area)
+
+
+def reference_run_sbo(ev, schema, rng: np.random.Generator) -> None:
+    """The surrogate explorer as first written: per-row encoding of the whole
+    archive at every refit, per-scalar candidate draws, and a full
+    front x candidates x draws x 2 dominance tensor."""
+    cards = schema.cardinalities
+    k = len(cards)
+    offsets = np.cumsum([0] + [c for c in cards])
+    onehot_dim = int(offsets[-1])
+    pair_axes = [(a, b) for a in range(k) for b in range(a + 1, k)]
+
+    def encode(knobs: tuple[int, ...]) -> np.ndarray:
+        row = np.zeros(onehot_dim + len(pair_axes) + 1)
+        t = []
+        for axis, level in enumerate(knobs):
+            row[offsets[axis] + level] = 1.0
+            t.append(level / (cards[axis] - 1))
+        for j, (a, b) in enumerate(pair_axes):
+            row[onehot_dim + j] = t[a] * t[b]
+        row[-1] = 1.0
+        return row
+
+    for _ in range(10):
+        ev.evaluate(_scalar_unseen_random(ev, rng, cards))
+    coef = None
+    sigma = np.ones(2)
+    fitted_at = -1
+    while True:
+        if coef is None or ev.evaluations_used - fitted_at >= 25:
+            x = np.array([encode(p.knobs) for p in ev.evaluated])
+            y = np.array([_log_objectives(p) for p in ev.evaluated])
+            coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+            resid = y - x @ coef
+            sigma = np.maximum(resid.std(axis=0), 1e-3)
+            fitted_at = ev.evaluations_used
+        front = ev.front_points()
+        pool = {_scalar_random_knobs(rng, cards) for _ in range(256)}
+        for p in front:
+            for axis in range(k):
+                for move in (-1, 1):
+                    level = p.knobs[axis] + move
+                    if 0 <= level < cards[axis]:
+                        pool.add(p.knobs[:axis] + (level,) + p.knobs[axis + 1 :])
+        cands = sorted(c for c in pool if not ev.seen(c))
+        if not cands:
+            ev.evaluate(_scalar_unseen_random(ev, rng, cards))
+            continue
+        mu = np.array([encode(c) for c in cands]) @ coef
+        draws = mu[:, None, :] + rng.standard_normal((len(cands), 8, 2)) * sigma
+        front_logs = np.array([_log_objectives(p) for p in front])
+        # a draw is an improvement when no front point weakly dominates it
+        le = (front_logs[:, None, None, :] <= draws[None, :, :, :]).all(axis=3)
+        lt = (front_logs[:, None, None, :] < draws[None, :, :, :]).any(axis=3)
+        dominated = (le & lt).any(axis=0)
+        scores = 1.0 - dominated.mean(axis=1)
+        order = sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
+        top = scores[order[0]]
+        if top > 0:
+            eligible = [i for i in order if scores[i] >= 0.25 * top]
+        else:
+            eligible = order[:32]
+        pts = mu[eligible]
+        gap = np.sqrt(
+            ((pts[:, None, :] - front_logs[None, :, :]) ** 2).sum(axis=2)
+        ).min(axis=1)
+        batch: list[int] = []
+        while len(batch) < 5 and len(batch) < len(eligible):
+            j = int(np.argmax(gap))
+            batch.append(eligible[j])
+            gap = np.minimum(gap, np.sqrt(((pts - pts[j]) ** 2).sum(axis=1)))
+            gap[j] = -1.0
+        for i in order:
+            if len(batch) == 5:
+                break
+            if i not in batch:
+                batch.append(i)
+        for i in batch:
+            ev.evaluate(cands[i])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from dsekit import cli
 from dsekit.cli import (
     ACCURACY_FILE,
     ADRS_MATRIX_FILE,
@@ -100,6 +101,64 @@ class TestRuntimeErrors:
         assert "fingerprint" in capsys.readouterr().err
 
 
+    def test_run_rejects_a_suite_mixing_size_classes(self, tmp_path, capsys):
+        small, medium, mixed = tmp_path / "s", tmp_path / "m", tmp_path / "mixed"
+        for out, size in ((small, "small"), (medium, "medium")):
+            assert main(["synth", "--families", "smooth,plateau", "--seeds", "0", "--size", size, "--out", str(out)]) == 0
+        mixed.mkdir()
+        (mixed / "instances.jsonl").write_bytes(
+            (small / "instances.jsonl").read_bytes() + (medium / "instances.jsonl").read_bytes()
+        )
+        assert main(["run", "--dataset", str(mixed), "--budget", "5"]) == 1
+        err = capsys.readouterr().err
+        assert f"{mixed / 'instances.jsonl'}:3:" in err and "size class" in err
+        assert not (mixed / "manifest.json").exists()
+
+    def test_run_rejects_a_repeated_benchmark_id(self, pipeline, tmp_path, capsys):
+        repeated = tmp_path / "repeated"
+        repeated.mkdir()
+        lines = (pipeline["d"] / "instances.jsonl").read_text().splitlines(keepends=True)
+        (repeated / "instances.jsonl").write_text("".join(lines + lines[:1]))
+        assert main(["run", "--dataset", str(repeated), "--budget", "5"]) == 1
+        err = capsys.readouterr().err
+        assert f"{repeated / 'instances.jsonl'}:{len(lines) + 1}:" in err and "duplicate" in err
+        assert not (repeated / "manifest.json").exists()
+
+    def test_failed_checkpoint_write_keeps_the_old_checkpoint(self, pipeline, tmp_path, monkeypatch):
+        out = tmp_path / "t"
+        out.mkdir()
+        old = (pipeline["t"] / CHECKPOINT_FILE).read_bytes()
+        (out / CHECKPOINT_FILE).write_bytes(old)
+
+        def save_half_then_fail(fh, *args, **kwargs):
+            fh.write("selector-checkpoint truncated\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_selector", save_half_then_fail)
+        assert main(["train", "--dataset", str(pipeline["d"]), "--seed", "0", "--out", str(out)]) == 1
+        assert (out / CHECKPOINT_FILE).read_bytes() == old
+
+    def test_report_rejects_runs_missing_a_labelled_cell(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["d"] / "runs.jsonl").read_text().splitlines(keepends=True)
+        dropped = json.loads(lines[3])
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join(lines[:3] + lines[4:]))
+        code = main(
+            [
+                "report",
+                "--runs", str(runs),
+                "--labels", str(pipeline["d"] / "labels.jsonl"),
+                "--report", str(pipeline["i"] / REPORT_FILE),
+                "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(runs) in err and dropped["benchmark_id"] in err
+        assert EXPLORER_NAMES[dropped["explorer_code"]] in err
+        assert not (tmp_path / "r" / RUNTIME_FILE).exists()
+
+
 class TestSynth:
     def test_line_count_contract(self, tmp_path):
         out = tmp_path / "suite"
@@ -183,7 +242,8 @@ class TestReport:
             {"benchmark_id": "rugged-small-0000", "selected_code": 5, "regret": 0.0},
         ]
         runs = [
-            {"benchmark_id": "smooth-small-0000", "explorer_code": c, "wall_seconds": 0.25, "adrs": 0.0, "evaluations_used": 1, "front": []}
+            {"benchmark_id": record["benchmark_id"], "explorer_code": c, "wall_seconds": 0.25, "adrs": 0.0, "evaluations_used": 1, "front": []}
+            for record in labels
             for c in range(n)
         ]
         for name, rows in (("labels.jsonl", labels), ("report.jsonl", report), ("runs.jsonl", runs)):
@@ -209,7 +269,7 @@ class TestReport:
         runtime = (out / RUNTIME_FILE).read_text().splitlines()
         assert runtime[0] == "explorer,total_wall_seconds"
         assert [line.split(",")[0] for line in runtime[1:]] == list(EXPLORER_NAMES)
-        assert all(line.split(",")[1] == "0.25" for line in runtime[1:])
+        assert all(line.split(",")[1] == "0.75" for line in runtime[1:])
 
         matrix = (out / ADRS_MATRIX_FILE).read_text().splitlines()
         assert matrix[0].split(",") == ["benchmark_id", *EXPLORER_NAMES, "best"]

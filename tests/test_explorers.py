@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dsekit.benchmarks import Family, synth_instance
 from dsekit.explorers import (
@@ -12,11 +14,17 @@ from dsekit.explorers import (
     explore,
     run_portfolio,
 )
+from dsekit.explorers.algorithms import _dominated, _random_knobs, run_sbo
 from dsekit.explorers.base import NOMINAL_EVAL_SECONDS, BudgetSaturated
 from dsekit.pareto import pareto_filter
 from dsekit.surrogate import SurrogateModel, exhaustive_front
 
+from oracles import dominance_matrix, reference_run_sbo
+
 ALL_EXPLORERS = list(ExplorerId)
+
+# (log-latency, log-area) pairs on a coarse grid, so ties and repeats are common
+GRID_POINTS = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda t: (t[0] / 2, t[1] / 2))
 
 
 class CountingModel:
@@ -195,3 +203,73 @@ class TestPortfolio:
         instance, model = small_case
         with pytest.raises(RuntimeError, match=f"explorer SA failed on {instance.id}"):
             run_portfolio(instance, model, Budget(3), master_seed=0)
+
+
+class TestSurrogateExplorer:
+    """The array-form SBO against its first, loop-form implementation."""
+
+    @staticmethod
+    def trajectory(runner, instance, budget):
+        ev = BudgetedEvaluator(
+            SurrogateModel.from_instance(instance), instance.schema, Budget(budget), 0.001
+        )
+        rng = np.random.default_rng(11)
+        with pytest.raises(BudgetSaturated):
+            runner(ev, instance.schema, rng)
+        return [p.knobs for p in ev.evaluated], rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "family,budget",
+        [
+            (Family.SMOOTH, 60),
+            (Family.DECEPTIVE, 60),
+            (Family.CLUSTERED, 60),
+            (Family.DECEPTIVE, 500),
+            (Family.CLUSTERED, 500),
+        ],
+    )
+    def test_evaluates_the_reference_sequence(self, family, budget):
+        instance = synth_instance(family, 0, "medium")
+        expected, expected_state = self.trajectory(reference_run_sbo, instance, budget)
+        evaluated, state = self.trajectory(run_sbo, instance, budget)
+        assert len(evaluated) == budget
+        assert evaluated == expected
+        assert state == expected_state
+
+    @staticmethod
+    def brute_force_dominated(front: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        flat = draws.reshape(-1, 2)
+        dom = dominance_matrix(np.concatenate([front, flat]))
+        return dom[: len(front), len(front) :].any(axis=0).reshape(draws.shape[:-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        front=st.lists(GRID_POINTS, min_size=1, max_size=8),
+        draws=st.integers(1, 4).flatmap(
+            lambda width: st.lists(st.lists(GRID_POINTS, min_size=width, max_size=width), min_size=1, max_size=5)
+        ),
+    )
+    @example(front=[(1.0, 1.0)], draws=[[(1.0, 1.0), (1.0, 1.5), (0.5, 1.0), (1.5, 1.5)]])
+    @example(front=[(1.0, 0.5), (1.0, 0.5), (0.5, 1.0)], draws=[[(1.0, 0.5), (1.0, 1.0)]])
+    @example(front=[(2.0, 1.0), (1.0, 1.0), (0.5, 2.0)], draws=[[(1.5, 1.0), (1.0, 1.0), (0.5, 1.0)]])
+    def test_staircase_matches_pairwise_dominance(self, front, draws):
+        front_logs, draw_logs = np.array(front), np.array(draws)
+        assert np.array_equal(
+            _dominated(front_logs, draw_logs), self.brute_force_dominated(front_logs, draw_logs)
+        )
+
+    @pytest.mark.parametrize(
+        "cards",
+        [(2, 3, 5), (1, 4), (7,), (1, 1, 1), (3, 2**33, 2), (2**40, 2**32 + 1, 9, 1)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_batched_draws_consume_the_generator_like_scalar_draws(self, cards, seed):
+        def scalar(rng):
+            return tuple(int(rng.integers(0, c)) for c in cards)
+
+        loop, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _random_knobs(batched, cards) == scalar(loop)
+        assert batched.bit_generator.state == loop.bit_generator.state
+        rows = batched.integers(0, cards, size=(256, len(cards))).tolist()
+        assert [tuple(row) for row in rows] == [scalar(loop) for _ in range(256)]
+        assert batched.bit_generator.state == loop.bit_generator.state
