@@ -1,8 +1,9 @@
-"""End-to-end: generate a small labeled suite, train the selector, use it.
+"""End-to-end: synthesize and label a small suite, train the selector, use it.
 
-The full-size pipeline lives behind the dsekit command-line interface; this
-script does the same thing in miniature through the library API so each stage
-is visible. Takes around a minute.
+The suite is built with the `synth` and `run` commands, exactly as from the
+shell, and loaded back with `dsekit.dataset.load`; training and recommendation
+then go through the library API so each stage is visible. Takes around a
+minute.
 """
 
 import tempfile
@@ -10,24 +11,23 @@ from pathlib import Path
 
 import numpy as np
 
-from dsekit.benchmarks import Family
-from dsekit.dataset import DatasetConfig, generate
+from dsekit import cli
+from dsekit.dataset import load
 from dsekit.explorers import ExplorerId
 from dsekit.selector import PpoAgent, pretrain_supervised, recommend, train_rl
 
-config = DatasetConfig(
-    families=(Family.SMOOTH, Family.RUGGED, Family.DECEPTIVE, Family.CLUSTERED),
-    seeds=(0, 1, 2, 3, 4),
-    size_class="small",
-    budget=150,
-    master_seed=0,
-    split_fraction=0.7,
-)
-
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "suite"
-    print("generating", len(config.families) * len(config.seeds), "benchmarks ...")
-    data = generate(config, out, workers=2)
+    print("synthesizing and running 20 benchmarks ...")
+    for argv in (
+        ["synth", "--families", "smooth,rugged,deceptive,clustered", "--seeds", "0..4",
+         "--size", "small", "--out", str(out)],
+        ["run", "--dataset", str(out), "--budget", "150", "--master-seed", "0",
+         "--workers", "2", "--split-fraction", "0.7"],
+    ):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"dsekit {argv[0]} failed")
+    data = load(out)
     for name, digest in sorted(data.manifest.hashes.items()):
         print(f"  {name:16s} {digest}")
 

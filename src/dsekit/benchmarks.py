@@ -508,15 +508,6 @@ def _neighbor_readout(graph: OperationGraph, type_index: np.ndarray) -> list[flo
     ]
 
 
-def standardize(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-score feature rows; constant columns pass through unscaled."""
-    matrix = np.asarray(features, dtype=float)
-    mean = matrix.mean(axis=0)
-    scale = matrix.std(axis=0)
-    scale = np.where(scale < 1e-9, 1.0, scale)
-    return (matrix - mean) / scale, mean, scale
-
-
 # --- serialization ----------------------------------------------------------
 
 

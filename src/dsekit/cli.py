@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,21 +24,22 @@ from .benchmarks import Family, extract_features
 from .blas import use_one_blas_thread
 from .dataset import (
     INSTANCES_FILE,
-    RUNS_FILE,
     DatasetConfig,
     _write_atomic,
+    check_runs_cover,
     dataset_fingerprint,
     instance_master_seed,
     load,
     persist_instances,
     persist_results,
     read_instances,
+    read_jsonl,
     reconstruct_front,
     run_suite,
     synth_suite,
     write_jsonl,
 )
-from .explorers import Budget, ExplorerId, explore, portfolio_seed
+from .explorers import EXHAUSTIVE_REFERENCE_LIMIT, Budget, ExplorerId, explore, portfolio_seed
 from .hashing import fnv1a64_hex, mix64
 from .pareto import adrs, pareto_filter
 from .selector import PpoAgent, load_selector, pretrain_supervised, recommend, save_selector, train_rl
@@ -55,10 +55,6 @@ RUNTIME_FILE = "runtime.csv"
 
 EXPLORER_NAMES = tuple(e.name.lower() for e in ExplorerId)
 N_EXPLORERS = len(ExplorerId)
-
-# Matches the scoring stage: spaces at most this large get the true front as
-# the ADRS reference, larger ones the non-dominated union of stored fronts.
-_EXHAUSTIVE_LIMIT = 4096
 
 # Salt so the re-execution seed in `infer` never collides with the seed the
 # same (benchmark, explorer) cell used during `run`.
@@ -178,12 +174,6 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple[str, ...]])
     _write_atomic(path, text)
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    if not path.exists():
-        raise FileNotFoundError(f"input file missing: {path}")
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-
-
 # -- commands ------------------------------------------------------------------------
 
 
@@ -203,7 +193,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     dataset = Path(args.dataset)
     instances_path = dataset / INSTANCES_FILE
-    instances, feature_map, records = read_instances(instances_path)
+    instances, _, records = read_instances(instances_path)
     if not records:
         raise ValueError(f"no instances in {instances_path}")
     families: list[str] = []
@@ -212,11 +202,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             families.append(record["family"])
     seeds = tuple(sorted({int(record["seed"]) for record in records}))
     portfolios = run_suite(instances, args.budget, args.master_seed, args.workers)
-    ds = persist_results(
+    manifest = persist_results(
         dataset,
         instances,
         portfolios,
-        feature_map,
         instances_hash=fnv1a64_hex(instances_path.read_bytes()),
         master_seed=args.master_seed,
         budget=args.budget,
@@ -227,8 +216,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     print(
         f"ran {N_EXPLORERS} explorers on {len(instances)} benchmarks "
-        f"(budget {args.budget}); split {len(ds.manifest.train_ids)} train / "
-        f"{len(ds.manifest.inference_ids)} inference"
+        f"(budget {args.budget}); split {len(manifest.train_ids)} train / "
+        f"{len(manifest.inference_ids)} inference"
     )
     return 0
 
@@ -282,7 +271,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         )
 
     fronts_by_id: dict[str, list] = {}
-    for record in _read_jsonl(Path(args.dataset) / RUNS_FILE):
+    for record in ds.runs:
         fronts_by_id.setdefault(record["benchmark_id"], []).append(reconstruct_front(record))
     samples = {s.benchmark_id: s for s in ds.samples}
     instances = {inst.id: inst for inst in ds.instances}
@@ -293,7 +282,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         instance = instances[benchmark_id]
         choice, _ = recommend(head, agent, np.array(sample.features))
         adrs_row = sample.adrs_row
-        best = ExplorerId(min(range(N_EXPLORERS), key=lambda k: (adrs_row[k], k)))
+        best = ExplorerId(sample.label)
 
         model = SurrogateModel.from_instance(instance)
         fresh_seed = portfolio_seed(
@@ -301,8 +290,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
             choice,
         )
         fresh = explore(choice, instance, model, Budget(args.budget), fresh_seed)
-        if instance.schema.space_size() <= _EXHAUSTIVE_LIMIT:
-            reference = exhaustive_front(model, instance.schema, _EXHAUSTIVE_LIMIT)
+        if instance.schema.space_size() <= EXHAUSTIVE_REFERENCE_LIMIT:
+            reference = exhaustive_front(model, instance.schema, EXHAUSTIVE_REFERENCE_LIMIT)
         else:
             reference = pareto_filter(
                 [p for front in fronts_by_id[benchmark_id] for p in front.points]
@@ -335,23 +324,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    labels_rows = _read_jsonl(Path(args.labels))
-    runs_rows = _read_jsonl(Path(args.runs))
-    report_rows = _read_jsonl(Path(args.report))
+    labels_rows = read_jsonl(Path(args.labels))
+    runs_rows = read_jsonl(Path(args.runs))
+    report_rows = read_jsonl(Path(args.report))
     if not labels_rows or not report_rows:
         raise ValueError("labels and report files must be non-empty")
-    covered = {(record["benchmark_id"], int(record["explorer_code"])) for record in runs_rows}
-    for record in labels_rows:
-        missing = [
-            name
-            for code, name in enumerate(EXPLORER_NAMES)
-            if (record["benchmark_id"], code) not in covered
-        ]
-        if missing:
-            raise ValueError(
-                f"{args.runs} has no run of {', '.join(missing)} on benchmark "
-                f"{record['benchmark_id']} named in {args.labels}"
-            )
+    check_runs_cover(runs_rows, labels_rows, Path(args.runs), Path(args.labels))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,12 +1,12 @@
-"""Dataset generation: portfolio runs over instance suites, labels, and files.
+"""Datasets: portfolio runs over instance suites, labels, and their files.
 
-A generated dataset is four files in one directory. instances.jsonl holds the
-benchmarks themselves, runs.jsonl one line per (benchmark, explorer) with the
-score and the found front, labels.jsonl the per-benchmark winner, and
-manifest.json the configuration echo, the train/inference split, and FNV-1a
-content hashes of the other three. The manifest is written last, so a
-directory with a manifest is complete, and every float is serialized with 17
-significant digits, so loading reproduces generation bit-exactly.
+A dataset is four files in one directory. `synth` writes instances.jsonl, the
+benchmarks themselves. `run` adds runs.jsonl, one line per (benchmark,
+explorer) with the score and the found front; labels.jsonl, the per-benchmark
+winner; and manifest.json, the configuration echo, the train/inference split,
+and FNV-1a content hashes of the other three. The manifest is written last,
+so a directory with a manifest is complete, and every float is serialized
+with 17 significant digits, so `load` reproduces the run bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .benchmarks import (
     BenchmarkInstance,
     Family,
-    extract_features,
     instance_from_record,
     instance_to_record,
     synth_instance,
@@ -51,8 +50,6 @@ RUNS_FILE = "runs.jsonl"
 LABELS_FILE = "labels.jsonl"
 MANIFEST_FILE = "manifest.json"
 DATA_FILES = (INSTANCES_FILE, RUNS_FILE, LABELS_FILE)
-
-N_EXPLORERS = len(ExplorerId)
 
 
 # -- canonical serialization -----------------------------------------------------
@@ -109,48 +106,17 @@ def _emit(value, out: list[str]) -> None:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """What to synthesize and how to run it."""
+    """Which benchmark suite to synthesize."""
 
     families: tuple[Family, ...] = tuple(Family)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
     size_class: str = "medium"
-    budget: int = 500
-    master_seed: int = 0
-    split_fraction: float = 0.69
 
     def __post_init__(self) -> None:
         if not self.families or not self.seeds:
             raise ValueError("config needs at least one family and one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("duplicate seeds would create duplicate benchmark ids")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError(f"split fraction must lie in (0,1), got {self.split_fraction}")
-        Budget(self.budget)  # reuse its validation
-
-
-@dataclass(frozen=True)
-class PerformanceTable:
-    """Per-benchmark scores for all ten explorers, with run costs."""
-
-    adrs: dict[str, tuple[float, ...]]
-    evaluations: dict[str, tuple[int, ...]]
-    wall_seconds: dict[str, tuple[float, ...]]
-
-    def __post_init__(self) -> None:
-        for benchmark_id, row in self.adrs.items():
-            if len(row) != N_EXPLORERS:
-                raise ValueError(f"incomplete score row for {benchmark_id}")
-            if any(not math.isfinite(v) or v < 0.0 for v in row):
-                raise ValueError(f"invalid score in row for {benchmark_id}")
-
-    def row(self, benchmark_id: str) -> tuple[float, ...]:
-        try:
-            return self.adrs[benchmark_id]
-        except KeyError:
-            raise KeyError(f"no performance row for benchmark {benchmark_id}") from None
-
-    def score(self, benchmark_id: str, explorer: ExplorerId) -> float:
-        return self.row(benchmark_id)[ExplorerId(explorer).value]
 
 
 @dataclass(frozen=True)
@@ -220,11 +186,14 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Everything a training or reporting stage needs, in memory."""
+    """Everything a training or inference stage needs, in memory.
+
+    `runs` holds the runs.jsonl records as parsed, after their hash matched
+    the manifest.
+    """
 
     instances: tuple[BenchmarkInstance, ...]
-    features: dict[str, tuple[float, ...]]
-    table: PerformanceTable
+    runs: tuple[dict, ...]
     samples: tuple[LabeledSample, ...]
     manifest: DatasetManifest
 
@@ -243,7 +212,7 @@ class Dataset:
         )
 
 
-# -- generation --------------------------------------------------------------------
+# -- running -----------------------------------------------------------------------
 
 
 def instance_master_seed(master_seed: int, instance: BenchmarkInstance) -> int:
@@ -391,39 +360,70 @@ def persist_instances(
     )
 
 
+def read_jsonl(path: Path, text: str | None = None) -> list[dict]:
+    """The JSON objects of a JSONL file, one per line; reads the file unless given its text.
+
+    A line that is not a JSON object is rejected with the path and line number.
+    """
+    if text is None:
+        if not path.exists():
+            raise FileNotFoundError(f"input file missing: {path}")
+        text = path.read_text(encoding="utf-8")
+    records: list[dict] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}:{lineno}: {err.msg} at column {err.colno}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        records.append(record)
+    return records
+
+
 def read_instances(
-    path: Path,
+    path: Path, text: str | None = None
 ) -> tuple[tuple[BenchmarkInstance, ...], dict[str, tuple[float, ...]], list[dict]]:
     """Parse instances.jsonl into objects, features, and the raw records.
 
     A suite has unique benchmark ids and one size class; a file that breaks
     either is rejected with its path and line number.
     """
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file missing: {path}")
     instances: list[BenchmarkInstance] = []
     feature_map: dict[str, tuple[float, ...]] = {}
-    records: list[dict] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        record = json.loads(line)
+    records = read_jsonl(path, text)
+    for lineno, record in enumerate(records, 1):
         if record["id"] in feature_map:
             raise ValueError(f"{path}:{lineno}: duplicate benchmark id {record['id']!r}")
-        if records and record["size_class"] != records[0]["size_class"]:
+        if record["size_class"] != records[0]["size_class"]:
             raise ValueError(
                 f"{path}:{lineno}: size class {record['size_class']!r} differs from "
                 f"{records[0]['size_class']!r} on line 1; a suite has one size class"
             )
         instances.append(instance_from_record(record))
         feature_map[record["id"]] = tuple(float(v) for v in record["feature_vector"])
-        records.append(record)
     return tuple(instances), feature_map, records
+
+
+def check_runs_cover(
+    runs: Iterable[dict], labels: Iterable[dict], runs_path: Path, labels_path: Path
+) -> None:
+    """Require a runs record of each of the ten explorers for every labelled benchmark."""
+    covered = {(record["benchmark_id"], int(record["explorer_code"])) for record in runs}
+    for lineno, record in enumerate(labels, 1):
+        benchmark_id = record["benchmark_id"]
+        missing = [e.name.lower() for e in ExplorerId if (benchmark_id, e.value) not in covered]
+        if missing:
+            raise ValueError(
+                f"{runs_path} has no run of {', '.join(missing)} on benchmark "
+                f"{benchmark_id} named in {labels_path}:{lineno}"
+            )
 
 
 def persist_results(
     out_dir: Path,
     instances: Sequence[BenchmarkInstance],
     portfolios: Sequence[PortfolioResult],
-    feature_map: dict[str, tuple[float, ...]],
     *,
     instances_hash: str,
     master_seed: int,
@@ -432,8 +432,8 @@ def persist_results(
     families: Sequence[str],
     seeds: Sequence[int],
     split_fraction: float,
-) -> Dataset:
-    """Write runs, labels, and the manifest; returns the in-memory dataset.
+) -> DatasetManifest:
+    """Write runs, labels, and the manifest; returns the manifest.
 
     Any failure removes the three files this call owns, so a directory that
     contains manifest.json is always complete.
@@ -449,17 +449,12 @@ def persist_results(
                 for result in portfolio.results
             ),
         )
-        samples = tuple(
-            LabeledSample(
-                benchmark_id=inst.id,
-                features=feature_map[inst.id],
-                label=portfolio.argmin.value,
-                adrs_row=portfolio.adrs_values,
-            )
-            for inst, portfolio in zip(instances, portfolios)
-        )
         hashes[LABELS_FILE] = write_jsonl(
-            out / LABELS_FILE, (_label_line(s.benchmark_id, s.label, s.adrs_row) for s in samples)
+            out / LABELS_FILE,
+            (
+                _label_line(inst.id, portfolio.argmin.value, portfolio.adrs_values)
+                for inst, portfolio in zip(instances, portfolios)
+            ),
         )
         train_ids, inference_ids = split_ids(
             [inst.id for inst in instances], split_fraction, master_seed
@@ -480,58 +475,7 @@ def persist_results(
         for name in (RUNS_FILE, LABELS_FILE, MANIFEST_FILE):
             (out / name).unlink(missing_ok=True)
         raise
-    table = PerformanceTable(
-        adrs={inst.id: p.adrs_values for inst, p in zip(instances, portfolios)},
-        evaluations={
-            inst.id: tuple(r.evaluations_used for r in p.results)
-            for inst, p in zip(instances, portfolios)
-        },
-        wall_seconds={
-            inst.id: tuple(r.wall_seconds for r in p.results)
-            for inst, p in zip(instances, portfolios)
-        },
-    )
-    return Dataset(
-        instances=tuple(instances),
-        features=feature_map,
-        table=table,
-        samples=samples,
-        manifest=manifest,
-    )
-
-
-def generate(config: DatasetConfig, out_dir: str | Path, workers: int = 1) -> Dataset:
-    """Synthesize, run, label, split, and persist one dataset directory.
-
-    Any failure removes the files written so far; a directory containing
-    manifest.json is therefore always a complete dataset.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        instances = synth_suite(config)
-        feature_map = {
-            inst.id: tuple(float(v) for v in extract_features(inst)) for inst in instances
-        }
-        instances_hash = persist_instances(out, instances, config.size_class, feature_map)
-        portfolios = run_suite(instances, config.budget, config.master_seed, workers)
-        return persist_results(
-            out,
-            instances,
-            portfolios,
-            feature_map,
-            instances_hash=instances_hash,
-            master_seed=config.master_seed,
-            budget=config.budget,
-            size_class=config.size_class,
-            families=tuple(f.name.lower() for f in config.families),
-            seeds=tuple(sorted(config.seeds)),
-            split_fraction=config.split_fraction,
-        )
-    except BaseException:
-        for name in DATA_FILES + (MANIFEST_FILE,):
-            (out / name).unlink(missing_ok=True)
-        raise
+    return manifest
 
 
 def dataset_fingerprint(manifest: DatasetManifest) -> str:
@@ -543,17 +487,16 @@ def dataset_fingerprint(manifest: DatasetManifest) -> str:
 # -- loading ------------------------------------------------------------------------
 
 
-def _read_verified(directory: Path, name: str, expected_hash: str) -> str:
-    path = directory / name
+def _read_verified(path: Path, expected_hash: str) -> str:
     if not path.exists():
         raise FileNotFoundError(f"dataset file missing: {path}")
-    text = path.read_text(encoding="utf-8")
-    actual = fnv1a64_hex(text.encode("utf-8"))
+    data = path.read_bytes()  # hashed as stored, like `run` hashes instances.jsonl
+    actual = fnv1a64_hex(data)
     if actual != expected_hash:
         raise ValueError(
-            f"dataset corrupted/stale: {name} hash {actual} does not match manifest {expected_hash}"
+            f"dataset corrupted/stale: {path.name} hash {actual} does not match manifest {expected_hash}"
         )
-    return text
+    return data.decode("utf-8")
 
 
 def load(dataset_dir: str | Path) -> Dataset:
@@ -566,49 +509,21 @@ def load(dataset_dir: str | Path) -> Dataset:
     for name in DATA_FILES:
         if name not in manifest.hashes:
             raise ValueError(f"manifest lists no hash for {name}")
-    texts = {name: _read_verified(directory, name, manifest.hashes[name]) for name in DATA_FILES}
+    paths = {name: directory / name for name in DATA_FILES}
+    texts = {name: _read_verified(paths[name], manifest.hashes[name]) for name in DATA_FILES}
 
-    instances = []
-    feature_map: dict[str, tuple[float, ...]] = {}
-    for line in texts[INSTANCES_FILE].splitlines():
-        record = json.loads(line)
-        instances.append(instance_from_record(record))
-        feature_map[record["id"]] = tuple(float(v) for v in record["feature_vector"])
-
-    adrs_cells: dict[str, dict[int, float]] = {}
-    evals_cells: dict[str, dict[int, int]] = {}
-    wall_cells: dict[str, dict[int, float]] = {}
-    for line in texts[RUNS_FILE].splitlines():
-        record = json.loads(line)
-        benchmark_id = record["benchmark_id"]
-        code = int(record["explorer_code"])
-        adrs_cells.setdefault(benchmark_id, {})[code] = float(record["adrs"])
-        evals_cells.setdefault(benchmark_id, {})[code] = int(record["evaluations_used"])
-        wall_cells.setdefault(benchmark_id, {})[code] = float(record["wall_seconds"])
-
-    def dense(cells: dict[str, dict[int, float]], cast) -> dict[str, tuple]:
-        out = {}
-        for benchmark_id, row in cells.items():
-            missing = [c for c in range(N_EXPLORERS) if c not in row]
-            if missing:
-                raise ValueError(
-                    f"runs file incomplete: benchmark {benchmark_id} lacks explorer codes {missing}"
-                )
-            out[benchmark_id] = tuple(cast(row[c]) for c in range(N_EXPLORERS))
-        return out
-
-    table = PerformanceTable(
-        adrs=dense(adrs_cells, float),
-        evaluations=dense(evals_cells, int),
-        wall_seconds=dense(wall_cells, float),
-    )
+    instances, feature_map, _ = read_instances(paths[INSTANCES_FILE], texts[INSTANCES_FILE])
+    runs = read_jsonl(paths[RUNS_FILE], texts[RUNS_FILE])
+    labels = read_jsonl(paths[LABELS_FILE], texts[LABELS_FILE])
+    check_runs_cover(runs, labels, paths[RUNS_FILE], paths[LABELS_FILE])
 
     samples = []
-    for line in texts[LABELS_FILE].splitlines():
-        record = json.loads(line)
+    for lineno, record in enumerate(labels, 1):
         benchmark_id = record["benchmark_id"]
         if benchmark_id not in feature_map:
-            raise ValueError(f"labels reference unknown benchmark {benchmark_id}")
+            raise ValueError(
+                f"{paths[LABELS_FILE]}:{lineno}: labels reference unknown benchmark {benchmark_id}"
+            )
         samples.append(
             LabeledSample(
                 benchmark_id=benchmark_id,
@@ -618,13 +533,7 @@ def load(dataset_dir: str | Path) -> Dataset:
             )
         )
 
-    return Dataset(
-        instances=tuple(instances),
-        features=feature_map,
-        table=table,
-        samples=tuple(samples),
-        manifest=manifest,
-    )
+    return Dataset(instances=instances, runs=tuple(runs), samples=tuple(samples), manifest=manifest)
 
 
 def reconstruct_front(record: dict):
@@ -649,15 +558,15 @@ __all__ = [
     "DatasetConfig",
     "DatasetManifest",
     "LabeledSample",
-    "PerformanceTable",
     "canonical_json",
+    "check_runs_cover",
     "dataset_fingerprint",
-    "generate",
     "instance_master_seed",
     "load",
     "persist_instances",
     "persist_results",
     "read_instances",
+    "read_jsonl",
     "reconstruct_front",
     "run_suite",
     "split_ids",

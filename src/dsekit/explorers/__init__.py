@@ -1,6 +1,7 @@
 """Ten design-space explorers behind one budgeted, seeded interface."""
 
 from .base import (
+    EXHAUSTIVE_REFERENCE_LIMIT,
     Budget,
     BudgetedEvaluator,
     ExplorationResult,
@@ -13,6 +14,7 @@ from .base import (
 )
 
 __all__ = [
+    "EXHAUSTIVE_REFERENCE_LIMIT",
     "Budget",
     "BudgetedEvaluator",
     "ExplorationResult",

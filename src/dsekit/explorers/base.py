@@ -18,14 +18,7 @@ import numpy as np
 
 from ..benchmarks import BenchmarkInstance, KnobSchema
 from ..hashing import mix64
-from ..pareto import (
-    DesignPoint,
-    ParetoFront,
-    adrs,
-    dominates,
-    pareto_filter,
-    reference_front,
-)
+from ..pareto import DesignPoint, ParetoFront, adrs, dominates, pareto_filter
 from ..surrogate import SurrogateModel, exhaustive_front
 
 
@@ -61,6 +54,10 @@ NOMINAL_EVAL_SECONDS = {
     ExplorerId.QLMOEA: 0.0024,
 }
 
+# Spaces at most this large are scored against their exhaustively enumerated
+# true front; larger ones against the union of the portfolio's fronts.
+EXHAUSTIVE_REFERENCE_LIMIT = 4096
+
 _EXPLORE_TAG = 0xE59A
 _SEED_MASK = (1 << 64) - 1
 
@@ -70,13 +67,10 @@ class Budget:
     """Evaluation allowance for one explorer run."""
 
     max_evaluations: int
-    max_wall_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_evaluations, int) or self.max_evaluations < 1:
             raise ValueError(f"max_evaluations must be a positive integer, got {self.max_evaluations!r}")
-        if self.max_wall_seconds is not None and not self.max_wall_seconds > 0:
-            raise ValueError(f"max_wall_seconds must be positive, got {self.max_wall_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +106,9 @@ class BudgetSaturated(Exception):
 class BudgetedEvaluator:
     """Counting, memoizing gate between an explorer and the cost model.
 
-    Raises BudgetSaturated instead of evaluating once the budget (or the
-    modeled wall clock, or the whole design space) is spent; explorers treat
-    that as their stop signal. The first evaluation is always admitted so a
-    run can never end empty-handed.
+    Raises BudgetSaturated instead of evaluating once the budget (or the whole
+    design space) is spent; explorers treat that as their stop signal. The
+    first evaluation is always admitted so a run can never end empty-handed.
     """
 
     def __init__(
@@ -162,9 +155,6 @@ class BudgetedEvaluator:
         if used >= self._budget.max_evaluations:
             return True
         if len(self._memo) >= self._space:
-            return True
-        wall = self._budget.max_wall_seconds
-        if wall is not None and (used + 1) * self._rate > wall:
             return True
         return self._proposals >= self._proposal_cap
 
@@ -226,13 +216,11 @@ def explore(
     model: SurrogateModel,
     budget: Budget,
     seed: int,
-    exhaustive_fallback: bool = True,
 ) -> ExplorationResult:
     """Run one explorer on one benchmark under a budget, deterministically.
 
-    When the whole design space fits inside the evaluation budget and
-    exhaustive_fallback is on, the space is simply enumerated; any search
-    would be wasted motion there.
+    When the whole design space fits inside the evaluation budget, the space
+    is simply enumerated; any search would be wasted motion there.
     """
     _ensure_runners()
     explorer = ExplorerId(explorer)
@@ -242,7 +230,7 @@ def explore(
         model, instance.schema, budget, NOMINAL_EVAL_SECONDS[explorer]
     )
     try:
-        if exhaustive_fallback and instance.schema.space_size() <= budget.max_evaluations:
+        if instance.schema.space_size() <= budget.max_evaluations:
             for knobs in instance.schema.iter_points():
                 evaluator.evaluate(knobs)
         else:
@@ -252,12 +240,11 @@ def explore(
             _RUNNERS[explorer](evaluator, instance.schema, rng)
     except BudgetSaturated:
         pass
-    evaluated = tuple(evaluator.evaluated)
     return ExplorationResult(
         explorer=explorer,
         benchmark_id=instance.id,
-        evaluated=evaluated,
-        front=pareto_filter(evaluated),
+        evaluated=tuple(evaluator.evaluated),
+        front=ParetoFront(evaluator.front_points()),
         evaluations_used=evaluator.evaluations_used,
         wall_seconds=evaluator.wall_seconds,
     )
@@ -272,18 +259,17 @@ def score_results(
     instance: BenchmarkInstance,
     model: SurrogateModel,
     results: tuple[ExplorationResult, ...],
-    exhaustive_reference_limit: int = 4096,
 ) -> PortfolioResult:
     """Score ten collected runs against one shared reference front.
 
     The reference is the exhaustively enumerated true front when the space is
-    small enough, otherwise the non-dominated union of everything the ten
-    runs evaluated.
+    small enough, otherwise the non-dominated union of the ten runs' fronts,
+    which equals that of everything they evaluated.
     """
-    if instance.schema.space_size() <= exhaustive_reference_limit:
-        reference = exhaustive_front(model, instance.schema, exhaustive_reference_limit)
+    if instance.schema.space_size() <= EXHAUSTIVE_REFERENCE_LIMIT:
+        reference = exhaustive_front(model, instance.schema, EXHAUSTIVE_REFERENCE_LIMIT)
     else:
-        reference = reference_front(results)
+        reference = pareto_filter(p for r in results for p in r.front.points)
     scored = tuple(replace(r, adrs=adrs(reference, r.front)) for r in results)
     best = min(scored, key=lambda r: (r.adrs, r.explorer.value))
     return PortfolioResult(results=scored, reference=reference, argmin=best.explorer)
@@ -294,7 +280,6 @@ def run_portfolio(
     model: SurrogateModel,
     budget: Budget,
     master_seed: int,
-    exhaustive_reference_limit: int = 4096,
 ) -> PortfolioResult:
     """All ten explorers with derived seeds, scored against one reference."""
     results = []
@@ -305,4 +290,4 @@ def run_portfolio(
             )
         except Exception as err:
             raise RuntimeError(f"explorer {explorer.name} failed on {instance.id}") from err
-    return score_results(instance, model, tuple(results), exhaustive_reference_limit)
+    return score_results(instance, model, tuple(results))

@@ -1,4 +1,4 @@
-"""Two-objective Pareto primitives: dominance, filtering, reference fronts, ADRS.
+"""Two-objective Pareto primitives: dominance, filtering, ADRS.
 
 All functions are pure and value-based. Fronts are immutable once constructed
 and safe to share across worker processes.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -168,17 +168,3 @@ def adrs(reference: ParetoFront, approx: ParetoFront) -> float:
     worst_coord = np.maximum(rel, 0.0).max(axis=2)
     return float(worst_coord.min(axis=1).mean())
 
-
-def reference_front(results: Sequence, exhaustive: ParetoFront | None = None) -> ParetoFront:
-    """Best-known front for one benchmark from a portfolio of exploration results.
-
-    Unions every evaluated point across results and filters; when an
-    exhaustively computed front is supplied it takes precedence, since it is
-    the true front by construction.
-    """
-    if exhaustive is not None:
-        return exhaustive
-    union = [p for r in results for p in r.evaluated]
-    if not union:
-        raise ValueError("reference_front needs at least one evaluated point")
-    return pareto_filter(union)

@@ -120,13 +120,12 @@ class SurrogateModel:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, point: DesignPoint) -> ObjectiveVector:
-        """Objectives for one design point; pure and bit-reproducible."""
-        self._validate(point.knobs)
-        return self.evaluate_knobs(point.knobs)
-
     def evaluate_knobs(self, knobs: tuple[int, ...]) -> ObjectiveVector:
-        """Fast path: evaluate a raw knob-index tuple without validation."""
+        """Objectives for one knob-index tuple; pure and bit-reproducible.
+
+        The tuple is not validated; check a point of unknown origin with
+        `KnobSchema.validate_point` first.
+        """
         lat_log = 0.0
         area_log = 0.0
         for tab_l, tab_a, idx in zip(self.latency_tables, self.area_tables, knobs):
@@ -160,15 +159,6 @@ class SurrogateModel:
         latency = min(max(latency, OBJECTIVE_MIN), OBJECTIVE_MAX)
         area = min(max(area, OBJECTIVE_MIN), OBJECTIVE_MAX)
         return ObjectiveVector(area=area, latency=latency)
-
-    def _validate(self, knobs: tuple[int, ...]) -> None:
-        if len(knobs) != len(self.cardinalities):
-            raise ValueError(
-                f"point has {len(knobs)} knob settings, model expects {len(self.cardinalities)}"
-            )
-        for i, (setting, card) in enumerate(zip(knobs, self.cardinalities)):
-            if not (0 <= setting < card):
-                raise ValueError(f"knob index {i} setting {setting} outside [0, {card - 1}]")
 
     def _trap_pull(self, knobs: tuple[int, ...]) -> float:
         pull = 0.0
@@ -316,11 +306,6 @@ def _separated_centers(rng: np.random.Generator, count: int, width: float) -> tu
         if count == 1 or np.diff(centers).min() >= min_gap:
             return tuple(float(c) for c in centers)
     return tuple(float(c) for c in np.linspace(0.16, 0.66, count))
-
-
-def evaluate(model: SurrogateModel, point: DesignPoint) -> ObjectiveVector:
-    """Module-level alias for :meth:`SurrogateModel.evaluate`."""
-    return model.evaluate(point)
 
 
 def enumerate_points(model: SurrogateModel, schema: KnobSchema) -> Iterable[DesignPoint]:

@@ -21,10 +21,10 @@ from dsekit.benchmarks import (
     extract_features,
     instance_from_record,
     instance_to_record,
-    standardize,
     synth_instance,
     validate_graph,
 )
+from dsekit.selector import FeatureScaler
 
 ALL_FAMILIES = list(Family)
 
@@ -221,7 +221,7 @@ class TestFamilySignal:
     def test_centroids_separated(self, family_features):
         """Family centroids stay pairwise >= 0.5 apart in normalized feature space."""
         stacked = np.vstack(list(family_features.values()))
-        normed, mean, scale = standardize(stacked)
+        normed = FeatureScaler.fit(stacked).apply(stacked)
         centroids = [normed[i * 100:(i + 1) * 100].mean(axis=0) for i in range(len(ALL_FAMILIES))]
         for i in range(len(centroids)):
             for j in range(i + 1, len(centroids)):
@@ -238,28 +238,13 @@ class TestFamilySignal:
             f: np.array([extract_features(synth_instance(f, s, "medium")) for s in range(100, 120)])
             for f in ALL_FAMILIES
         }
-        stacked = np.vstack(list(train.values()))
-        _, mean, scale = standardize(stacked)
-        centroids = {f: ((m - mean) / scale).mean(axis=0) for f, m in train.items()}
+        scaler = FeatureScaler.fit(np.vstack(list(train.values())))
+        centroids = {f: scaler.apply(m).mean(axis=0) for f, m in train.items()}
         correct = total = 0
         for f, matrix in test.items():
-            for row in (matrix - mean) / scale:
+            for row in scaler.apply(matrix):
                 predicted = min(centroids, key=lambda g: float(np.linalg.norm(row - centroids[g])))
                 correct += predicted is f
                 total += 1
         assert correct / total >= 0.8
 
-
-class TestStandardize:
-    def test_zero_mean_unit_scale(self):
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(3.0, 2.5, size=(50, 6))
-        normed, mean, scale = standardize(matrix)
-        assert np.allclose(normed.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose(normed.std(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_column_passthrough(self):
-        matrix = np.ones((10, 3))
-        normed, mean, scale = standardize(matrix)
-        assert np.all(scale == 1.0)
-        assert np.all(normed == 0.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from dsekit.cli import (
 )
 from dsekit.dataset import dataset_fingerprint, load
 from dsekit.explorers import ExplorerId
+from dsekit.hashing import fnv1a64_hex
 
 SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
 
@@ -124,6 +126,32 @@ class TestRuntimeErrors:
         assert f"{repeated / 'instances.jsonl'}:{len(lines) + 1}:" in err and "duplicate" in err
         assert not (repeated / "manifest.json").exists()
 
+    def test_run_names_the_line_of_a_truncated_instances_file(self, pipeline, tmp_path, capsys):
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        text = (pipeline["d"] / "instances.jsonl").read_bytes()[:3000]
+        (cut / "instances.jsonl").write_bytes(text)
+        assert main(["run", "--dataset", str(cut), "--budget", "5"]) == 1
+        last_line = text.count(b"\n") + 1
+        assert f"{cut / 'instances.jsonl'}:{last_line}:" in capsys.readouterr().err
+        assert not (cut / "manifest.json").exists()
+
+    def test_train_rejects_a_repeated_benchmark_id_behind_matching_hashes(
+        self, pipeline, tmp_path, capsys
+    ):
+        repeated = tmp_path / "repeated"
+        shutil.copytree(pipeline["d"], repeated, ignore=shutil.ignore_patterns("sel"))
+        lines = (repeated / "instances.jsonl").read_text().splitlines(keepends=True)
+        text = "".join(lines + lines[:1])
+        (repeated / "instances.jsonl").write_text(text)
+        manifest = json.loads((repeated / "manifest.json").read_text())
+        manifest["hashes"]["instances.jsonl"] = fnv1a64_hex(text.encode("utf-8"))
+        (repeated / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train", "--dataset", str(repeated), "--out", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        assert f"{repeated / 'instances.jsonl'}:{len(lines) + 1}:" in err and "duplicate" in err
+        assert not (tmp_path / "t" / CHECKPOINT_FILE).exists()
+
     def test_failed_checkpoint_write_keeps_the_old_checkpoint(self, pipeline, tmp_path, monkeypatch):
         out = tmp_path / "t"
         out.mkdir()
@@ -158,6 +186,25 @@ class TestRuntimeErrors:
         assert EXPLORER_NAMES[dropped["explorer_code"]] in err
         assert not (tmp_path / "r" / RUNTIME_FILE).exists()
 
+    def test_report_names_the_line_of_a_truncated_runs_file(self, pipeline, tmp_path, capsys):
+        text = (pipeline["d"] / "runs.jsonl").read_bytes()
+        text = text[: len(text) // 2]
+        runs = tmp_path / "runs.jsonl"
+        runs.write_bytes(text)
+        code = main(
+            [
+                "report",
+                "--runs", str(runs),
+                "--labels", str(pipeline["d"] / "labels.jsonl"),
+                "--report", str(pipeline["i"] / REPORT_FILE),
+                "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 1
+        last_line = text.count(b"\n") + 1
+        assert f"{runs}:{last_line}:" in capsys.readouterr().err
+        assert not (tmp_path / "r" / RUNTIME_FILE).exists()
+
 
 class TestSynth:
     def test_line_count_contract(self, tmp_path):
@@ -185,6 +232,14 @@ class TestRunAndTrainArtifacts:
         reward = (pipeline["t"] / RL_CURVE_FILE).read_text().splitlines()
         assert supervised[0] == "epoch,loss" and len(supervised) == 1 + 250
         assert reward[0] == "epoch,mean_reward" and len(reward) == 1 + 1000
+
+    def test_train_accepts_a_suite_written_with_crlf_line_ends(self, pipeline, tmp_path):
+        crlf = tmp_path / "crlf"
+        crlf.mkdir()
+        text = (pipeline["d"] / "instances.jsonl").read_bytes()
+        (crlf / "instances.jsonl").write_bytes(text.replace(b"\n", b"\r\n"))
+        assert main(["run", "--dataset", str(crlf), "--budget", "5"]) == 0
+        assert main(["train", "--dataset", str(crlf), "--out", str(tmp_path / "t")]) == 0
 
     def test_checkpoint_is_stamped_with_dataset_fingerprint(self, pipeline):
         header = (pipeline["t"] / CHECKPOINT_FILE).read_text().splitlines()[0]

@@ -1,48 +1,76 @@
-"""Tests for dataset generation, persistence, and integrity checking."""
+"""Tests for dataset running, persistence, and integrity checking."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dsekit.benchmarks import Family
+from dsekit import cli
+from dsekit.benchmarks import Family, extract_features
 from dsekit.dataset import (
     DATA_FILES,
+    INSTANCES_FILE,
     LABELS_FILE,
     MANIFEST_FILE,
     RUNS_FILE,
-    Dataset,
     DatasetConfig,
     LabeledSample,
-    PerformanceTable,
     canonical_json,
-    generate,
     instance_master_seed,
     load,
+    persist_instances,
+    persist_results,
+    read_jsonl,
     reconstruct_front,
     run_suite,
     split_ids,
     synth_suite,
 )
-from dsekit.explorers import ExplorerId
+from dsekit.hashing import fnv1a64_hex
 
-TINY = DatasetConfig(
-    families=(Family.SMOOTH, Family.CLUSTERED),
-    seeds=(0, 1),
-    size_class="small",
-    budget=60,
-    master_seed=0,
-    split_fraction=0.69,
-)
+TINY = DatasetConfig(families=(Family.SMOOTH, Family.CLUSTERED), seeds=(0, 1), size_class="small")
+TINY_SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
+BUDGET = 60
+MASTER_SEED = 0
+
+
+def synth_and_run(out, workers=1):
+    """The tiny suite through the `synth` and `run` commands, then loaded."""
+    assert cli.main(TINY_SYNTH + ["--out", str(out)]) == 0
+    run = ["run", "--dataset", str(out), "--budget", str(BUDGET), "--workers", str(workers)]
+    assert cli.main(run) == 0
+    return load(out)
 
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "tiny"
-    return generate(TINY, out), out
+    return synth_and_run(out), out
+
+
+def persist_tiny(out):
+    """The tiny suite through the library calls that `synth` and `run` make."""
+    instances = synth_suite(TINY)
+    feature_map = {inst.id: tuple(float(v) for v in extract_features(inst)) for inst in instances}
+    instances_hash = persist_instances(out, instances, TINY.size_class, feature_map)
+    portfolios = run_suite(instances, BUDGET, MASTER_SEED)
+    manifest = persist_results(
+        out,
+        instances,
+        portfolios,
+        instances_hash=instances_hash,
+        master_seed=MASTER_SEED,
+        budget=BUDGET,
+        size_class=TINY.size_class,
+        families=("smooth", "clustered"),
+        seeds=TINY.seeds,
+        split_fraction=0.69,
+    )
+    return instances, feature_map, portfolios, manifest
 
 
 class TestCanonicalJson:
@@ -92,30 +120,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="duplicate"):
             DatasetConfig(seeds=(1, 1))
 
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError, match="split fraction"):
-            DatasetConfig(split_fraction=1.0)
 
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            DatasetConfig(budget=0)
+class TestReadJsonl:
+    def test_bad_json_named_by_file_and_line(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n{"a": \n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            read_jsonl(path)
+
+    def test_line_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected a JSON object"):
+            read_jsonl(path, '{"a": 1}\n[1, 2]\n')
 
 
-class TestTableAndSamples:
-    def test_incomplete_row_rejected(self):
-        with pytest.raises(ValueError, match="incomplete"):
-            PerformanceTable(adrs={"b": (0.0,) * 9}, evaluations={}, wall_seconds={})
-
-    def test_negative_score_rejected(self):
-        row = (0.0,) * 9 + (-0.1,)
-        with pytest.raises(ValueError, match="invalid score"):
-            PerformanceTable(adrs={"b": row}, evaluations={}, wall_seconds={})
-
-    def test_missing_row_named(self):
-        table = PerformanceTable(adrs={}, evaluations={}, wall_seconds={})
-        with pytest.raises(KeyError, match="no performance row for benchmark ghost"):
-            table.row("ghost")
-
+class TestSamples:
     def test_label_law_enforced(self):
         row = (0.5, 0.1, 0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9)
         LabeledSample("b", (0.0,), 1, row)  # lowest-code minimizer is fine
@@ -123,17 +142,25 @@ class TestTableAndSamples:
             LabeledSample("b", (0.0,), 2, row)
 
 
-class TestGenerate:
-    def test_files_and_round_trip(self, tiny_dataset):
-        dataset, out = tiny_dataset
+class TestPersistAndLoad:
+    def test_files_and_round_trip(self, tiny_dataset, tmp_path):
+        instances, feature_map, portfolios, manifest = persist_tiny(tmp_path)
+        _, out = tiny_dataset
         for name in DATA_FILES + (MANIFEST_FILE,):
-            assert (out / name).exists()
-        loaded = load(out)
-        assert loaded.manifest == dataset.manifest
-        assert [i.id for i in loaded.instances] == [i.id for i in dataset.instances]
-        assert loaded.samples == dataset.samples
-        assert loaded.table == dataset.table
-        assert loaded.features == dataset.features
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+        loaded = load(tmp_path)
+        assert loaded.manifest == manifest
+        assert loaded.instances == instances
+        assert [s.benchmark_id for s in loaded.samples] == [i.id for i in instances]
+        for sample, portfolio in zip(loaded.samples, portfolios):
+            assert sample.features == feature_map[sample.benchmark_id]
+            assert sample.label == portfolio.argmin.value
+            assert sample.adrs_row == portfolio.adrs_values
+        assert [(r["benchmark_id"], r["explorer_code"], r["adrs"]) for r in loaded.runs] == [
+            (inst.id, result.explorer.value, result.adrs)
+            for inst, portfolio in zip(instances, portfolios)
+            for result in portfolio.results
+        ]
 
     def test_split_sizes_and_disjointness(self, tiny_dataset):
         dataset, _ = tiny_dataset
@@ -157,7 +184,7 @@ class TestGenerate:
 
     def test_regeneration_is_identical(self, tiny_dataset, tmp_path):
         dataset, _ = tiny_dataset
-        again = generate(TINY, tmp_path / "again")
+        again = synth_and_run(tmp_path / "again")
         assert again.manifest.hashes == dataset.manifest.hashes
 
     def test_fronts_round_trip(self, tiny_dataset):
@@ -170,13 +197,19 @@ class TestGenerate:
     def test_failure_leaves_no_files(self, tmp_path, monkeypatch):
         import dsekit.dataset as ds
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("explorer SA failed on smooth-small-0000")
+        write_jsonl = ds.write_jsonl
 
-        monkeypatch.setattr(ds, "run_suite", boom)
-        with pytest.raises(RuntimeError, match="failed on"):
-            generate(TINY, tmp_path / "broken")
-        assert not any((tmp_path / "broken").glob("*"))
+        def fail_on_labels(path, records):
+            if path.name == LABELS_FILE:
+                raise OSError("disk full")
+            return write_jsonl(path, records)
+
+        monkeypatch.setattr(ds, "write_jsonl", fail_on_labels)
+        with pytest.raises(OSError, match="disk full"):
+            persist_tiny(tmp_path)
+        assert (tmp_path / INSTANCES_FILE).exists()
+        for name in (RUNS_FILE, LABELS_FILE, MANIFEST_FILE):
+            assert not (tmp_path / name).exists(), name
 
 
 class TestLoadIntegrity:
@@ -206,12 +239,51 @@ class TestLoadIntegrity:
         with pytest.raises(FileNotFoundError, match="manifest"):
             load(tmp_path / "nowhere")
 
+    def rewrite_with_matching_hash(self, copy, name, lines):
+        text = "".join(lines)
+        (copy / name).write_text(text)
+        manifest = json.loads((copy / MANIFEST_FILE).read_text())
+        manifest["hashes"][name] = fnv1a64_hex(text.encode("utf-8"))
+        (copy / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+    def test_runs_missing_a_labelled_cell_rejected(self, tiny_dataset, tmp_path):
+        _, out = tiny_dataset
+        copy = self.make_copy(out, tmp_path)
+        lines = (copy / RUNS_FILE).read_text().splitlines(keepends=True)
+        dropped = json.loads(lines[13])
+        self.rewrite_with_matching_hash(copy, RUNS_FILE, lines[:13] + lines[14:])
+        with pytest.raises(ValueError, match=f"no run of .* on benchmark {dropped['benchmark_id']}"):
+            load(copy)
+
+    def test_mixed_size_classes_named_by_line(self, tiny_dataset, tmp_path):
+        _, out = tiny_dataset
+        copy = self.make_copy(out, tmp_path)
+        lines = (copy / INSTANCES_FILE).read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace('"size_class":"small"', '"size_class":"medium"', 1)
+        self.rewrite_with_matching_hash(copy, INSTANCES_FILE, lines)
+        pattern = f"{re.escape(str(copy / INSTANCES_FILE))}:3: size class 'medium' differs"
+        with pytest.raises(ValueError, match=pattern):
+            load(copy)
+
+    def test_label_of_an_unknown_benchmark_named_by_line(self, tiny_dataset, tmp_path):
+        _, out = tiny_dataset
+        copy = self.make_copy(out, tmp_path)
+        lines = (copy / LABELS_FILE).read_text().splitlines(keepends=True)
+        ghost = lines[1].replace("smooth-small-0001", "ghost-small-0001")
+        runs = (copy / RUNS_FILE).read_text().splitlines(keepends=True)
+        ghost_runs = [line.replace("smooth-small-0001", "ghost-small-0001") for line in runs[10:20]]
+        self.rewrite_with_matching_hash(copy, RUNS_FILE, runs + ghost_runs)
+        self.rewrite_with_matching_hash(copy, LABELS_FILE, lines + [ghost])
+        pattern = f"{re.escape(str(copy / LABELS_FILE))}:{len(lines) + 1}: .*unknown benchmark"
+        with pytest.raises(ValueError, match=pattern):
+            load(copy)
+
 
 class TestSeedDerivation:
     def test_per_instance_seed_ignores_suite_composition(self):
         suite = synth_suite(TINY)
-        solo = run_suite(suite[:1], TINY.budget, TINY.master_seed)
-        full = run_suite(suite, TINY.budget, TINY.master_seed)
+        solo = run_suite(suite[:1], BUDGET, MASTER_SEED)
+        full = run_suite(suite, BUDGET, MASTER_SEED)
         assert solo[0] == full[0]
 
     def test_master_seed_changes_runs(self):
@@ -222,7 +294,7 @@ class TestSeedDerivation:
 
     def test_worker_count_does_not_change_results(self, tiny_dataset, tmp_path):
         dataset, _ = tiny_dataset
-        parallel = generate(TINY, tmp_path / "par", workers=2)
+        parallel = synth_and_run(tmp_path / "par", workers=2)
         assert parallel.manifest.hashes == dataset.manifest.hashes
 
     def test_seed_formula_uses_family_and_instance_seed(self):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dsekit.benchmarks import Family, synth_instance
 from dsekit.explorers import (
+    EXHAUSTIVE_REFERENCE_LIMIT,
     Budget,
     BudgetedEvaluator,
     ExplorerId,
@@ -64,10 +65,6 @@ class TestBudget:
         with pytest.raises(ValueError, match="positive integer"):
             Budget(10.0)
 
-    def test_rejects_nonpositive_wall(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            Budget(10, max_wall_seconds=0.0)
-
 
 class TestBudgetedEvaluator:
     def make(self, case, budget):
@@ -90,16 +87,13 @@ class TestBudgetedEvaluator:
         assert ev.evaluations_used == 1
 
     def test_wall_clock_is_modeled_from_the_rate(self, small_case):
-        ev = self.make(small_case, Budget(50, max_wall_seconds=0.0035))
-        cards = small_case[0].schema.cardinalities
+        ev = self.make(small_case, Budget(50))
         points = iter(small_case[0].schema.iter_points())
-        with pytest.raises(BudgetSaturated):
-            for _ in range(50):
-                ev.evaluate(next(points))
-        # at 0.001 s/eval only three evaluations fit under 0.0035 s
+        for _ in range(3):
+            ev.evaluate(next(points))
+        ev.evaluate(ev.evaluated[0].knobs)  # a memo hit costs nothing
         assert ev.evaluations_used == 3
         assert ev.wall_seconds == pytest.approx(0.003)
-        assert len(cards) >= 2
 
     def test_proposal_cap_breaks_repeat_loops(self, small_case):
         ev = self.make(small_case, Budget(1))
@@ -153,14 +147,6 @@ class TestExplore:
         assert result.evaluations_used == size
         assert result.front == exhaustive_front(model, instance.schema, size)
 
-    def test_fallback_can_be_disabled(self, small_case):
-        instance, model = small_case
-        size = instance.schema.space_size()
-        result = explore(
-            ExplorerId.SA, instance, model, Budget(size), seed=0, exhaustive_fallback=False
-        )
-        assert result.evaluations_used <= size
-
     def test_spent_budget_never_exceeds_the_cap(self, medium_case):
         instance, model = medium_case
         for explorer, cap in [
@@ -183,6 +169,20 @@ class TestPortfolio:
         assert all(v == 0.0 for v in portfolio.adrs_values)
         # ties on score resolve to the lowest explorer code
         assert portfolio.argmin is ExplorerId.NSGA2
+
+    def test_small_space_reference_is_the_exhaustive_front(self, small_case):
+        instance, model = small_case
+        size = instance.schema.space_size()
+        assert size <= EXHAUSTIVE_REFERENCE_LIMIT
+        portfolio = run_portfolio(instance, model, Budget(20), master_seed=0)
+        assert portfolio.reference == exhaustive_front(model, instance.schema, size)
+
+    def test_large_space_reference_is_the_front_of_everything_evaluated(self, medium_case):
+        instance, model = medium_case
+        assert instance.schema.space_size() > EXHAUSTIVE_REFERENCE_LIMIT
+        portfolio = run_portfolio(instance, model, Budget(60), master_seed=4)
+        evaluated = [p for r in portfolio.results for p in r.evaluated]
+        assert portfolio.reference == pareto_filter(evaluated)
 
     def test_scores_are_nonnegative_and_argmin_wins(self, medium_case):
         instance, model = medium_case

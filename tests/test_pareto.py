@@ -16,7 +16,6 @@ from dsekit.pareto import (
     coverage_distance,
     dominates,
     pareto_filter,
-    reference_front,
 )
 
 from oracles import brute_force_pareto_indices, naive_adrs
@@ -219,28 +218,32 @@ class TestAdrs:
             assert adrs(reference, approx_ext) <= adrs(reference, approx_base) + 1e-12
 
 
-class MiniResult:
-    """Stand-in exploration result exposing only the evaluated points."""
-
-    def __init__(self, points):
-        self.evaluated = tuple(points)
-
-
 class TestReferenceFront:
+    """The union reference is the filter of the runs' fronts, not of all they evaluated."""
+
     def test_union_of_disjoint_halves_equals_full_filter(self):
-        """Two results covering disjoint halves of a 16-point set give the full front."""
+        """The fronts of two disjoint halves of a 16-point set filter to the full front."""
         rng = np.random.default_rng(3)
         objs = rng.uniform(0.5, 5.0, size=(16, 2))
         points = [pt(a, l, (i,)) for i, (a, l) in enumerate(objs)]
         combined = pareto_filter(points)
-        split = reference_front([MiniResult(points[:8]), MiniResult(points[8:])])
+        halves = [pareto_filter(points[:8]), pareto_filter(points[8:])]
+        split = pareto_filter(p for front in halves for p in front.points)
         assert [p.knobs for p in split] == [p.knobs for p in combined]
 
-    def test_exhaustive_front_takes_precedence(self):
-        exhaustive = pareto_filter([pt(1, 1, (9,))])
-        got = reference_front([MiniResult([pt(5, 5, (0,))])], exhaustive=exhaustive)
-        assert [p.knobs for p in got] == [(9,)]
-
-    def test_no_points_is_an_error(self):
-        with pytest.raises(ValueError, match="at least one evaluated point"):
-            reference_front([MiniResult([])])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3)), max_size=12
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_filter_of_part_fronts_equals_filter_of_union(self, parts):
+        """Holds with repeated objectives too: each keeps its smallest knob vector."""
+        points = [[pt(a, l, (k,)) for a, l, k in part] for part in parts]
+        fronts = [pareto_filter(part) for part in points]
+        union = pareto_filter(p for part in points for p in part)
+        assert pareto_filter(p for front in fronts for p in front.points) == union

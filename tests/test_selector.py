@@ -187,6 +187,11 @@ class TestRewardAndScaling:
         other = scaler.apply(rng.normal(size=(4, 24)))
         assert np.abs(other.mean()) > 0.5  # not re-centered on the new data
 
+    def test_scaler_passes_constant_columns_through(self):
+        scaler = FeatureScaler.fit(np.ones((10, 3)))
+        assert np.all(scaler.std == 1.0)
+        assert np.all(scaler.apply(np.ones((10, 3))) == 0.0)
+
 
 class TestSupervisedHead:
     def test_two_family_separable_data_reaches_high_accuracy(self):

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from dsekit.benchmarks import Family, synth_instance
-from dsekit.pareto import DesignPoint, pareto_filter
+from dsekit.pareto import pareto_filter
 from dsekit.surrogate import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     OBJECTIVE_MAX,
     OBJECTIVE_MIN,
     SurrogateModel,
     enumerate_points,
-    evaluate,
     exhaustive_front,
 )
 
@@ -66,9 +65,9 @@ def local_minima_indices(points, cards):
 class TestEvaluation:
     def test_same_point_twice_identical(self):
         inst, model, _ = model_and_points(Family.RUGGED, 3)
-        point = DesignPoint(tuple(0 for _ in inst.schema.knobs))
-        a = model.evaluate(point)
-        b = model.evaluate(point)
+        knobs = tuple(0 for _ in inst.schema.knobs)
+        a = model.evaluate_knobs(knobs)
+        b = model.evaluate_knobs(knobs)
         assert (a.area, a.latency) == (b.area, b.latency)
 
     def test_rebuilt_model_identical(self):
@@ -90,26 +89,6 @@ class TestEvaluation:
             for p in pts[:: max(1, len(pts) // 200)]:
                 assert OBJECTIVE_MIN <= p.objectives.latency <= OBJECTIVE_MAX
                 assert OBJECTIVE_MIN <= p.objectives.area <= OBJECTIVE_MAX
-
-    def test_module_level_alias(self):
-        inst, model, _ = model_and_points(Family.SMOOTH, 1)
-        point = DesignPoint(tuple(0 for _ in inst.schema.knobs))
-        via_model = model.evaluate(point)
-        via_module = evaluate(model, point)
-        assert (via_model.area, via_model.latency) == (via_module.area, via_module.latency)
-
-    def test_wrong_length_point_rejected(self):
-        inst, model, _ = model_and_points(Family.SMOOTH, 0)
-        bad = DesignPoint(tuple(0 for _ in inst.schema.knobs) + (0,))
-        with pytest.raises(ValueError, match="knob settings"):
-            model.evaluate(bad)
-
-    def test_out_of_range_setting_names_knob_index(self):
-        inst, model, _ = model_and_points(Family.SMOOTH, 0)
-        knobs = list(0 for _ in inst.schema.knobs)
-        knobs[1] = inst.schema.knobs[1].cardinality
-        with pytest.raises(ValueError, match="knob index 1"):
-            model.evaluate(DesignPoint(tuple(knobs)))
 
     def test_rugged_noise_band(self):
         inst, model, pts = model_and_points(Family.RUGGED, 2)
