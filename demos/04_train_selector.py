@@ -2,8 +2,8 @@
 
 The suite is built with the `synth` and `run` commands, exactly as from the
 shell, and loaded back with `dsekit.dataset.load`; training and recommendation
-then go through the library API so each stage is visible. Takes around a
-minute.
+then go through the library API so each stage is visible. Takes several
+seconds.
 """
 
 import tempfile

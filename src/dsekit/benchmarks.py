@@ -122,7 +122,9 @@ class KnobSchema:
                 f"point has {len(knobs)} knob settings, schema defines {len(self.knobs)}"
             )
         for i, (setting, card) in enumerate(zip(knobs, self.cardinalities)):
-            if not (0 <= int(setting) < card):
+            if isinstance(setting, bool) or not isinstance(setting, (int, np.integer)):
+                raise ValueError(f"knob index {i} setting {setting!r} is not an integer")
+            if not (0 <= setting < card):
                 raise ValueError(
                     f"knob index {i} setting {setting} outside [0, {card - 1}]"
                 )

@@ -365,7 +365,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         totals[int(record["explorer_code"])] += float(record["wall_seconds"])
     _write_csv(
         out / RUNTIME_FILE,
-        ("explorer", "total_wall_seconds"),
+        ("explorer", "modelled_wall_seconds"),
         [(name, _fmt(t)) for name, t in zip(EXPLORER_NAMES, totals)],
     )
     print(f"wrote {ADRS_MATRIX_FILE}, {ACCURACY_FILE}, {RUNTIME_FILE} to {out}")

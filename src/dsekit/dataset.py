@@ -2,11 +2,13 @@
 
 A dataset is four files in one directory. `synth` writes instances.jsonl, the
 benchmarks themselves. `run` adds runs.jsonl, one line per (benchmark,
-explorer) with the score and the found front; labels.jsonl, the per-benchmark
-winner; and manifest.json, the configuration echo, the train/inference split,
-and FNV-1a content hashes of the other three. The manifest is written last,
-so a directory with a manifest is complete, and every float is serialized
-with 17 significant digits, so `load` reproduces the run bit-exactly.
+explorer) with the score, the found front, the number of proposals and why
+the run stopped; labels.jsonl, the per-benchmark winner; and manifest.json,
+the configuration echo, the train/inference split, and FNV-1a content hashes
+of the other three. The manifest is written last, so a directory with a
+manifest is complete, and every float is serialized with 17 significant
+digits, so `load` reproduces the run bit-exactly. `load` also checks every
+stored front point against its benchmark's design space.
 """
 
 from __future__ import annotations
@@ -314,6 +316,8 @@ def _run_line(benchmark_id: str, result: ExplorationResult) -> dict:
         "explorer_code": result.explorer.value,
         "adrs": float(result.adrs),
         "evaluations_used": result.evaluations_used,
+        "proposals": result.proposals,
+        "stop_reason": result.stop_reason,
         "wall_seconds": float(result.wall_seconds),
         "front": [
             {
@@ -418,6 +422,24 @@ def check_runs_cover(
                 f"{runs_path} has no run of {', '.join(missing)} on benchmark "
                 f"{benchmark_id} named in {labels_path}:{lineno}"
             )
+
+
+def _check_fronts_in_space(
+    runs: Iterable[dict], instances: Sequence[BenchmarkInstance], runs_path: Path
+) -> None:
+    """Require every stored front point to lie in its benchmark's design space."""
+    schemas = {inst.id: inst.schema for inst in instances}
+    for lineno, record in enumerate(runs, 1):
+        schema = schemas.get(record["benchmark_id"])
+        if schema is None:
+            raise ValueError(f"{runs_path}:{lineno}: unknown benchmark {record['benchmark_id']}")
+        for i, entry in enumerate(record["front"]):
+            try:
+                schema.validate_point(entry["knobs"])
+            except ValueError as err:
+                raise ValueError(
+                    f"{runs_path}:{lineno}: front point {i} of {record['benchmark_id']}: {err}"
+                ) from None
 
 
 def persist_results(
@@ -532,6 +554,7 @@ def load(dataset_dir: str | Path) -> Dataset:
                 adrs_row=tuple(float(v) for v in record["adrs_row"]),
             )
         )
+    _check_fronts_in_space(runs, instances, paths[RUNS_FILE])
 
     return Dataset(instances=instances, runs=tuple(runs), samples=tuple(samples), manifest=manifest)
 

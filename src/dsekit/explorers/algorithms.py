@@ -2,8 +2,12 @@
 
 Each runner drives a BudgetedEvaluator until it raises BudgetSaturated; that
 exception is the uniform stop signal, so none of the loops below carry their
-own termination logic beyond it. All randomness flows through the passed-in
-generator, which is what makes a run reproducible from its seed.
+own termination logic beyond it. A runner that re-proposes evaluated points
+4096 times in a row (or makes max(2000, 250 x budget) proposals in all) is
+stopped by its subclass Stalled, and `explore` fills the rest of the budget
+with unseen uniform points from a generator of its own. All randomness of the
+search flows through the passed-in generator, which is what makes a run
+reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -13,18 +17,12 @@ import math
 import numpy as np
 
 from ..pareto import DesignPoint, coverage_distance, dominates
-from .base import BudgetedEvaluator, ExplorerId, register
+from .base import BudgetedEvaluator, ExplorerId, _random_knobs, register
 
 _POP = 40
 
 
 # -- shared helpers -----------------------------------------------------------
-
-
-def _random_knobs(rng: np.random.Generator, cards: tuple[int, ...]) -> tuple[int, ...]:
-    # One vector draw consumes the generator exactly like one scalar draw per
-    # knob in axis order (pinned by tests/test_explorers.py).
-    return tuple(rng.integers(0, cards).tolist())
 
 
 def _unseen_random(

@@ -2,9 +2,12 @@
 
 Every explorer spends its budget through one BudgetedEvaluator, which owns the
 memo table (repeat proposals are free), the archive of evaluated points, and an
-incrementally maintained archive front. Wall-clock time is modeled, not
-measured: each explorer has a nominal per-evaluation cost, so reported times
-are deterministic and identical across worker counts and machines.
+incrementally maintained archive front. An explorer that keeps re-proposing
+evaluated points is stopped as stalled, and `explore` spends the rest of its
+budget on unseen uniform points, so every run ends for a stated reason after
+bounded work. Wall-clock time is modeled, not measured: each explorer has a
+nominal per-evaluation cost, so reported times are deterministic and
+identical across worker counts and machines.
 """
 
 from __future__ import annotations
@@ -58,7 +61,14 @@ NOMINAL_EVAL_SECONDS = {
 # true front; larger ones against the union of the portfolio's fronts.
 EXHAUSTIVE_REFERENCE_LIMIT = 4096
 
+# A run stalls after this many consecutive repeat proposals. The longest
+# streak in a run that still spent its budget was 3117 (ACO on
+# plateau-small-0000, budget 500).
+STALL_STREAK = 4096
+
 _EXPLORE_TAG = 0xE59A
+_FILL_TAG = 0xF111
+_FILL_DRAWS = 64
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -75,7 +85,13 @@ class Budget:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """Outcome of one explorer run on one benchmark."""
+    """Outcome of one explorer run on one benchmark.
+
+    `stop_reason` is "budget" (the search spent it), "exhaustive_fallback"
+    (the space was no larger than the budget and was enumerated) or
+    "stalled" (the search stalled and at least one point was filled in).
+    `proposals` counts the explorer's own proposals, repeats included.
+    """
 
     explorer: ExplorerId
     benchmark_id: str
@@ -83,6 +99,8 @@ class ExplorationResult:
     front: ParetoFront
     evaluations_used: int
     wall_seconds: float
+    stop_reason: str
+    proposals: int
     adrs: Optional[float] = None
 
 
@@ -103,12 +121,28 @@ class BudgetSaturated(Exception):
     """Internal control flow: the evaluator will accept no more new points."""
 
 
+class Stalled(BudgetSaturated):
+    """The explorer's search is over before its budget: it only repeats itself."""
+
+
+def _random_knobs(rng: np.random.Generator, cards: tuple[int, ...]) -> tuple[int, ...]:
+    # One vector draw consumes the generator exactly like one scalar draw per
+    # knob in axis order (pinned by tests/test_explorers.py).
+    return tuple(rng.integers(0, cards).tolist())
+
+
 class BudgetedEvaluator:
     """Counting, memoizing gate between an explorer and the cost model.
 
     Raises BudgetSaturated instead of evaluating once the budget (or the whole
     design space) is spent; explorers treat that as their stop signal. The
     first evaluation is always admitted so a run can never end empty-handed.
+
+    It raises Stalled, a BudgetSaturated, at the STALL_STREAK-th consecutive
+    proposal of an already evaluated point, and at the max(2000, 250 x budget)-th
+    proposal in all, the hard bound on a run's work. `fill_unseen` then spends
+    what is left of the budget on unseen points without counting them as
+    proposals, so `proposals` stays the explorer's own.
     """
 
     def __init__(
@@ -125,6 +159,7 @@ class BudgetedEvaluator:
         self._space = schema.space_size()
         self._memo: dict[tuple[int, ...], DesignPoint] = {}
         self._proposals = 0
+        self._streak = 0
         self._proposal_cap = max(2000, 250 * budget.max_evaluations)
         self.evaluated: list[DesignPoint] = []
         self._front: list[DesignPoint] = []
@@ -138,6 +173,10 @@ class BudgetedEvaluator:
         return self._budget.max_evaluations
 
     @property
+    def proposals(self) -> int:
+        return self._proposals
+
+    @property
     def wall_seconds(self) -> float:
         return self.evaluations_used * self._rate
 
@@ -149,24 +188,51 @@ class BudgetedEvaluator:
         return knobs in self._memo
 
     def saturated(self) -> bool:
-        used = self.evaluations_used
-        if used == 0:
-            return False
-        if used >= self._budget.max_evaluations:
-            return True
-        if len(self._memo) >= self._space:
-            return True
-        return self._proposals >= self._proposal_cap
+        """Whether the budget or the whole design space is spent."""
+        return (
+            self.evaluations_used >= self._budget.max_evaluations
+            or len(self._memo) >= self._space
+        )
 
     def evaluate(self, knobs: tuple[int, ...]) -> DesignPoint:
         self._proposals += 1
         hit = self._memo.get(knobs)
         if hit is not None:
-            if self._proposals >= self._proposal_cap:
-                raise BudgetSaturated
+            self._streak += 1
+            if self._streak >= STALL_STREAK or self._proposals >= self._proposal_cap:
+                raise Stalled
             return hit
+        self._streak = 0
         if self.saturated():
             raise BudgetSaturated
+        if self._proposals >= self._proposal_cap:
+            raise Stalled
+        return self._admit(knobs)
+
+    def fill_unseen(self, rng: np.random.Generator) -> int:
+        """Spend the rest of the budget on unseen points; returns how many.
+
+        Each point is the first of up to 64 uniform draws that is unseen, or,
+        when all 64 were seen, the first unseen point in `iter_points` order.
+        """
+        cards = self._schema.cardinalities
+        ordered = None
+        filled = 0
+        while not self.saturated():
+            for _ in range(_FILL_DRAWS):
+                knobs = _random_knobs(rng, cards)
+                if knobs not in self._memo:
+                    break
+            else:
+                if ordered is None:
+                    ordered = self._schema.iter_points()
+                # every point passed over earlier is still seen
+                knobs = next(k for k in ordered if k not in self._memo)
+            self._admit(knobs)
+            filled += 1
+        return filled
+
+    def _admit(self, knobs: tuple[int, ...]) -> DesignPoint:
         point = DesignPoint(knobs, self._model.evaluate_knobs(knobs))
         self._memo[knobs] = point
         self.evaluated.append(point)
@@ -220,7 +286,10 @@ def explore(
     """Run one explorer on one benchmark under a budget, deterministically.
 
     When the whole design space fits inside the evaluation budget, the space
-    is simply enumerated; any search would be wasted motion there.
+    is simply enumerated; any search would be wasted motion there. When the
+    explorer stalls, the rest of its budget goes to unseen uniform points from
+    a generator of their own, so the explorer's generator is left as the
+    search left it.
     """
     _ensure_runners()
     explorer = ExplorerId(explorer)
@@ -229,8 +298,10 @@ def explore(
     evaluator = BudgetedEvaluator(
         model, instance.schema, budget, NOMINAL_EVAL_SECONDS[explorer]
     )
+    stop_reason = "budget"
     try:
         if instance.schema.space_size() <= budget.max_evaluations:
+            stop_reason = "exhaustive_fallback"
             for knobs in instance.schema.iter_points():
                 evaluator.evaluate(knobs)
         else:
@@ -238,6 +309,12 @@ def explore(
                 np.random.SeedSequence([_EXPLORE_TAG, explorer.value, seed & _SEED_MASK])
             )
             _RUNNERS[explorer](evaluator, instance.schema, rng)
+    except Stalled:
+        fill_rng = np.random.default_rng(
+            np.random.SeedSequence([_FILL_TAG, explorer.value, seed & _SEED_MASK])
+        )
+        if evaluator.fill_unseen(fill_rng):
+            stop_reason = "stalled"
     except BudgetSaturated:
         pass
     return ExplorationResult(
@@ -247,6 +324,8 @@ def explore(
         front=ParetoFront(evaluator.front_points()),
         evaluations_used=evaluator.evaluations_used,
         wall_seconds=evaluator.wall_seconds,
+        stop_reason=stop_reason,
+        proposals=evaluator.proposals,
     )
 
 

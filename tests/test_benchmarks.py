@@ -70,6 +70,10 @@ class TestKnobSchema:
             schema.validate_point((0, 10, 0))
         with pytest.raises(ValueError, match="4 knob settings"):
             schema.validate_point((0, 0, 0, 0))
+        for setting in (1.5, 1.0, True, "1"):
+            with pytest.raises(ValueError, match="knob index 2 .* not an integer"):
+                schema.validate_point((0, 0, setting))
+        schema.validate_point((np.int64(1), 0, 0))
 
     def test_iter_points_is_lexicographic(self):
         schema = make_schema((10, 10))

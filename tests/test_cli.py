@@ -166,6 +166,41 @@ class TestRuntimeErrors:
         assert main(["train", "--dataset", str(pipeline["d"]), "--seed", "0", "--out", str(out)]) == 1
         assert (out / CHECKPOINT_FILE).read_bytes() == old
 
+    def test_train_and_infer_reject_a_front_point_outside_the_design_space(
+        self, tmp_path, capsys
+    ):
+        d, t = tmp_path / "d", tmp_path / "t"
+        synth = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "medium"]
+        assert main(synth + ["--out", str(d)]) == 0
+        assert main(["run", "--dataset", str(d), "--budget", "20"]) == 0
+        assert main(["train", "--dataset", str(d), "--out", str(t)]) == 0
+        lines = (d / "runs.jsonl").read_text().splitlines(keepends=True)
+        lineno, record = next(
+            (n, json.loads(line))
+            for n, line in enumerate(lines, 1)
+            if json.loads(line)["benchmark_id"] == "clustered-medium-0000"
+        )
+        record["front"][0]["knobs"][0] = 99
+        lines[lineno - 1] = json.dumps(record) + "\n"
+        text = "".join(lines)
+        (d / "runs.jsonl").write_text(text)
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["hashes"]["runs.jsonl"] = fnv1a64_hex(text.encode("utf-8"))
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+
+        assert main(["train", "--dataset", str(d), "--out", str(tmp_path / "t2")]) == 1
+        err = capsys.readouterr().err
+        assert f"{d / 'runs.jsonl'}:{lineno}:" in err and "knob index 0 setting 99" in err
+        code = main(
+            ["infer", "--dataset", str(d), "--checkpoints", str(t), "--budget", "20",
+             "--out", str(tmp_path / "i")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{d / 'runs.jsonl'}:{lineno}:" in err and "knob index 0 setting 99" in err
+        assert not (tmp_path / "i" / REPORT_FILE).exists()
+
     def test_report_rejects_runs_missing_a_labelled_cell(self, pipeline, tmp_path, capsys):
         lines = (pipeline["d"] / "runs.jsonl").read_text().splitlines(keepends=True)
         dropped = json.loads(lines[3])
@@ -322,7 +357,7 @@ class TestReport:
         assert "rugged,1,1,1" in accuracy and "smooth,1,2,0.5" in accuracy
 
         runtime = (out / RUNTIME_FILE).read_text().splitlines()
-        assert runtime[0] == "explorer,total_wall_seconds"
+        assert runtime[0] == "explorer,modelled_wall_seconds"
         assert [line.split(",")[0] for line in runtime[1:]] == list(EXPLORER_NAMES)
         assert all(line.split(",")[1] == "0.75" for line in runtime[1:])
 

@@ -278,6 +278,16 @@ class TestLoadIntegrity:
         with pytest.raises(ValueError, match=pattern):
             load(copy)
 
+    def test_run_of_an_unknown_benchmark_named_by_line(self, tiny_dataset, tmp_path):
+        _, out = tiny_dataset
+        copy = self.make_copy(out, tmp_path)
+        runs = (copy / RUNS_FILE).read_text().splitlines(keepends=True)
+        ghost = runs[0].replace("smooth-small-0000", "ghost-small-0000")
+        self.rewrite_with_matching_hash(copy, RUNS_FILE, runs + [ghost])
+        pattern = f"{re.escape(str(copy / RUNS_FILE))}:{len(runs) + 1}: unknown benchmark ghost-small-0000"
+        with pytest.raises(ValueError, match=pattern):
+            load(copy)
+
 
 class TestSeedDerivation:
     def test_per_instance_seed_ignores_suite_composition(self):

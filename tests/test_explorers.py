@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,8 +17,15 @@ from dsekit.explorers import (
     explore,
     run_portfolio,
 )
+from dsekit.explorers import base
 from dsekit.explorers.algorithms import _dominated, _random_knobs, run_sbo
-from dsekit.explorers.base import NOMINAL_EVAL_SECONDS, BudgetSaturated
+from dsekit.explorers.base import (
+    NOMINAL_EVAL_SECONDS,
+    STALL_STREAK,
+    BudgetSaturated,
+    Stalled,
+    portfolio_seed,
+)
 from dsekit.pareto import pareto_filter
 from dsekit.surrogate import SurrogateModel, exhaustive_front
 
@@ -159,6 +168,121 @@ class TestExplore:
             result = explore(explorer, instance, counting, Budget(cap), seed=5)
             assert 1 <= result.evaluations_used <= cap
             assert counting.calls == result.evaluations_used
+
+
+class AlwaysZero:
+    """Generator stand-in whose every uniform draw is the all-zero point."""
+
+    def integers(self, low, high):
+        return np.zeros(len(high), dtype=np.int64)
+
+
+class TestStall:
+    def test_streak_of_repeats_raises_stalled_and_a_new_point_resets_it(self, small_case):
+        instance, model = small_case
+        # 250 x 40 proposals in all stay clear of the two streaks below
+        ev = BudgetedEvaluator(model, instance.schema, Budget(40), 0.001)
+        first, second = itertools.islice(instance.schema.iter_points(), 2)
+        point = ev.evaluate(first)
+        for _ in range(STALL_STREAK - 1):
+            assert ev.evaluate(first) is point
+        ev.evaluate(second)
+        for _ in range(STALL_STREAK - 1):
+            ev.evaluate(first)
+        with pytest.raises(Stalled):
+            ev.evaluate(first)
+        assert ev.proposals == 2 * STALL_STREAK + 1
+        assert ev.evaluations_used == 2
+
+    def test_one_point_forever_stalls_at_the_streak_and_fills_the_budget(
+        self, medium_case, monkeypatch
+    ):
+        proposed = []
+
+        def one_point_forever(ev, schema, rng):
+            knobs = _random_knobs(rng, schema.cardinalities)
+            while True:
+                proposed.append(knobs)
+                ev.evaluate(knobs)
+
+        base._ensure_runners()
+        monkeypatch.setitem(base._RUNNERS, ExplorerId.SA, one_point_forever)
+        result = explore(ExplorerId.SA, *medium_case, Budget(50), seed=0)
+        assert len(proposed) == 1 + STALL_STREAK
+        assert result.proposals == 1 + STALL_STREAK  # the fill proposes nothing
+        assert result.stop_reason == "stalled"
+        assert result.evaluations_used == 50
+        assert result.evaluated[0].knobs == proposed[0]
+        assert len({p.knobs for p in result.evaluated}) == 50
+        assert result.front == pareto_filter(result.evaluated)
+
+    def test_fill_leaves_the_explorer_generator_as_the_search_left_it(self, monkeypatch):
+        instance = synth_instance(Family.PLATEAU, 0, "small")
+        model = SurrogateModel.from_instance(instance)
+        seed = portfolio_seed(0, ExplorerId.EDA)
+        base._ensure_runners()
+        run_eda = base._RUNNERS[ExplorerId.EDA]
+        generators = []
+
+        def recording(ev, schema, rng):
+            generators.append(rng)
+            run_eda(ev, schema, rng)
+
+        monkeypatch.setitem(base._RUNNERS, ExplorerId.EDA, recording)
+        result = explore(ExplorerId.EDA, instance, model, Budget(500), seed)
+        assert result.stop_reason == "stalled"
+
+        alone = BudgetedEvaluator(model, instance.schema, Budget(500), 0.001)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([base._EXPLORE_TAG, ExplorerId.EDA.value, seed])
+        )
+        with pytest.raises(Stalled):
+            run_eda(alone, instance.schema, rng)
+        assert generators[0].bit_generator.state == rng.bit_generator.state
+        assert result.proposals == alone.proposals
+        searched = len(alone.evaluated)
+        assert searched < 500
+        assert result.evaluated[:searched] == tuple(alone.evaluated)
+
+    def test_fill_enumerates_when_draws_keep_hitting_seen_points(self, small_case):
+        instance, model = small_case
+        ev = BudgetedEvaluator(model, instance.schema, Budget(4), 0.001)
+        first_four = list(itertools.islice(instance.schema.iter_points(), 4))
+        ev.evaluate(first_four[0])
+        assert ev.fill_unseen(AlwaysZero()) == 3
+        assert [p.knobs for p in ev.evaluated] == first_four
+        assert ev.proposals == 1
+
+    def test_a_spent_budget_is_not_filled(self, small_case):
+        instance, model = small_case
+        ev = BudgetedEvaluator(model, instance.schema, Budget(1), 0.001)
+        ev.evaluate(next(instance.schema.iter_points()))
+        assert ev.fill_unseen(np.random.default_rng(0)) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(Family),
+        instance_seed=st.integers(0, 7),
+        size=st.sampled_from(["small", "medium", "large"]),
+        explorer=st.sampled_from(ALL_EXPLORERS),
+        budget=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # two runs that stall, and a space of exactly the budget
+    @example(Family.SMOOTH, 0, "small", ExplorerId.EDA, 300, 0)
+    @example(Family.PLATEAU, 2, "small", ExplorerId.SA, 300, 0)
+    @example(Family.DECEPTIVE, 4, "small", ExplorerId.PG, 300, 0)
+    def test_every_run_spends_its_budget_within_bounded_proposals(
+        self, family, instance_seed, size, explorer, budget, seed
+    ):
+        instance = synth_instance(family, instance_seed, size)
+        model = SurrogateModel.from_instance(instance)
+        space = instance.schema.space_size()
+        result = explore(explorer, instance, model, Budget(budget), seed)
+        assert result.evaluations_used == min(budget, space)
+        assert result.proposals <= max(2000, 250 * budget)
+        assert (result.stop_reason == "exhaustive_fallback") == (space <= budget)
+        assert result.stop_reason in ("budget", "exhaustive_fallback", "stalled")
 
 
 class TestPortfolio:
