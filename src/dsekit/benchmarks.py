@@ -134,6 +134,15 @@ class KnobSchema:
         return itertools.product(*(range(c) for c in self.cardinalities))
 
 
+def random_knobs(rng: np.random.Generator, cards: tuple[int, ...]) -> tuple[int, ...]:
+    """One uniform point of the space with these knob cardinalities.
+
+    One vector draw consumes the generator exactly like one scalar draw per
+    knob in axis order (pinned by tests/test_explorers.py).
+    """
+    return tuple(rng.integers(0, cards).tolist())
+
+
 @dataclass(frozen=True)
 class OperationGraph:
     """A control/data flow multigraph over typed operation nodes.

@@ -102,18 +102,16 @@ class ReportRow:
 
 
 def _families_arg(text: str) -> tuple[Family, ...]:
-    names = [token.strip() for token in text.split(",") if token.strip()]
+    names = [token for token in text.split(",") if token.strip()]
     if not names:
         raise argparse.ArgumentTypeError("no families given")
-    families = []
-    for name in names:
-        try:
-            families.append(Family[name.upper()])
-        except KeyError:
-            raise argparse.ArgumentTypeError(f"unknown family {name!r}") from None
+    try:
+        families = tuple(Family.from_name(name) for name in names)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if len(set(families)) != len(families):
         raise argparse.ArgumentTypeError("duplicate family names")
-    return tuple(families)
+    return families
 
 
 def _seeds_arg(text: str) -> tuple[int, ...]:
@@ -262,7 +260,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if not checkpoint.exists():
         raise FileNotFoundError(f"checkpoint missing: {checkpoint}")
     with checkpoint.open("r", encoding="utf-8") as fh:
-        head, agent, settings = load_selector(fh)
+        try:
+            head, agent, settings = load_selector(fh)
+        except ValueError as exc:
+            raise ValueError(f"{checkpoint}: {exc}") from None
     fingerprint = dataset_fingerprint(ds.manifest)
     if settings.get("fingerprint") != fingerprint:
         raise ValueError(

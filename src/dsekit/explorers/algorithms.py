@@ -16,8 +16,9 @@ import math
 
 import numpy as np
 
+from ..benchmarks import random_knobs
 from ..pareto import DesignPoint, coverage_distance, dominates
-from .base import BudgetedEvaluator, ExplorerId, _random_knobs, register
+from .base import BudgetedEvaluator, ExplorerId, register
 
 _POP = 40
 
@@ -28,11 +29,11 @@ _POP = 40
 def _unseen_random(
     ev: BudgetedEvaluator, rng: np.random.Generator, cards: tuple[int, ...], tries: int = 64
 ) -> tuple[int, ...]:
-    knobs = _random_knobs(rng, cards)
+    knobs = random_knobs(rng, cards)
     for _ in range(tries):
         if not ev.seen(knobs):
             break
-        knobs = _random_knobs(rng, cards)
+        knobs = random_knobs(rng, cards)
     return knobs
 
 
@@ -208,7 +209,7 @@ def run_qlmoea(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
                         child[axis] = int(rng.integers(0, cards[axis]))
                     child = tuple(child)
                 else:
-                    child = _random_knobs(rng, cards)
+                    child = random_knobs(rng, cards)
                 kids.append(ev.evaluate(child))
         finally:
             # learn from the partial generation too, then let saturation rise
@@ -227,7 +228,7 @@ def run_qlmoea(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 def run_sa(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     cards = schema.cardinalities
     k = len(cards)
-    current = ev.evaluate(_random_knobs(rng, cards))
+    current = ev.evaluate(random_knobs(rng, cards))
     temperature = 1.0
     weight = float(rng.random())
     step = 0
@@ -254,7 +255,7 @@ def run_sa(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 def run_lattice(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     cards = schema.cardinalities
     k = len(cards)
-    ev.evaluate(_random_knobs(rng, cards))
+    ev.evaluate(random_knobs(rng, cards))
     while True:
         if rng.random() < 0.15:
             ev.evaluate(_unseen_random(ev, rng, cards))

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..benchmarks import BenchmarkInstance, KnobSchema
+from ..benchmarks import BenchmarkInstance, KnobSchema, random_knobs
 from ..hashing import mix64
 from ..pareto import DesignPoint, ParetoFront, adrs, dominates, pareto_filter
 from ..surrogate import SurrogateModel, exhaustive_front
@@ -125,12 +125,6 @@ class Stalled(BudgetSaturated):
     """The explorer's search is over before its budget: it only repeats itself."""
 
 
-def _random_knobs(rng: np.random.Generator, cards: tuple[int, ...]) -> tuple[int, ...]:
-    # One vector draw consumes the generator exactly like one scalar draw per
-    # knob in axis order (pinned by tests/test_explorers.py).
-    return tuple(rng.integers(0, cards).tolist())
-
-
 class BudgetedEvaluator:
     """Counting, memoizing gate between an explorer and the cost model.
 
@@ -220,7 +214,7 @@ class BudgetedEvaluator:
         filled = 0
         while not self.saturated():
             for _ in range(_FILL_DRAWS):
-                knobs = _random_knobs(rng, cards)
+                knobs = random_knobs(rng, cards)
                 if knobs not in self._memo:
                     break
             else:

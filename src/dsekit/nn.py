@@ -6,11 +6,16 @@ one architecture (input -> ReLU hidden -> linear output), three scalar heads
 descent, and a finite-difference checker that can certify the analytic
 gradients. Checkpoints are line-oriented text with 17 significant digits,
 which round-trips float64 exactly and diffs cleanly.
+
+A network's parameters live in one contiguous float64 vector laid out as
+w1 (hidden, inputs), b1 (hidden), w2 (outputs, hidden), b2 (outputs), each
+row-major. The four named arrays are views into that vector, gradients are
+vectors of the same layout, and a descent step is one vector subtraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, TextIO
 
 import numpy as np
@@ -18,28 +23,39 @@ import numpy as np
 _INIT_TAG = 0x3A91
 
 
-@dataclass(frozen=True)
-class Grads:
-    """Parameter gradients matching the layout of Mlp."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mlp:
     """Two-layer perceptron: ReLU hidden layer, linear output layer."""
 
-    w1: np.ndarray  # (hidden, inputs)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (outputs, hidden)
-    b2: np.ndarray  # (outputs,)
+    dims: tuple[int, int, int]  # (inputs, hidden, outputs)
+    params: np.ndarray  # the flat layout above; w1, b1, w2 and b2 view it
+    w1: np.ndarray = field(init=False, repr=False)
+    b1: np.ndarray = field(init=False, repr=False)
+    w2: np.ndarray = field(init=False, repr=False)
+    b2: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.w1.shape[1], self.w1.shape[0], self.w2.shape[0])
+    def __post_init__(self) -> None:
+        inputs, hidden, outputs = self.dims
+        p = self.params
+        b1_at = hidden * inputs
+        w2_at = b1_at + hidden
+        b2_at = w2_at + outputs * hidden
+        size = b2_at + outputs
+        if p.shape != (size,) or p.dtype != np.float64:
+            raise ValueError(f"a {inputs}-{hidden}-{outputs} net needs {size} float64 parameters")
+        object.__setattr__(self, "w1", p[:b1_at].reshape(hidden, inputs))
+        object.__setattr__(self, "b1", p[b1_at:w2_at])
+        object.__setattr__(self, "w2", p[w2_at:b2_at].reshape(outputs, hidden))
+        object.__setattr__(self, "b2", p[b2_at:])
+
+    @staticmethod
+    def from_arrays(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> "Mlp":
+        """Copy four per-layer arrays into one flat parameter vector."""
+        hidden, inputs = w1.shape
+        outputs = w2.shape[0]
+        if b1.shape != (hidden,) or w2.shape != (outputs, hidden) or b2.shape != (outputs,):
+            raise ValueError("layer shapes disagree with w1 (hidden, inputs)")
+        return Mlp((inputs, hidden, outputs), np.concatenate([w1.ravel(), b1, w2.ravel(), b2]))
 
     @staticmethod
     def init(inputs: int, hidden: int, outputs: int, seed: int) -> "Mlp":
@@ -49,12 +65,9 @@ class Mlp:
         )
         s1 = 1.0 / np.sqrt(inputs)
         s2 = 1.0 / np.sqrt(hidden)
-        return Mlp(
-            w1=rng.uniform(-s1, s1, size=(hidden, inputs)),
-            b1=np.zeros(hidden),
-            w2=rng.uniform(-s2, s2, size=(outputs, hidden)),
-            b2=np.zeros(outputs),
-        )
+        w1 = rng.uniform(-s1, s1, size=(hidden, inputs))
+        w2 = rng.uniform(-s2, s2, size=(outputs, hidden))
+        return Mlp.from_arrays(w1, np.zeros(hidden), w2, np.zeros(outputs))
 
 
 def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,15 +77,15 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden @ net.w2.T + net.b2, hidden
 
 
-def backward(net: Mlp, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray) -> Grads:
-    """Exact parameter gradients given the upstream gradient on the logits."""
+def backward(net: Mlp, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+    """Exact parameter gradient, in net.params' layout, given the logit gradient."""
     x = np.atleast_2d(x)
     dw2 = dlogits.T @ hidden
     db2 = dlogits.sum(axis=0)
     dhidden = (dlogits @ net.w2) * (hidden > 0.0)
     dw1 = dhidden.T @ x
     db1 = dhidden.sum(axis=0)
-    return Grads(dw1, db1, dw2, db2)
+    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -115,45 +128,12 @@ def mean_squared_error(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.
     return float((diff**2).mean()), 2.0 * diff / diff.size
 
 
-def sgd_step(net: Mlp, grads: Grads, lr: float) -> Mlp:
+def sgd_step(net: Mlp, grad: np.ndarray, lr: float) -> Mlp:
     """One descent step, returning a new network; refuses non-finite updates."""
-    updated = Mlp(
-        w1=net.w1 - lr * grads.w1,
-        b1=net.b1 - lr * grads.b1,
-        w2=net.w2 - lr * grads.w2,
-        b2=net.b2 - lr * grads.b2,
-    )
-    for arr in (updated.w1, updated.b1, updated.w2, updated.b2):
-        if not np.isfinite(arr).all():
-            raise FloatingPointError("training diverged: non-finite parameter update")
-    return updated
-
-
-# -- flattened-vector view, used by the finite-difference checker -------------
-
-
-def flatten(net: Mlp) -> np.ndarray:
-    return np.concatenate([net.w1.ravel(), net.b1, net.w2.ravel(), net.b2])
-
-
-def flatten_grads(grads: Grads) -> np.ndarray:
-    return np.concatenate([grads.w1.ravel(), grads.b1, grads.w2.ravel(), grads.b2])
-
-
-def unflatten(net: Mlp, vec: np.ndarray) -> Mlp:
-    inputs, hidden, outputs = net.dims
-    sizes = [hidden * inputs, hidden, outputs * hidden, outputs]
-    parts: list[np.ndarray] = []
-    at = 0
-    for size in sizes:
-        parts.append(vec[at : at + size])
-        at += size
-    return Mlp(
-        w1=parts[0].reshape(hidden, inputs),
-        b1=parts[1].copy(),
-        w2=parts[2].reshape(outputs, hidden),
-        b2=parts[3].copy(),
-    )
+    params = net.params - lr * grad
+    if not np.isfinite(params).all():
+        raise FloatingPointError("training diverged: non-finite parameter update")
+    return Mlp(net.dims, params)
 
 
 def grad_check(
@@ -200,14 +180,17 @@ def write_matrix(out: TextIO, name: str, arr: np.ndarray) -> None:
         out.write(" ".join(format(v, ".17g") for v in row) + "\n")
 
 
-def read_matrix(lines: Iterator[str], name: str) -> np.ndarray:
+def read_matrix(lines: Iterator[str], name: str, shape: tuple[int, int]) -> np.ndarray:
+    """Read one named section, which must have the given shape and only finite values."""
     header = next(lines, None)
     if header is None:
         raise ValueError(f"checkpoint truncated before section {name!r}")
     fields = header.split()
     if len(fields) != 3 or fields[0] != name:
         raise ValueError(f"expected section {name!r}, found {header!r}")
-    rows, cols = int(fields[1]), int(fields[2])
+    rows, cols = shape
+    if fields[1:] != [str(rows), str(cols)]:
+        raise ValueError(f"section {name!r} is {fields[1]}x{fields[2]}, wants {rows}x{cols}")
     data = np.empty((rows, cols))
     for r in range(rows):
         line = next(lines, None)
@@ -216,7 +199,14 @@ def read_matrix(lines: Iterator[str], name: str) -> np.ndarray:
         values = line.split()
         if len(values) != cols:
             raise ValueError(f"section {name!r} row {r} has {len(values)} values, wants {cols}")
-        data[r] = [float(v) for v in values]
+        try:
+            data[r] = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"section {name!r} row {r} holds a non-number") from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"section {name!r} row {r} column {c} is {data[r, c]}, not finite")
     return data
 
 
@@ -239,24 +229,18 @@ def load_mlp(source: TextIO | Iterator[str]) -> Mlp:
     if len(dims) != 3:
         raise ValueError(f"malformed mlp header: {header!r}")
     inputs, hidden, outputs = dims
-    net = Mlp(
-        w1=read_matrix(lines, "w1"),
-        b1=read_matrix(lines, "b1")[0],
-        w2=read_matrix(lines, "w2"),
-        b2=read_matrix(lines, "b2")[0],
+    return Mlp.from_arrays(
+        read_matrix(lines, "w1", (hidden, inputs)),
+        read_matrix(lines, "b1", (1, hidden))[0],
+        read_matrix(lines, "w2", (outputs, hidden)),
+        read_matrix(lines, "b2", (1, outputs))[0],
     )
-    if net.dims != (inputs, hidden, outputs):
-        raise ValueError("checkpoint sections disagree with the declared dimensions")
-    return net
 
 
 __all__ = [
-    "Grads",
     "Mlp",
     "backward",
     "cross_entropy",
-    "flatten",
-    "flatten_grads",
     "forward",
     "grad_check",
     "load_mlp",
@@ -267,6 +251,5 @@ __all__ = [
     "save_mlp",
     "sgd_step",
     "softmax",
-    "unflatten",
     "write_matrix",
 ]

@@ -54,9 +54,6 @@ class DesignPoint:
     def evaluated(self) -> bool:
         return self.objectives is not None
 
-    def with_objectives(self, objectives: ObjectiveVector) -> "DesignPoint":
-        return DesignPoint(self.knobs, objectives)
-
 
 def dominates(p: ObjectiveVector, q: ObjectiveVector) -> bool:
     """Weak Pareto dominance: p is no worse in both objectives, better in one."""

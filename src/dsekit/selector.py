@@ -8,7 +8,9 @@ probabilities, its single action picks an explorer, and its reward is the
 negative regret of that pick relative to the best explorer on the benchmark.
 Episodes are one decision long (a recommendation fully resolves a benchmark,
 so there is no state transition), but the advantage estimator is written for
-any horizon.
+any horizon and for a batch of episodes that share one. An epoch's buffer is
+a set of aligned arrays, one row per benchmark: states, actions, behaviour
+log-probabilities, advantages and critic targets.
 """
 
 from __future__ import annotations
@@ -28,11 +30,15 @@ from .nn import (
     backward,
     cross_entropy,
     forward,
+    load_mlp,
     log_softmax,
     mean_entropy,
     mean_squared_error,
+    read_matrix,
+    save_mlp,
     sgd_step,
     softmax,
+    write_matrix,
 )
 
 N_EXPLORERS = len(ExplorerId)
@@ -129,7 +135,7 @@ def pretrain_supervised(
     # random features: the loss starts at exactly ln(n classes) and descends
     # fast enough to converge within the fixed epoch budget.
     net = Mlp.init(features.shape[1], HIDDEN, N_EXPLORERS, seed=mix64(_SUPERVISED_TAG, seed))
-    net = replace(net, w1=net.w1 * _HEAD_FEATURE_GAIN, w2=np.zeros_like(net.w2))
+    net = Mlp.from_arrays(net.w1 * _HEAD_FEATURE_GAIN, net.b1, np.zeros_like(net.w2), net.b2)
     curve: list[float] = []
     for _ in range(epochs):
         logits, hidden = forward(net, x)
@@ -145,52 +151,47 @@ def pretrain_supervised(
 
 
 def gae(
-    rewards: Sequence[float],
-    values: Sequence[float],
+    rewards: Sequence[float] | np.ndarray,
+    values: Sequence[float] | np.ndarray,
     *,
     gamma: float = DISCOUNT,
     lam: float = GAE_LAMBDA,
     bootstrap: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(advantages, returns) for one episode, via the backward recursion.
+    """(advantages, returns) via the backward recursion, with time on the last axis.
 
-    With lam=0 this reduces to one-step temporal differences; with lam=1 the
-    advantage is the discounted return minus the value baseline. Returns are
-    advantage plus value, the critic's regression target.
+    Takes one episode of shape (horizon,) or a batch of episodes of shape
+    (episodes, horizon) that share one horizon and one bootstrap value; each
+    row of a batch gets exactly the numbers it would get alone. With lam=0
+    this reduces to one-step temporal differences; with lam=1 the advantage is
+    the discounted return minus the value baseline. Returns are advantage plus
+    value, the critic's regression target.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
-    if rewards.shape != values.shape or rewards.ndim != 1:
-        raise ValueError("rewards and values must be equal-length 1-d sequences")
-    horizon = rewards.size
-    next_values = np.append(values[1:], bootstrap)
+    if rewards.shape != values.shape or rewards.ndim not in (1, 2):
+        raise ValueError(
+            "rewards and values must be equal-length sequences, one episode or a batch of them"
+        )
+    horizon = rewards.shape[-1]
+    next_values = np.concatenate(
+        [values[..., 1:], np.full(values.shape[:-1] + (1,), bootstrap)], axis=-1
+    )
     deltas = rewards + gamma * next_values - values
-    advantages = np.empty(horizon)
+    advantages = np.empty_like(deltas)
     acc = 0.0
     for t in range(horizon - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * acc
-        advantages[t] = acc
+        acc = deltas[..., t] + gamma * lam * acc
+        advantages[..., t] = acc
     return advantages, advantages + values
 
 
 # -- ppo pieces -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One stored decision: what was seen, done, and earned."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    log_prob: float
-    value: float
-    done: bool
-
-
-def regret_reward(adrs_chosen: float, adrs_best: float) -> float:
-    """Negative relative regret; zero exactly when the pick ties the best."""
-    return -abs(adrs_chosen - adrs_best) / max(adrs_best, _MIN_BEST_SCORE)
+def regret_reward(adrs_chosen: np.ndarray | float, adrs_best: np.ndarray | float) -> np.ndarray:
+    """Negative relative regret, elementwise; zero exactly when the pick ties the best."""
+    return -np.abs(adrs_chosen - adrs_best) / np.maximum(adrs_best, _MIN_BEST_SCORE)
 
 
 # Training floor for stored rewards. When the best explorer's score is at or
@@ -274,8 +275,8 @@ class PpoAgent:
         critic = Mlp.init(FEATURE_DIM, HIDDEN, 1, seed=mix64(_RL_TAG, seed, 2))
         return PpoAgent(
             head=head,
-            actor=replace(actor, w1=w1, w2=w2),
-            critic=replace(critic, w2=np.zeros_like(critic.w2)),
+            actor=Mlp.from_arrays(w1, actor.b1, w2, actor.b2),
+            critic=Mlp.from_arrays(critic.w1, critic.b1, np.zeros_like(critic.w2), critic.b2),
         )
 
     def states(self, features: np.ndarray) -> np.ndarray:
@@ -286,7 +287,9 @@ class PpoAgent:
 
 def ppo_update(
     agent: PpoAgent,
-    buffer: Sequence[Transition],
+    states: np.ndarray,
+    actions: np.ndarray,
+    old_logp: np.ndarray,
     advantages: np.ndarray,
     returns: np.ndarray,
     *,
@@ -298,15 +301,14 @@ def ppo_update(
 ) -> tuple[PpoAgent, list[float]]:
     """Gradient passes over one collected buffer; returns the combined losses.
 
-    Advantages arrive already normalized (the caller owns that policy); the
-    returns are the raw critic targets.
+    The buffer is row-aligned arrays: states (n, STATE_DIM), the actions taken,
+    their log-probabilities under the policy that took them, advantages and
+    returns. Advantages arrive already normalized (the caller owns that
+    policy); the returns are the raw critic targets.
     """
-    if not buffer:
+    if len(actions) == 0:
         raise ValueError("ppo_update needs a non-empty buffer")
-    states = np.stack([t.state for t in buffer])
     z = states[:, :FEATURE_DIM]
-    actions = np.array([t.action for t in buffer])
-    old_logp = np.array([t.log_prob for t in buffer])
     actor, critic = agent.actor, agent.critic
     losses: list[float] = []
     for _ in range(passes):
@@ -321,8 +323,7 @@ def ppo_update(
             raise FloatingPointError("ppo update diverged: non-finite loss")
         losses.append(float(total))
         actor = sgd_step(actor, backward(actor, states, hidden, dlogits), lr)
-        critic_grads = backward(critic, z, hidden_c, value_coef * d_value)
-        critic = sgd_step(critic, critic_grads, lr)
+        critic = sgd_step(critic, backward(critic, z, hidden_c, value_coef * d_value), lr)
     return replace(agent, actor=actor, critic=critic), losses
 
 
@@ -339,10 +340,12 @@ def train_rl(
 ) -> tuple[PpoAgent, list[float]]:
     """PPO over one-decision episodes; returns the per-epoch mean reward curve.
 
-    Each epoch walks the training benchmarks in a fresh seeded permutation,
-    samples one explorer per benchmark from the current policy, scores the
-    picks against the benchmark's known per-explorer results, and applies one
-    clipped-surrogate update over the collected buffer.
+    Each epoch orders the training benchmarks by a fresh seeded permutation,
+    samples one explorer per benchmark from the current policy by inverse CDF
+    on one uniform draw each, scores the picks against the benchmark's known
+    per-explorer results, and applies one clipped-surrogate update over the
+    buffer. The buffer is built as arrays in permutation order, and the
+    advantages of all n one-step episodes come from one batch `gae` call.
     """
     features = np.atleast_2d(features)
     score_matrix = np.atleast_2d(score_matrix)
@@ -352,39 +355,30 @@ def train_rl(
     rng = np.random.default_rng(np.random.SeedSequence([_RL_TAG, seed & (2**64 - 1)]))
     states = agent.states(features)
     z = states[:, :FEATURE_DIM]
+    best = score_matrix.min(axis=1)
     curve: list[float] = []
     for _ in range(epochs):
-        logits, _ = forward(agent.actor, states)
-        logp = log_softmax(logits)
-        probs = np.exp(logp)
+        logp = log_softmax(forward(agent.actor, states)[0])
         values = forward(agent.critic, z)[0][:, 0]
-        buffer: list[Transition] = []
-        advantages = np.empty(n)
-        returns = np.empty(n)
-        for slot, i in enumerate(rng.permutation(n)):
-            action = int(np.searchsorted(np.cumsum(probs[i]), rng.random()))
-            action = min(action, N_EXPLORERS - 1)
-            row = score_matrix[i]
-            reward = max(regret_reward(float(row[action]), float(row.min())), REWARD_FLOOR)
-            buffer.append(
-                Transition(
-                    state=states[i],
-                    action=action,
-                    reward=reward,
-                    log_prob=float(logp[i, action]),
-                    value=float(values[i]),
-                    done=True,
-                )
-            )
-            adv, ret = gae([reward], [values[i]])
-            advantages[slot] = adv[0]
-            returns[slot] = ret[0]
-        curve.append(float(np.mean([t.reward for t in buffer])))
+        order = rng.permutation(n)
+        u = rng.random(n)
+        # the first index whose cumulative probability reaches u, as
+        # searchsorted(side="left") finds it; rounding can leave u above the
+        # last cumulative sum, hence the cap
+        cdf = np.cumsum(np.exp(logp[order]), axis=1)
+        actions = np.minimum((cdf < u[:, None]).sum(axis=1), N_EXPLORERS - 1)
+        rewards = np.maximum(
+            regret_reward(score_matrix[order, actions], best[order]), REWARD_FLOOR
+        )
+        advantages, returns = gae(rewards[:, None], values[order][:, None])
+        curve.append(float(rewards.mean()))
         agent, _ = ppo_update(
             agent,
-            buffer,
-            normalized(advantages),
-            returns,
+            states[order],
+            actions,
+            logp[order, actions],
+            normalized(advantages[:, 0]),
+            returns[:, 0],
             passes=passes,
             lr=lr,
             entropy_coef=entropy_coef,
@@ -412,8 +406,6 @@ _CHECKPOINT_HEADER = "selector-checkpoint"
 
 def save_selector(out, head: SupervisedHead, agent: PpoAgent, *, fingerprint: str, seed: int) -> None:
     """One text record: header with hyperparameters, scaler, then three nets."""
-    from .nn import save_mlp, write_matrix
-
     settings = (
         f"fingerprint={fingerprint} seed={seed} "
         f"supervised_epochs={SUPERVISED_EPOCHS} supervised_lr={SUPERVISED_LR:.17g} "
@@ -434,8 +426,6 @@ def load_selector(source) -> tuple[SupervisedHead, PpoAgent, dict[str, str]]:
 
     Accepts a path, an open text file, or an iterable of lines.
     """
-    from .nn import load_mlp, read_matrix
-
     if isinstance(source, (str, Path)):
         lines = iter(Path(source).read_text().splitlines())
     elif hasattr(source, "read"):
@@ -448,15 +438,29 @@ def load_selector(source) -> tuple[SupervisedHead, PpoAgent, dict[str, str]]:
     settings = dict(
         token.split("=", 1) for token in header.split()[1:] if "=" in token
     )
-    scaler = FeatureScaler(
-        mean=read_matrix(lines, "scaler_mean")[0],
-        std=read_matrix(lines, "scaler_std")[0],
-    )
-    head = SupervisedHead(scaler=scaler, net=load_mlp(lines))
-    agent = PpoAgent(head=head, actor=load_mlp(lines), critic=load_mlp(lines))
-    if agent.actor.dims[0] != STATE_DIM or head.net.dims[0] != FEATURE_DIM:
-        raise ValueError("checkpoint network shapes do not match this package's layout")
-    return head, agent, settings
+    mean = read_matrix(lines, "scaler_mean", (1, FEATURE_DIM))[0]
+    std = read_matrix(lines, "scaler_std", (1, FEATURE_DIM))[0]
+    if (std <= 0.0).any():
+        column = int(np.argmax(std <= 0.0))
+        raise ValueError(f"section 'scaler_std' column {column} is not positive")
+    scaler = FeatureScaler(mean=mean, std=std)
+    nets = []
+    for role, inputs, outputs in (
+        ("head", FEATURE_DIM, N_EXPLORERS),
+        ("actor", STATE_DIM, N_EXPLORERS),
+        ("critic", FEATURE_DIM, 1),
+    ):
+        try:
+            net = load_mlp(lines)
+        except ValueError as exc:
+            raise ValueError(f"{role} network: {exc}") from None
+        if (net.dims[0], net.dims[2]) != (inputs, outputs):
+            raise ValueError(
+                f"{role} network is {'-'.join(map(str, net.dims))}, wants {inputs}-*-{outputs}"
+            )
+        nets.append(net)
+    head = SupervisedHead(scaler=scaler, net=nets[0])
+    return head, PpoAgent(head=head, actor=nets[1], critic=nets[2]), settings
 
 
 __all__ = [
@@ -476,7 +480,6 @@ __all__ = [
     "FeatureScaler",
     "PpoAgent",
     "SupervisedHead",
-    "Transition",
     "gae",
     "load_selector",
     "normalized",

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .benchmarks import BenchmarkInstance, Family, KnobSchema
+from .benchmarks import BenchmarkInstance, Family, KnobSchema, random_knobs
 from .hashing import hash_unit, mix64
 from .pareto import DesignPoint, ObjectiveVector, ParetoFront, pareto_filter
 
@@ -185,10 +185,6 @@ def _level_positions(levels: tuple[int, ...]) -> list[float]:
     return [(v - levels[0]) / span for v in levels]
 
 
-def _random_point(rng: np.random.Generator, cards: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(int(rng.integers(0, c)) for c in cards)
-
-
 def _mean_index_distance(
     knobs: tuple[int, ...], center: tuple[int, ...], cards: tuple[int, ...]
 ) -> float:
@@ -231,7 +227,7 @@ def _basin_layout(
             sum(tab[i] for tab, i in zip(area_tables, kn)),
         )
 
-    pool = sorted({_random_point(rng, cards) for _ in range(150)})
+    pool = sorted({random_knobs(rng, cards) for _ in range(150)})
     pool_logs = [logs(p) for p in pool]
 
     def needed_strength(center: tuple[int, ...], base: tuple[float, float]) -> float:

@@ -188,3 +188,56 @@ def reference_run_sbo(ev, schema, rng: np.random.Generator) -> None:
                 batch.append(i)
         for i in batch:
             ev.evaluate(cands[i])
+
+
+def reference_train_rl(agent, features: np.ndarray, score_matrix: np.ndarray, *, epochs, seed):
+    """PPO training with the buffer built one benchmark at a time, as first
+    written: a scalar uniform draw and `searchsorted` per pick, the regret in
+    Python floats, and one single-step `gae` call per slot.
+
+    Returns (agent, per-epoch mean rewards, every stored reward in order).
+    """
+    from dsekit.nn import forward, log_softmax
+    from dsekit.selector import (
+        _MIN_BEST_SCORE,
+        _RL_TAG,
+        FEATURE_DIM,
+        N_EXPLORERS,
+        REWARD_FLOOR,
+        gae,
+        normalized,
+        ppo_update,
+    )
+
+    rng = np.random.default_rng(np.random.SeedSequence([_RL_TAG, seed & (2**64 - 1)]))
+    states = agent.states(features)
+    z = states[:, :FEATURE_DIM]
+    curve: list[float] = []
+    every_reward: list[float] = []
+    for _ in range(epochs):
+        logp = log_softmax(forward(agent.actor, states)[0])
+        probs = np.exp(logp)
+        values = forward(agent.critic, z)[0][:, 0]
+        rows, actions, rewards, advantages, returns = [], [], [], [], []
+        for i in rng.permutation(len(features)):
+            action = int(np.searchsorted(np.cumsum(probs[i]), rng.random()))
+            action = min(action, N_EXPLORERS - 1)
+            chosen, best = float(score_matrix[i, action]), float(score_matrix[i].min())
+            reward = max(-abs(chosen - best) / max(best, _MIN_BEST_SCORE), REWARD_FLOOR)
+            adv, ret = gae([reward], [values[i]])
+            rows.append(i)
+            actions.append(action)
+            rewards.append(reward)
+            advantages.append(adv[0])
+            returns.append(ret[0])
+        curve.append(float(np.mean(rewards)))
+        every_reward.extend(rewards)
+        agent, _ = ppo_update(
+            agent,
+            states[rows],
+            np.array(actions),
+            logp[rows, actions],
+            normalized(np.array(advantages)),
+            np.array(returns),
+        )
+    return agent, curve, every_reward

@@ -25,16 +25,14 @@ from dsekit.cli import CHECKPOINT_FILE, RL_CURVE_FILE, SUPERVISED_CURVE_FILE, ma
 from dsekit.dataset import load, run_suite
 from dsekit.explorers import Budget, ExplorerId, explore
 from dsekit.nn import (
+    Mlp,
     backward,
     cross_entropy,
-    flatten,
-    flatten_grads,
     forward,
     grad_check,
     log_softmax,
     mean_entropy,
     mean_squared_error,
-    unflatten,
 )
 from dsekit.pareto import DesignPoint, ObjectiveVector, adrs, pareto_filter
 from dsekit.selector import N_EXPLORERS, gae, load_selector, ppo_policy_loss
@@ -118,10 +116,10 @@ def _loss_closure(template, x, head):
     """Flat parameter vector -> (loss, flat gradient) through a small net."""
 
     def fn(vec):
-        net = unflatten(template, vec)
+        net = Mlp(template.dims, vec)
         logits, hidden = forward(net, x)
         loss, dlogits = head(logits)
-        return loss, flatten_grads(backward(net, x, hidden, dlogits))
+        return loss, backward(net, x, hidden, dlogits)
 
     return fn
 
@@ -153,22 +151,22 @@ def test_training_loss_gradients_match_finite_differences(capsys):
         net, x = kink_free_case(rng, (5, 8, 4))
         labels = rng.integers(4, size=x.shape[0])
         fn = _loss_closure(net, x, lambda z: cross_entropy(z, labels))
-        worst["cross-entropy"] = max(worst["cross-entropy"], grad_check(fn, flatten(net)))
+        worst["cross-entropy"] = max(worst["cross-entropy"], grad_check(fn, net.params))
 
         net, x, actions, old_logp, advantages = _policy_case(rng)
         fn = _loss_closure(
             net, x, lambda z: ppo_policy_loss(z, actions, old_logp, advantages)
         )
-        worst["policy"] = max(worst["policy"], grad_check(fn, flatten(net)))
+        worst["policy"] = max(worst["policy"], grad_check(fn, net.params))
 
         net, x = kink_free_case(rng, (5, 8, 1))
         target = rng.normal(size=(x.shape[0], 1))
         fn = _loss_closure(net, x, lambda z: mean_squared_error(z, target))
-        worst["value"] = max(worst["value"], grad_check(fn, flatten(net)))
+        worst["value"] = max(worst["value"], grad_check(fn, net.params))
 
         net, x = kink_free_case(rng, (5, 8, 4))
         fn = _loss_closure(net, x, mean_entropy)
-        worst["entropy"] = max(worst["entropy"], grad_check(fn, flatten(net)))
+        worst["entropy"] = max(worst["entropy"], grad_check(fn, net.params))
     elapsed = time.perf_counter() - start
     ok = max(worst.values()) <= 1e-4 and elapsed < 30.0
     detail = ", ".join(f"{name} {err:.1e}" for name, err in worst.items())

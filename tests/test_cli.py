@@ -102,6 +102,45 @@ class TestRuntimeErrors:
         assert code == 1
         assert "fingerprint" in capsys.readouterr().err
 
+    def _infer_on_edited_checkpoint(self, pipeline, tmp_path, edit):
+        """Run infer on a copy of the trained checkpoint after edit(lines, mlp_starts)."""
+        lines = (pipeline["t"] / CHECKPOINT_FILE).read_text().splitlines()
+        edit(lines, [n for n, line in enumerate(lines) if line.startswith("mlp ")])
+        doctored = tmp_path / CHECKPOINT_FILE
+        doctored.write_text("\n".join(lines) + "\n")
+        return main(
+            ["infer", "--dataset", str(pipeline["d"]), "--checkpoints", str(doctored),
+             "--out", str(tmp_path / "i")]
+        )
+
+    def test_infer_rejects_a_non_finite_checkpoint_value(self, pipeline, tmp_path, capsys):
+        def nan_in_actor_w2(lines, mlps):
+            w2 = next(n for n in range(mlps[1], mlps[2]) if lines[n].startswith("w2 "))
+            lines[w2 + 1] = " ".join(["nan"] + lines[w2 + 1].split()[1:])
+
+        assert self._infer_on_edited_checkpoint(pipeline, tmp_path, nan_in_actor_w2) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and CHECKPOINT_FILE in err
+        assert "actor network: section 'w2' row 0 column 0 is nan" in err
+        assert not (tmp_path / "i" / REPORT_FILE).exists()
+
+    def test_infer_rejects_a_head_with_the_wrong_output_count(self, pipeline, tmp_path, capsys):
+        def head_with_nine_outputs(lines, mlps):
+            head = range(mlps[0], mlps[1])
+            lines[mlps[0]] = lines[mlps[0]].rsplit(" ", 1)[0] + " 9"
+            w2 = next(n for n in head if lines[n].startswith("w2 "))
+            b2 = next(n for n in head if lines[n].startswith("b2 "))
+            lines[b2] = "b2 1 9"
+            lines[b2 + 1] = " ".join(lines[b2 + 1].split()[:9])
+            del lines[w2 + 10]
+            lines[w2] = lines[w2].replace("w2 10 ", "w2 9 ")
+
+        assert self._infer_on_edited_checkpoint(pipeline, tmp_path, head_with_nine_outputs) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and CHECKPOINT_FILE in err
+        assert "head network is 24-256-9, wants 24-*-10" in err
+        assert not (tmp_path / "i" / REPORT_FILE).exists()
+
 
     def test_run_rejects_a_suite_mixing_size_classes(self, tmp_path, capsys):
         small, medium, mixed = tmp_path / "s", tmp_path / "m", tmp_path / "mixed"

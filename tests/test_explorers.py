@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dsekit.benchmarks import Family, synth_instance
+from dsekit.benchmarks import Family, random_knobs, synth_instance
 from dsekit.explorers import (
     EXHAUSTIVE_REFERENCE_LIMIT,
     Budget,
@@ -18,7 +18,7 @@ from dsekit.explorers import (
     run_portfolio,
 )
 from dsekit.explorers import base
-from dsekit.explorers.algorithms import _dominated, _random_knobs, run_sbo
+from dsekit.explorers.algorithms import _dominated, run_sbo
 from dsekit.explorers.base import (
     NOMINAL_EVAL_SECONDS,
     STALL_STREAK,
@@ -200,7 +200,7 @@ class TestStall:
         proposed = []
 
         def one_point_forever(ev, schema, rng):
-            knobs = _random_knobs(rng, schema.cardinalities)
+            knobs = random_knobs(rng, schema.cardinalities)
             while True:
                 proposed.append(knobs)
                 ev.evaluate(knobs)
@@ -392,7 +392,7 @@ class TestSurrogateExplorer:
             return tuple(int(rng.integers(0, c)) for c in cards)
 
         loop, batched = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _random_knobs(batched, cards) == scalar(loop)
+        assert random_knobs(batched, cards) == scalar(loop)
         assert batched.bit_generator.state == loop.bit_generator.state
         rows = batched.integers(0, cards, size=(256, len(cards))).tolist()
         assert [tuple(row) for row in rows] == [scalar(loop) for _ in range(256)]

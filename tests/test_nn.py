@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 
 from dsekit.nn import (
-    Grads,
     Mlp,
     backward,
     cross_entropy,
-    flatten,
-    flatten_grads,
     forward,
     grad_check,
     load_mlp,
@@ -23,7 +20,6 @@ from dsekit.nn import (
     save_mlp,
     sgd_step,
     softmax,
-    unflatten,
 )
 from oracles import naive_mlp_forward
 
@@ -36,11 +32,11 @@ def kink_free_case(rng, dims, batch=4, margin=1e-3):
     """
     while True:
         net = Mlp.init(*dims, seed=int(rng.integers(2**31)))
-        net = Mlp(
-            w1=net.w1,
-            b1=rng.normal(scale=0.3, size=dims[1]),
-            w2=net.w2,
-            b2=rng.normal(scale=0.3, size=dims[2]),
+        net = Mlp.from_arrays(
+            net.w1,
+            rng.normal(scale=0.3, size=dims[1]),
+            net.w2,
+            rng.normal(scale=0.3, size=dims[2]),
         )
         x = rng.normal(size=(batch, dims[0]))
         pre = x @ net.w1.T + net.b1
@@ -95,10 +91,10 @@ class TestExactGradients:
 
     def closure(self, template, x, head):
         def loss_and_grad(vec):
-            net = unflatten(template, vec)
+            net = Mlp(template.dims, vec)
             logits, hidden = forward(net, x)
             loss, dlogits = head(logits)
-            return loss, flatten_grads(backward(net, x, hidden, dlogits))
+            return loss, backward(net, x, hidden, dlogits)
 
         return loss_and_grad
 
@@ -108,14 +104,14 @@ class TestExactGradients:
             net, x = kink_free_case(rng, self.DIMS)
             labels = rng.integers(self.DIMS[2], size=x.shape[0])
             fn = self.closure(net, x, lambda z: cross_entropy(z, labels))
-            assert grad_check(fn, flatten(net)) <= 1e-4
+            assert grad_check(fn, net.params) <= 1e-4
 
     def test_entropy_gradient(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             net, x = kink_free_case(rng, self.DIMS)
             fn = self.closure(net, x, mean_entropy)
-            assert grad_check(fn, flatten(net)) <= 1e-4
+            assert grad_check(fn, net.params) <= 1e-4
 
     def test_value_head_gradient(self):
         rng = np.random.default_rng(4)
@@ -123,7 +119,7 @@ class TestExactGradients:
             net, x = kink_free_case(rng, (self.DIMS[0], self.DIMS[1], 1))
             target = rng.normal(size=(x.shape[0], 1))
             fn = self.closure(net, x, lambda z: mean_squared_error(z, target))
-            assert grad_check(fn, flatten(net)) <= 1e-4
+            assert grad_check(fn, net.params) <= 1e-4
 
     def test_checker_flags_a_wrong_gradient(self):
         def broken(vec):
@@ -145,34 +141,34 @@ class TestTraining:
 
     def test_non_finite_update_is_refused(self):
         net = Mlp.init(3, 4, 2, seed=0)
-        grads = Grads(
-            w1=np.full_like(net.w1, np.nan),
-            b1=np.zeros_like(net.b1),
-            w2=np.zeros_like(net.w2),
-            b2=np.zeros_like(net.b2),
-        )
+        grad = np.zeros_like(net.params)
+        grad[: net.w1.size] = np.nan
         with pytest.raises(FloatingPointError, match="diverged"):
-            sgd_step(net, grads, lr=0.1)
+            sgd_step(net, grad, lr=0.1)
 
-    def test_flatten_round_trip(self):
+    def test_layers_are_views_of_one_flat_vector(self):
         net = Mlp.init(6, 5, 3, seed=9)
-        again = unflatten(net, flatten(net))
-        assert (again.w1 == net.w1).all() and (again.b2 == net.b2).all()
+        assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+        for layer in (net.w1, net.b1, net.w2, net.b2):
+            assert np.shares_memory(layer, net.params)
+        expect = np.concatenate([net.w1.ravel(), net.b1, net.w2.ravel(), net.b2])
+        np.testing.assert_array_equal(net.params, expect)
+        again = Mlp.from_arrays(net.w1, net.b1, net.w2, net.b2)
+        assert again.dims == net.dims and (again.params == net.params).all()
+        with pytest.raises(ValueError, match="float64 parameters"):
+            Mlp(net.dims, net.params[:-1])
 
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self):
         net = Mlp.init(24, 256, 10, seed=3)
-        net = sgd_step(
-            net,
-            Grads(
-                w1=np.full_like(net.w1, 1e-7),
-                b1=np.full_like(net.b1, np.pi),
-                w2=np.full_like(net.w2, -1e-13),
-                b2=np.full_like(net.b2, 1.0 / 3.0),
-            ),
-            lr=0.123456789,
-        )
+        grad = Mlp.from_arrays(
+            np.full_like(net.w1, 1e-7),
+            np.full_like(net.b1, np.pi),
+            np.full_like(net.w2, -1e-13),
+            np.full_like(net.b2, 1.0 / 3.0),
+        ).params
+        net = sgd_step(net, grad, lr=0.123456789)
         buf = io.StringIO()
         save_mlp(buf, net)
         loaded = load_mlp(io.StringIO(buf.getvalue()))
@@ -197,3 +193,19 @@ class TestCheckpoint:
         clipped = "\n".join(buf.getvalue().splitlines()[:-2]) + "\n"
         with pytest.raises(ValueError, match="truncated|wants"):
             load_mlp(io.StringIO(clipped))
+
+    def test_rejects_non_finite_values_and_misshapen_sections(self):
+        buf = io.StringIO()
+        save_mlp(buf, Mlp.init(4, 3, 2, seed=1))
+        lines = buf.getvalue().splitlines()
+        w2_row = lines.index("w2 2 3") + 1
+        for value in ("nan", "inf", "-1e999"):
+            bad = lines.copy()
+            bad[w2_row] = " ".join([value] + bad[w2_row].split()[1:])
+            with pytest.raises(ValueError, match=r"section 'w2' row 0 column 0 is .*, not finite"):
+                load_mlp(iter(bad))
+        for header, shown in (("b1 1 4", "1x4"), ("b1 one 3", "onex3")):
+            bad = lines.copy()
+            bad[lines.index("b1 1 3")] = header
+            with pytest.raises(ValueError, match=rf"section 'b1' is {shown}, wants 1x3"):
+                load_mlp(iter(bad))

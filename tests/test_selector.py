@@ -9,13 +9,10 @@ from dsekit.explorers import ExplorerId
 from dsekit.nn import (
     Mlp,
     backward,
-    flatten,
-    flatten_grads,
     forward,
     grad_check,
     log_softmax,
     mean_squared_error,
-    unflatten,
 )
 from dsekit.selector import (
     N_EXPLORERS,
@@ -23,7 +20,6 @@ from dsekit.selector import (
     STATE_DIM,
     FeatureScaler,
     PpoAgent,
-    Transition,
     gae,
     load_selector,
     normalized,
@@ -35,7 +31,7 @@ from dsekit.selector import (
     save_selector,
     train_rl,
 )
-from oracles import naive_discounted_advantages
+from oracles import naive_discounted_advantages, reference_train_rl
 
 
 def blob_problem(rng, n=40, blobs=2, separation=3.0, owners=(1, 4, 7)):
@@ -96,6 +92,28 @@ class TestGae:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="equal-length"):
             gae([1.0, 2.0], [0.5])
+        with pytest.raises(ValueError, match="equal-length"):
+            gae(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="equal-length"):
+            gae(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
+
+    def test_batch_rows_equal_single_episodes_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for horizon in (1, 2, 7):
+            rewards = rng.normal(size=(9, horizon))
+            values = rng.normal(size=(9, horizon))
+            rewards[0] = -0.0
+            values[1] = 0.0
+            rewards[2, 0], values[2, 0] = -0.0, 0.0
+            rewards[3], values[3] = -0.0, -0.0
+            for bootstrap in (0.0, -0.0, 0.7):
+                adv, ret = gae(rewards, values, gamma=0.99, lam=0.95, bootstrap=bootstrap)
+                for row in range(rewards.shape[0]):
+                    one_adv, one_ret = gae(
+                        rewards[row], values[row], gamma=0.99, lam=0.95, bootstrap=bootstrap
+                    )
+                    assert adv[row].tobytes() == one_adv.tobytes()
+                    assert ret[row].tobytes() == one_ret.tobytes()
 
 
 class TestPolicyLoss:
@@ -232,21 +250,15 @@ class TestSupervisedHead:
 
 class TestPpoUpdate:
     def make_buffer(self, rng, agent, features, scores):
+        """(states, actions, old log-probs, advantages, returns) for random picks."""
         states = agent.states(features)
-        logits, _ = forward(agent.actor, states)
-        logp = log_softmax(logits)
+        logp = log_softmax(forward(agent.actor, states)[0])
         values = forward(agent.critic, states[:, :24])[0][:, 0]
-        buffer, advs, rets = [], [], []
-        for i in range(len(features)):
-            action = int(rng.integers(N_EXPLORERS))
-            reward = regret_reward(float(scores[i, action]), float(scores[i].min()))
-            buffer.append(
-                Transition(states[i], action, reward, float(logp[i, action]), float(values[i]), True)
-            )
-            adv, ret = gae([reward], [values[i]])
-            advs.append(adv[0])
-            rets.append(ret[0])
-        return buffer, normalized(np.array(advs)), np.array(rets)
+        rows = np.arange(len(features))
+        actions = np.array([int(rng.integers(N_EXPLORERS)) for _ in rows])
+        rewards = regret_reward(scores[rows, actions], scores.min(axis=1))
+        advs, rets = gae(rewards[:, None], values[:, None])
+        return states, actions, logp[rows, actions], normalized(advs[:, 0]), rets[:, 0]
 
     def setup_agent(self, rng, n=8):
         features, scores, labels = blob_problem(rng, n=n)
@@ -256,14 +268,14 @@ class TestPpoUpdate:
     def test_empty_buffer_rejected(self):
         rng = np.random.default_rng(11)
         agent, _, _ = self.setup_agent(rng)
+        empty = np.zeros(0)
         with pytest.raises(ValueError, match="non-empty"):
-            ppo_update(agent, [], np.array([]), np.array([]))
+            ppo_update(agent, np.zeros((0, STATE_DIM)), empty.astype(int), empty, empty, empty)
 
     def test_losses_recorded_per_pass_and_nets_move(self):
         rng = np.random.default_rng(12)
         agent, features, scores = self.setup_agent(rng)
-        buffer, advs, rets = self.make_buffer(rng, agent, features, scores)
-        updated, losses = ppo_update(agent, buffer, advs, rets)
+        updated, losses = ppo_update(agent, *self.make_buffer(rng, agent, features, scores))
         assert len(losses) == 4
         assert (updated.actor.w2 != agent.actor.w2).any()
         assert (updated.critic.w2 != agent.critic.w2).any()
@@ -273,23 +285,20 @@ class TestPpoUpdate:
         """Total loss gradient (policy + value - entropy) vs finite differences."""
         rng = np.random.default_rng(13)
         agent, features, scores = self.setup_agent(rng, n=3)
-        buffer, advs, rets = self.make_buffer(rng, agent, features, scores)
-        states = np.stack([t.state for t in buffer])
-        actions = np.array([t.action for t in buffer])
-        old_logp = np.array([t.log_prob for t in buffer])
+        states, actions, old_logp, advs, _ = self.make_buffer(rng, agent, features, scores)
         actor = Mlp.init(STATE_DIM, 6, N_EXPLORERS, seed=4)
 
         def fn(vec):
-            net = unflatten(actor, vec)
+            net = Mlp(actor.dims, vec)
             logits, hidden = forward(net, states)
             p_loss, d_policy = ppo_policy_loss(logits, actions, old_logp, advs)
             from dsekit.nn import mean_entropy
 
             entropy, d_entropy = mean_entropy(logits)
             dlogits = d_policy - 0.01 * d_entropy
-            return p_loss - 0.01 * entropy, flatten_grads(backward(net, states, hidden, dlogits))
+            return p_loss - 0.01 * entropy, backward(net, states, hidden, dlogits)
 
-        assert grad_check(fn, flatten(actor), sample=200, rng=rng) <= 1e-4
+        assert grad_check(fn, actor.params, sample=200, rng=rng) <= 1e-4
 
 
 class TestTrainRl:
@@ -358,6 +367,27 @@ class TestTrainRl:
         assert (a.actor.w1 == b.actor.w1).all()
         assert (a.critic.w2 == b.critic.w2).all()
 
+    @pytest.mark.parametrize("n, seed, epochs", [(2, 0, 60), (7, 3, 40), (23, 11, 25)])
+    def test_array_buffer_matches_the_per_benchmark_loop_bit_for_bit(self, n, seed, epochs):
+        rng = np.random.default_rng(50 + n)
+        features = rng.normal(size=(n, 24))
+        scores = rng.uniform(0.2, 0.9, size=(n, N_EXPLORERS))
+        scores[0, [2, 6]] = 0.05  # tied minima
+        scores[1, 3] = 0.0  # a best score of zero: other picks hit the floor
+        labels = np.arange(n) % 3
+        head, _ = pretrain_supervised(features, labels, epochs=10, seed=seed)
+        agent = PpoAgent.init(head, seed=seed)
+        got, curve = train_rl(agent, features, scores, epochs=epochs, seed=seed)
+        want, want_curve, rewards = reference_train_rl(
+            agent, features, scores, epochs=epochs, seed=seed
+        )
+        assert np.array(curve).tobytes() == np.array(want_curve).tobytes()
+        assert got.actor.params.tobytes() == want.actor.params.tobytes()
+        assert got.critic.params.tobytes() == want.critic.params.tobytes()
+        # the cases reach both edges of the reward: a signed-zero regret and the floor
+        assert any(r == 0.0 and np.signbit(r) for r in rewards)
+        assert REWARD_FLOOR in rewards
+
     def test_score_matrix_shape_checked(self):
         rng = np.random.default_rng(19)
         features, _, labels = blob_problem(rng, n=6)
@@ -372,12 +402,7 @@ class TestRecommend:
         features, scores, labels = blob_problem(rng, n=8)
         head, _ = pretrain_supervised(features, labels, epochs=10)
         agent = PpoAgent.init(head, seed=0)
-        zero_actor = Mlp(
-            w1=np.zeros_like(agent.actor.w1),
-            b1=np.zeros_like(agent.actor.b1),
-            w2=np.zeros_like(agent.actor.w2),
-            b2=np.zeros_like(agent.actor.b2),
-        )
+        zero_actor = Mlp(agent.actor.dims, np.zeros_like(agent.actor.params))
         from dataclasses import replace
 
         pick, policy = recommend(head, replace(agent, actor=zero_actor), features[:1])
@@ -437,12 +462,12 @@ class TestRecommend:
         target = rng.normal(size=(8, 1))
 
         def fn(vec):
-            net = unflatten(agent.critic, vec)
+            net = Mlp(agent.critic.dims, vec)
             pred, hidden = forward(net, z)
             loss, dpred = mean_squared_error(pred, target)
-            return loss, flatten_grads(backward(net, z, hidden, dpred))
+            return loss, backward(net, z, hidden, dpred)
 
-        assert grad_check(fn, flatten(agent.critic), sample=300, rng=rng) <= 1e-4
+        assert grad_check(fn, agent.critic.params, sample=300, rng=rng) <= 1e-4
 
 
 class TestCheckpoint:
@@ -499,6 +524,20 @@ class TestCheckpoint:
             _, loaded_agent, settings = load_selector(source)
             np.testing.assert_array_equal(loaded_agent.critic.w1, agent.critic.w1)
             assert settings["fingerprint"] == "beef"
+
+    def test_rejects_a_non_positive_scaler_std(self):
+        import io
+
+        _, head, agent = self._trained_pair()
+        buf = io.StringIO()
+        save_selector(buf, head, agent, fingerprint="abc123", seed=0)
+        lines = buf.getvalue().splitlines()
+        row = lines.index(f"scaler_std 1 {head.scaler.std.size}") + 1
+        for value in ("0", "-1.5"):
+            bad = lines.copy()
+            bad[row] = " ".join(lines[row].split()[:3] + [value] + lines[row].split()[4:])
+            with pytest.raises(ValueError, match="section 'scaler_std' column 3 is not positive"):
+                load_selector(bad)
 
     def test_rejects_foreign_header(self):
         import io
