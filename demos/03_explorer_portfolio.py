@@ -6,7 +6,7 @@ rugged or plateau-heavy one.
 """
 
 from dsekit.benchmarks import Family, synth_instance
-from dsekit.explorers import Budget, ExplorerId, run_portfolio
+from dsekit.explorers import Budget, ExplorerId, explore, portfolio_seed, score_results
 from dsekit.surrogate import SurrogateModel
 
 BUDGET = Budget(60)
@@ -14,7 +14,11 @@ BUDGET = Budget(60)
 for family in (Family.SMOOTH, Family.RUGGED, Family.PLATEAU):
     instance = synth_instance(family, seed=2, size_class="small")
     model = SurrogateModel.from_instance(instance)
-    portfolio = run_portfolio(instance, model, BUDGET, master_seed=0)
+    results = tuple(
+        explore(explorer, instance, model, BUDGET, portfolio_seed(0, explorer))
+        for explorer in ExplorerId
+    )
+    portfolio = score_results(instance, model, results)
 
     print(instance.id)
     for explorer, result in zip(ExplorerId, portfolio.results):

@@ -331,6 +331,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not labels_rows or not report_rows:
         raise ValueError("labels and report files must be non-empty")
     check_runs_cover(runs_rows, labels_rows, Path(args.runs), Path(args.labels))
+    known = {record["benchmark_id"] for record in labels_rows}
+    reported: set[str] = set()
+    counts: dict[str, list[int]] = {"overall": [0, 0]}
+    for lineno, record in enumerate(report_rows, 1):
+        benchmark_id = record["benchmark_id"]
+        if benchmark_id not in known:
+            raise ValueError(f"{args.report}:{lineno}: unknown benchmark {benchmark_id}")
+        if benchmark_id in reported:
+            raise ValueError(f"{args.report}:{lineno}: repeated report of {benchmark_id}")
+        reported.add(benchmark_id)
+        correct = int(float(record["regret"]) == 0.0)
+        for scope in ("overall", benchmark_id.split("-")[0]):
+            counts.setdefault(scope, [0, 0])
+            counts[scope][0] += correct
+            counts[scope][1] += 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -343,18 +358,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         for record in labels_rows
     ]
     _write_csv(out / ADRS_MATRIX_FILE, ("benchmark_id", *EXPLORER_NAMES, "best"), matrix_rows)
-
-    known = {record["benchmark_id"] for record in labels_rows}
-    counts: dict[str, list[int]] = {"overall": [0, 0]}
-    for record in report_rows:
-        benchmark_id = record["benchmark_id"]
-        if benchmark_id not in known:
-            raise ValueError(f"report references unknown benchmark {benchmark_id}")
-        correct = int(float(record["regret"]) == 0.0)
-        for scope in ("overall", benchmark_id.split("-")[0]):
-            counts.setdefault(scope, [0, 0])
-            counts[scope][0] += correct
-            counts[scope][1] += 1
     accuracy_rows = [
         (scope, str(c), str(t), _fmt(c / t))
         for scope, (c, t) in sorted(counts.items(), key=lambda kv: (kv[0] != "overall", kv[0]))

@@ -9,6 +9,10 @@ of the other three. The manifest is written last, so a directory with a
 manifest is complete, and every float is serialized with 17 significant
 digits, so `load` reproduces the run bit-exactly. `load` also checks every
 stored front point against its benchmark's design space.
+
+`run_suite` runs every (benchmark, explorer) cell through `explore` with the
+benchmark's one surrogate model and then scores each benchmark. The worker
+count decides only where cells run, so the files are identical for any count.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .explorers import (
     PortfolioResult,
     explore,
     portfolio_seed,
-    run_portfolio,
     score_results,
 )
 from .hashing import fnv1a64_hex, mix64
@@ -231,12 +234,13 @@ def synth_suite(config: DatasetConfig) -> tuple[BenchmarkInstance, ...]:
     )
 
 
-def _explore_cell(
-    instance: BenchmarkInstance, code: int, budget_evaluations: int, seed: int
-) -> ExplorationResult:
-    """One (benchmark, explorer) run; the unit of worker parallelism."""
-    model = SurrogateModel.from_instance(instance)
-    return explore(ExplorerId(code), instance, model, Budget(budget_evaluations), seed)
+def _explore_cell(task: tuple) -> ExplorationResult:
+    """One (benchmark, explorer) run in a pool worker: `explore(*task)`.
+
+    A function of its own rather than an alias, so that it calls whatever
+    `explore` this module holds when the pool pickles it by name.
+    """
+    return explore(*task)
 
 
 def run_suite(
@@ -245,48 +249,31 @@ def run_suite(
     master_seed: int,
     workers: int = 1,
 ) -> list[PortfolioResult]:
-    """Portfolio results per instance, identical for any worker count."""
+    """Portfolio results per instance, identical for any worker count.
+
+    All cells run before any scoring: in process at one worker, in a pool of
+    `workers` processes otherwise. Each benchmark's one model goes with its
+    cells and is used again to score them.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    portfolios: list[PortfolioResult] = []
-    if workers == 1:
-        for instance in instances:
-            model = SurrogateModel.from_instance(instance)
-            portfolios.append(
-                run_portfolio(instance, model, Budget(budget), instance_master_seed(master_seed, instance))
-            )
-        return portfolios
+    models = [SurrogateModel.from_instance(instance) for instance in instances]
+    seeds = [instance_master_seed(master_seed, instance) for instance in instances]
     tasks = [
-        (
-            i,
-            explorer,
-            (
-                instance,
-                explorer.value,
-                budget,
-                portfolio_seed(instance_master_seed(master_seed, instance), explorer),
-            ),
-        )
-        for i, instance in enumerate(instances)
+        (explorer, instance, model, Budget(budget), portfolio_seed(seed, explorer))
+        for instance, model, seed in zip(instances, models, seeds)
         for explorer in ExplorerId
     ]
-    cells: dict[tuple[int, int], ExplorationResult] = {}
-    with ProcessPoolExecutor(max_workers=workers, initializer=use_one_blas_thread) as pool:
-        futures = [
-            (i, explorer, pool.submit(_explore_cell, *args)) for i, explorer, args in tasks
-        ]
-        for i, explorer, future in futures:
-            try:
-                cells[(i, explorer.value)] = future.result()
-            except Exception as err:
-                raise RuntimeError(
-                    f"explorer {explorer.name} failed on {instances[i].id}"
-                ) from err
-    for i, instance in enumerate(instances):
-        results = tuple(cells[(i, explorer.value)] for explorer in ExplorerId)
-        model = SurrogateModel.from_instance(instance)
-        portfolios.append(score_results(instance, model, results))
-    return portfolios
+    if workers == 1:
+        results = [explore(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=use_one_blas_thread) as pool:
+            results = list(pool.map(_explore_cell, tasks))
+    n = len(ExplorerId)
+    return [
+        score_results(instance, model, tuple(results[i * n : (i + 1) * n]))
+        for i, (instance, model) in enumerate(zip(instances, models))
+    ]
 
 
 def split_ids(
@@ -412,10 +399,25 @@ def read_instances(
 def check_runs_cover(
     runs: Iterable[dict], labels: Iterable[dict], runs_path: Path, labels_path: Path
 ) -> None:
-    """Require a runs record of each of the ten explorers for every labelled benchmark."""
-    covered = {(record["benchmark_id"], int(record["explorer_code"])) for record in runs}
+    """Require one runs record of each of the ten explorers for every labelled benchmark.
+
+    A repeated (benchmark, explorer) in runs or a repeated benchmark in labels
+    is rejected with its path and line number.
+    """
+    covered: set[tuple[str, int]] = set()
+    for lineno, record in enumerate(runs, 1):
+        cell = (record["benchmark_id"], int(record["explorer_code"]))
+        if cell in covered:
+            raise ValueError(
+                f"{runs_path}:{lineno}: repeated run of explorer code {cell[1]} on {cell[0]}"
+            )
+        covered.add(cell)
+    labelled: set[str] = set()
     for lineno, record in enumerate(labels, 1):
         benchmark_id = record["benchmark_id"]
+        if benchmark_id in labelled:
+            raise ValueError(f"{labels_path}:{lineno}: repeated label of {benchmark_id}")
+        labelled.add(benchmark_id)
         missing = [e.name.lower() for e in ExplorerId if (benchmark_id, e.value) not in covered]
         if missing:
             raise ValueError(

@@ -9,7 +9,6 @@ from .base import (
     PortfolioResult,
     explore,
     portfolio_seed,
-    run_portfolio,
     score_results,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "PortfolioResult",
     "explore",
     "portfolio_seed",
-    "run_portfolio",
     "score_results",
 ]

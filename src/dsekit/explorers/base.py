@@ -1,13 +1,14 @@
-"""Shared explorer machinery: budgets, the counting evaluator, and dispatch.
+"""Shared explorer machinery: budgets, the counting evaluator, dispatch and scoring.
 
 Every explorer spends its budget through one BudgetedEvaluator, which owns the
 memo table (repeat proposals are free), the archive of evaluated points, and an
 incrementally maintained archive front. An explorer that keeps re-proposing
 evaluated points is stopped as stalled, and `explore` spends the rest of its
 budget on unseen uniform points, so every run ends for a stated reason after
-bounded work. Wall-clock time is modeled, not measured: each explorer has a
-nominal per-evaluation cost, so reported times are deterministic and
-identical across worker counts and machines.
+bounded work. `explore` is the one way to run an explorer, in process or in a
+pool worker. Wall-clock time is modeled, not measured: `explore` multiplies
+the evaluations by the explorer's nominal per-evaluation cost, so reported
+times are deterministic and identical across worker counts and machines.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class ExplorerId(IntEnum):
     QLMOEA = 9
 
 
-# Nominal per-evaluation cost in seconds. Reported wall_seconds is
+# Nominal per-evaluation cost in seconds. `explore` reports wall_seconds as
 # evaluations_used times this rate: a deterministic model of runtime, chosen
 # so that heavier machinery (surrogate refits, population bookkeeping) reads
 # as slower without making results depend on the host machine.
@@ -94,7 +95,6 @@ class ExplorationResult:
     """
 
     explorer: ExplorerId
-    benchmark_id: str
     evaluated: tuple[DesignPoint, ...]
     front: ParetoFront
     evaluations_used: int
@@ -139,17 +139,10 @@ class BudgetedEvaluator:
     proposals, so `proposals` stays the explorer's own.
     """
 
-    def __init__(
-        self,
-        model: SurrogateModel,
-        schema: KnobSchema,
-        budget: Budget,
-        seconds_per_eval: float,
-    ) -> None:
+    def __init__(self, model: SurrogateModel, schema: KnobSchema, budget: Budget) -> None:
         self._model = model
         self._schema = schema
         self._budget = budget
-        self._rate = seconds_per_eval
         self._space = schema.space_size()
         self._memo: dict[tuple[int, ...], DesignPoint] = {}
         self._proposals = 0
@@ -169,10 +162,6 @@ class BudgetedEvaluator:
     @property
     def proposals(self) -> int:
         return self._proposals
-
-    @property
-    def wall_seconds(self) -> float:
-        return self.evaluations_used * self._rate
 
     @property
     def cardinalities(self) -> tuple[int, ...]:
@@ -283,15 +272,14 @@ def explore(
     is simply enumerated; any search would be wasted motion there. When the
     explorer stalls, the rest of its budget goes to unseen uniform points from
     a generator of their own, so the explorer's generator is left as the
-    search left it.
+    search left it. A failure of the search is raised as a RuntimeError that
+    names the explorer and the benchmark.
     """
     _ensure_runners()
     explorer = ExplorerId(explorer)
     if model.cardinalities != instance.schema.cardinalities:
         raise ValueError("model does not match the instance's design space")
-    evaluator = BudgetedEvaluator(
-        model, instance.schema, budget, NOMINAL_EVAL_SECONDS[explorer]
-    )
+    evaluator = BudgetedEvaluator(model, instance.schema, budget)
     stop_reason = "budget"
     try:
         if instance.schema.space_size() <= budget.max_evaluations:
@@ -311,13 +299,14 @@ def explore(
             stop_reason = "stalled"
     except BudgetSaturated:
         pass
+    except Exception as err:
+        raise RuntimeError(f"explorer {explorer.name} failed on {instance.id}") from err
     return ExplorationResult(
         explorer=explorer,
-        benchmark_id=instance.id,
         evaluated=tuple(evaluator.evaluated),
         front=ParetoFront(evaluator.front_points()),
         evaluations_used=evaluator.evaluations_used,
-        wall_seconds=evaluator.wall_seconds,
+        wall_seconds=evaluator.evaluations_used * NOMINAL_EVAL_SECONDS[explorer],
         stop_reason=stop_reason,
         proposals=evaluator.proposals,
     )
@@ -346,21 +335,3 @@ def score_results(
     scored = tuple(replace(r, adrs=adrs(reference, r.front)) for r in results)
     best = min(scored, key=lambda r: (r.adrs, r.explorer.value))
     return PortfolioResult(results=scored, reference=reference, argmin=best.explorer)
-
-
-def run_portfolio(
-    instance: BenchmarkInstance,
-    model: SurrogateModel,
-    budget: Budget,
-    master_seed: int,
-) -> PortfolioResult:
-    """All ten explorers with derived seeds, scored against one reference."""
-    results = []
-    for explorer in ExplorerId:
-        try:
-            results.append(
-                explore(explorer, instance, model, budget, portfolio_seed(master_seed, explorer))
-            )
-        except Exception as err:
-            raise RuntimeError(f"explorer {explorer.name} failed on {instance.id}") from err
-    return score_results(instance, model, tuple(results))

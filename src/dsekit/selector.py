@@ -404,6 +404,14 @@ def recommend(
 _CHECKPOINT_HEADER = "selector-checkpoint"
 
 
+# Every setting `save_selector` writes into the header, with the type it parses as.
+_SETTING_TYPES = dict(
+    fingerprint=str, seed=int, supervised_epochs=int, supervised_lr=float, rl_epochs=int,
+    rl_lr=float, clip=float, gamma=float, lam=float, value_coef=float, entropy_coef=float,
+    passes=int, hidden=int,
+)
+
+
 def save_selector(out, head: SupervisedHead, agent: PpoAgent, *, fingerprint: str, seed: int) -> None:
     """One text record: header with hyperparameters, scaler, then three nets."""
     settings = (
@@ -424,7 +432,9 @@ def save_selector(out, head: SupervisedHead, agent: PpoAgent, *, fingerprint: st
 def load_selector(source) -> tuple[SupervisedHead, PpoAgent, dict[str, str]]:
     """Rebuild (head, agent, header settings) from one checkpoint record.
 
-    Accepts a path, an open text file, or an iterable of lines.
+    Accepts a path, an open text file, or an iterable of lines. The header
+    must carry every setting `save_selector` writes, each parseable as its
+    type, and `hidden` must be the hidden width of all three networks.
     """
     if isinstance(source, (str, Path)):
         lines = iter(Path(source).read_text().splitlines())
@@ -438,6 +448,14 @@ def load_selector(source) -> tuple[SupervisedHead, PpoAgent, dict[str, str]]:
     settings = dict(
         token.split("=", 1) for token in header.split()[1:] if "=" in token
     )
+    for key, kind in _SETTING_TYPES.items():
+        try:
+            kind(settings[key])
+        except KeyError:
+            raise ValueError(f"header has no setting {key!r}") from None
+        except ValueError:
+            raise ValueError(f"header {key}={settings[key]!r} is not {kind.__name__}") from None
+    hidden = int(settings["hidden"])
     mean = read_matrix(lines, "scaler_mean", (1, FEATURE_DIM))[0]
     std = read_matrix(lines, "scaler_std", (1, FEATURE_DIM))[0]
     if (std <= 0.0).any():
@@ -457,6 +475,10 @@ def load_selector(source) -> tuple[SupervisedHead, PpoAgent, dict[str, str]]:
         if (net.dims[0], net.dims[2]) != (inputs, outputs):
             raise ValueError(
                 f"{role} network is {'-'.join(map(str, net.dims))}, wants {inputs}-*-{outputs}"
+            )
+        if net.dims[1] != hidden:
+            raise ValueError(
+                f"header says hidden={hidden}, the {role} network has {net.dims[1]} hidden units"
             )
         nets.append(net)
     head = SupervisedHead(scaler=scaler, net=nets[0])

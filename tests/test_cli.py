@@ -141,6 +141,18 @@ class TestRuntimeErrors:
         assert "head network is 24-256-9, wants 24-*-10" in err
         assert not (tmp_path / "i" / REPORT_FILE).exists()
 
+    def test_infer_rejects_a_header_hidden_width_unlike_the_networks(
+        self, pipeline, tmp_path, capsys
+    ):
+        def header_says_128(lines, mlps):
+            assert lines[0].endswith(" hidden=256")
+            lines[0] = lines[0].replace(" hidden=256", " hidden=128")
+
+        assert self._infer_on_edited_checkpoint(pipeline, tmp_path, header_says_128) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and CHECKPOINT_FILE in err
+        assert "header says hidden=128, the head network has 256 hidden units" in err
+        assert not (tmp_path / "i" / REPORT_FILE).exists()
 
     def test_run_rejects_a_suite_mixing_size_classes(self, tmp_path, capsys):
         small, medium, mixed = tmp_path / "s", tmp_path / "m", tmp_path / "mixed"
@@ -259,6 +271,22 @@ class TestRuntimeErrors:
         assert str(runs) in err and dropped["benchmark_id"] in err
         assert EXPLORER_NAMES[dropped["explorer_code"]] in err
         assert not (tmp_path / "r" / RUNTIME_FILE).exists()
+
+    @pytest.mark.parametrize("flag", ["runs", "labels", "report"])
+    def test_report_rejects_a_repeated_record(self, pipeline, tmp_path, capsys, flag):
+        inputs = {
+            "runs": pipeline["d"] / "runs.jsonl",
+            "labels": pipeline["d"] / "labels.jsonl",
+            "report": pipeline["i"] / REPORT_FILE,
+        }
+        lines = inputs[flag].read_text().splitlines(keepends=True)
+        inputs[flag] = tmp_path / inputs[flag].name
+        inputs[flag].write_text("".join(lines[:1] + lines))
+        args = [arg for name, path in inputs.items() for arg in (f"--{name}", str(path))]
+        assert main(["report", *args, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert f"{inputs[flag]}:2: repeated" in err
+        assert not (tmp_path / "r").exists()
 
     def test_report_names_the_line_of_a_truncated_runs_file(self, pipeline, tmp_path, capsys):
         text = (pipeline["d"] / "runs.jsonl").read_bytes()

@@ -15,8 +15,9 @@ from dsekit.explorers import (
     BudgetedEvaluator,
     ExplorerId,
     explore,
-    run_portfolio,
+    score_results,
 )
+from dsekit.dataset import run_suite
 from dsekit.explorers import base
 from dsekit.explorers.algorithms import _dominated, run_sbo
 from dsekit.explorers.base import (
@@ -78,7 +79,7 @@ class TestBudget:
 class TestBudgetedEvaluator:
     def make(self, case, budget):
         instance, model = case
-        return BudgetedEvaluator(model, instance.schema, budget, 0.001)
+        return BudgetedEvaluator(model, instance.schema, budget)
 
     def test_repeat_proposals_are_free(self, small_case):
         ev = self.make(small_case, Budget(5))
@@ -94,15 +95,6 @@ class TestBudgetedEvaluator:
         with pytest.raises(BudgetSaturated):
             ev.evaluate(tuple(c - 1 for c in small_case[0].schema.cardinalities))
         assert ev.evaluations_used == 1
-
-    def test_wall_clock_is_modeled_from_the_rate(self, small_case):
-        ev = self.make(small_case, Budget(50))
-        points = iter(small_case[0].schema.iter_points())
-        for _ in range(3):
-            ev.evaluate(next(points))
-        ev.evaluate(ev.evaluated[0].knobs)  # a memo hit costs nothing
-        assert ev.evaluations_used == 3
-        assert ev.wall_seconds == pytest.approx(0.003)
 
     def test_proposal_cap_breaks_repeat_loops(self, small_case):
         ev = self.make(small_case, Budget(1))
@@ -133,6 +125,20 @@ class TestExplore:
         assert result.wall_seconds == pytest.approx(
             result.evaluations_used * NOMINAL_EVAL_SECONDS[explorer]
         )
+
+    def test_wall_clock_is_modeled_from_the_rate(self, medium_case, monkeypatch):
+        def three_points_and_a_repeat(ev, schema, rng):
+            points = schema.iter_points()
+            first = next(points)
+            for knobs in (first, next(points), next(points)):
+                ev.evaluate(knobs)
+            ev.evaluate(first)  # a memo hit costs nothing
+
+        base._ensure_runners()
+        monkeypatch.setitem(base._RUNNERS, ExplorerId.SA, three_points_and_a_repeat)
+        result = explore(ExplorerId.SA, *medium_case, Budget(50), seed=0)
+        assert (result.evaluations_used, result.proposals) == (3, 4)
+        assert result.wall_seconds == 3 * NOMINAL_EVAL_SECONDS[ExplorerId.SA]
 
     def test_seed_changes_the_trajectory(self, medium_case):
         a = explore(ExplorerId.PSO, *medium_case, Budget(120), seed=1)
@@ -181,7 +187,7 @@ class TestStall:
     def test_streak_of_repeats_raises_stalled_and_a_new_point_resets_it(self, small_case):
         instance, model = small_case
         # 250 x 40 proposals in all stay clear of the two streaks below
-        ev = BudgetedEvaluator(model, instance.schema, Budget(40), 0.001)
+        ev = BudgetedEvaluator(model, instance.schema, Budget(40))
         first, second = itertools.islice(instance.schema.iter_points(), 2)
         point = ev.evaluate(first)
         for _ in range(STALL_STREAK - 1):
@@ -232,7 +238,7 @@ class TestStall:
         result = explore(ExplorerId.EDA, instance, model, Budget(500), seed)
         assert result.stop_reason == "stalled"
 
-        alone = BudgetedEvaluator(model, instance.schema, Budget(500), 0.001)
+        alone = BudgetedEvaluator(model, instance.schema, Budget(500))
         rng = np.random.default_rng(
             np.random.SeedSequence([base._EXPLORE_TAG, ExplorerId.EDA.value, seed])
         )
@@ -246,7 +252,7 @@ class TestStall:
 
     def test_fill_enumerates_when_draws_keep_hitting_seen_points(self, small_case):
         instance, model = small_case
-        ev = BudgetedEvaluator(model, instance.schema, Budget(4), 0.001)
+        ev = BudgetedEvaluator(model, instance.schema, Budget(4))
         first_four = list(itertools.islice(instance.schema.iter_points(), 4))
         ev.evaluate(first_four[0])
         assert ev.fill_unseen(AlwaysZero()) == 3
@@ -255,7 +261,7 @@ class TestStall:
 
     def test_a_spent_budget_is_not_filled(self, small_case):
         instance, model = small_case
-        ev = BudgetedEvaluator(model, instance.schema, Budget(1), 0.001)
+        ev = BudgetedEvaluator(model, instance.schema, Budget(1))
         ev.evaluate(next(instance.schema.iter_points()))
         assert ev.fill_unseen(np.random.default_rng(0)) == 0
 
@@ -285,11 +291,19 @@ class TestStall:
         assert result.stop_reason in ("budget", "exhaustive_fallback", "stalled")
 
 
+def scored_portfolio(instance, model, budget, master_seed):
+    """All ten explorers with their portfolio seeds, scored against one reference."""
+    results = tuple(
+        explore(e, instance, model, budget, portfolio_seed(master_seed, e)) for e in ExplorerId
+    )
+    return score_results(instance, model, results)
+
+
 class TestPortfolio:
     def test_saturating_budget_makes_every_explorer_exact(self, small_case):
         instance, model = small_case
         budget = Budget(instance.schema.space_size())
-        portfolio = run_portfolio(instance, model, budget, master_seed=0)
+        portfolio = scored_portfolio(instance, model, budget, master_seed=0)
         assert all(v == 0.0 for v in portfolio.adrs_values)
         # ties on score resolve to the lowest explorer code
         assert portfolio.argmin is ExplorerId.NSGA2
@@ -298,35 +312,38 @@ class TestPortfolio:
         instance, model = small_case
         size = instance.schema.space_size()
         assert size <= EXHAUSTIVE_REFERENCE_LIMIT
-        portfolio = run_portfolio(instance, model, Budget(20), master_seed=0)
+        portfolio = scored_portfolio(instance, model, Budget(20), master_seed=0)
         assert portfolio.reference == exhaustive_front(model, instance.schema, size)
 
     def test_large_space_reference_is_the_front_of_everything_evaluated(self, medium_case):
         instance, model = medium_case
         assert instance.schema.space_size() > EXHAUSTIVE_REFERENCE_LIMIT
-        portfolio = run_portfolio(instance, model, Budget(60), master_seed=4)
+        portfolio = scored_portfolio(instance, model, Budget(60), master_seed=4)
         evaluated = [p for r in portfolio.results for p in r.evaluated]
         assert portfolio.reference == pareto_filter(evaluated)
 
     def test_scores_are_nonnegative_and_argmin_wins(self, medium_case):
         instance, model = medium_case
-        portfolio = run_portfolio(instance, model, Budget(150), master_seed=9)
+        portfolio = scored_portfolio(instance, model, Budget(150), master_seed=9)
         values = portfolio.adrs_values
         assert len(values) == 10
         assert all(v >= 0.0 for v in values)
         assert values[portfolio.argmin.value] == min(values)
 
     def test_explorer_failures_carry_attribution(self, small_case, monkeypatch):
-        from dsekit.explorers import base
-
         def boom(ev, schema, rng):
             raise RuntimeError("internal fault")
 
         base._ensure_runners()
         monkeypatch.setitem(base._RUNNERS, ExplorerId.SA, boom)
         instance, model = small_case
-        with pytest.raises(RuntimeError, match=f"explorer SA failed on {instance.id}"):
-            run_portfolio(instance, model, Budget(3), master_seed=0)
+        message = f"explorer SA failed on {instance.id}"
+        with pytest.raises(RuntimeError, match=message) as raised:
+            explore(ExplorerId.SA, instance, model, Budget(3), seed=0)
+        assert str(raised.value.__cause__) == "internal fault"
+        # pool workers are forked, so they see the patched runner
+        with pytest.raises(RuntimeError, match=message):
+            run_suite([instance], 3, master_seed=0, workers=2)
 
 
 class TestSurrogateExplorer:
@@ -334,9 +351,7 @@ class TestSurrogateExplorer:
 
     @staticmethod
     def trajectory(runner, instance, budget):
-        ev = BudgetedEvaluator(
-            SurrogateModel.from_instance(instance), instance.schema, Budget(budget), 0.001
-        )
+        ev = BudgetedEvaluator(SurrogateModel.from_instance(instance), instance.schema, Budget(budget))
         rng = np.random.default_rng(11)
         with pytest.raises(BudgetSaturated):
             runner(ev, instance.schema, rng)

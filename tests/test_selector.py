@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -538,6 +540,27 @@ class TestCheckpoint:
             bad[row] = " ".join(lines[row].split()[:3] + [value] + lines[row].split()[4:])
             with pytest.raises(ValueError, match="section 'scaler_std' column 3 is not positive"):
                 load_selector(bad)
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (" rl_epochs=1000", "", "header has no setting 'rl_epochs'"),
+            (" passes=4", " passes=four", "header passes='four' is not int"),
+            (" gamma=", " gamma=x", "header gamma='x0.98999999999999999' is not float"),
+            (" hidden=256", " hidden=128", "header says hidden=128, the head network has 256 hidden units"),
+        ],
+    )
+    def test_rejects_a_header_unlike_what_save_writes(self, old, new, message):
+        import io
+
+        _, head, agent = self._trained_pair()
+        buf = io.StringIO()
+        save_selector(buf, head, agent, fingerprint="abc123", seed=0)
+        lines = buf.getvalue().splitlines()
+        assert old in lines[0]
+        lines[0] = lines[0].replace(old, new)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_selector(lines)
 
     def test_rejects_foreign_header(self):
         import io
