@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -267,6 +266,9 @@ def run_suite(
     if workers == 1:
         results = [explore(*task) for task in tasks]
     else:
+        # imported here: one-worker runs and the other commands never need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=use_one_blas_thread) as pool:
             results = list(pool.map(_explore_cell, tasks))
     n = len(ExplorerId)

@@ -8,16 +8,21 @@ stopped by its subclass Stalled, and `explore` fills the rest of the budget
 with unseen uniform points from a generator of its own. All randomness of the
 search flows through the passed-in generator, which is what makes a run
 reproducible from its seed.
+
+The runners read the evaluator's shared front state rather than rebuilding
+it: AC, PG and ACO take the cached front objective arrays, and lattice and
+SBO the sorted list of the front's unseen neighbours.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
 from ..benchmarks import random_knobs
-from ..pareto import DesignPoint, coverage_distance, dominates
+from ..pareto import DesignPoint, dominates
 from .base import BudgetedEvaluator, ExplorerId, register
 
 _POP = 40
@@ -47,44 +52,29 @@ def _sample_categorical(rng: np.random.Generator, probs) -> int:
     return len(probs) - 1
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def _log_objectives(point: DesignPoint) -> tuple[float, float]:
     return math.log(point.objectives.latency), math.log(point.objectives.area)
 
 
 def _nondominated_ranks(objs: list[tuple[float, float]]) -> list[int]:
-    """Fast non-dominated sorting ranks (0 = best front)."""
-    n = len(objs)
-    worse_than: list[list[int]] = [[] for _ in range(n)]
-    blockers = [0] * n
-    for i in range(n):
-        ai, li = objs[i]
-        for j in range(i + 1, n):
-            aj, lj = objs[j]
-            if ai <= aj and li <= lj and (ai < aj or li < lj):
-                worse_than[i].append(j)
-                blockers[j] += 1
-            elif aj <= ai and lj <= li and (aj < ai or lj < li):
-                worse_than[j].append(i)
-                blockers[i] += 1
-    ranks = [0] * n
-    current = [i for i in range(n) if blockers[i] == 0]
-    rank = 0
-    while current:
-        nxt = []
-        for i in current:
-            ranks[i] = rank
-            for j in worse_than[i]:
-                blockers[j] -= 1
-                if blockers[j] == 0:
-                    nxt.append(j)
-        current = nxt
-        rank += 1
+    """Non-dominated sorting ranks (0 = best front) in O(n log n).
+
+    Points are placed in (area, latency) order, so none is dominated by a
+    later one (Jensen 2003). Within a rank the last placed point has the
+    least latency, and the (latency, area) keys of those last points rise
+    with the rank. A point is dominated by some member of a rank exactly when
+    that rank's key is below its own, so its rank is a binary search.
+    """
+    ranks = [0] * len(objs)
+    keys: list[tuple[float, float]] = []
+    for i in sorted(range(len(objs)), key=objs.__getitem__):
+        area, latency = objs[i]
+        rank = bisect_left(keys, (latency, area))
+        if rank == len(keys):
+            keys.append((latency, area))
+        else:
+            keys[rank] = (latency, area)
+        ranks[i] = rank
     return ranks
 
 
@@ -254,22 +244,12 @@ def run_sa(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 @register(ExplorerId.LATTICE)
 def run_lattice(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     cards = schema.cardinalities
-    k = len(cards)
     ev.evaluate(random_knobs(rng, cards))
     while True:
         if rng.random() < 0.15:
             ev.evaluate(_unseen_random(ev, rng, cards))
             continue
-        neighbors = sorted(
-            {
-                p.knobs[:axis] + (p.knobs[axis] + move,) + p.knobs[axis + 1 :]
-                for p in ev.front_points()
-                for axis in range(k)
-                for move in (-1, 1)
-                if 0 <= p.knobs[axis] + move < cards[axis]
-            }
-        )
-        fresh = [n for n in neighbors if not ev.seen(n)]
+        fresh = ev.unseen_neighbours()
         if fresh:
             ev.evaluate(fresh[int(rng.integers(len(fresh)))])
         else:
@@ -284,18 +264,20 @@ def run_aco(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     cards = schema.cardinalities
     pheromone = [np.ones(c) for c in cards]
     while True:
-        batch = []
-        for _ in range(20):
-            knobs = tuple(
-                _sample_categorical(rng, tau / tau.sum()) for tau in pheromone
-            )
-            batch.append(ev.evaluate(knobs))
-        front = ev.front_points()
+        probs = [(tau / tau.sum()).tolist() for tau in pheromone]
+        batch = [
+            ev.evaluate(tuple(_sample_categorical(rng, p) for p in probs)) for _ in range(20)
+        ]
+        front, _ = ev.front_arrays()
+        objs = np.array([p.objectives.as_tuple() for p in batch])
+        # behind[j]: how many front points dominate batch point j
+        no_worse = (front[:, None, :] <= objs[None, :, :]).all(axis=2)
+        better = (front[:, None, :] < objs[None, :, :]).any(axis=2)
+        behind = (no_worse & better).sum(axis=0).tolist()
         for tau in pheromone:
             tau *= 0.9
-        for point in batch:
-            behind = sum(1 for q in front if dominates(q.objectives, point.objectives))
-            deposit = 1.0 / (1.0 + behind)
+        for point, count in zip(batch, behind):
+            deposit = 1.0 / (1.0 + count)
             for axis, level in enumerate(point.knobs):
                 pheromone[axis][level] += deposit
         for tau in pheromone:
@@ -396,14 +378,12 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
             sigma = np.maximum(resid.std(axis=0), 1e-3)
             fitted_at = ev.evaluations_used
         front = ev.front_points()
-        pool = set(map(tuple, rng.integers(0, cards, size=(256, k)).tolist()))
-        for p in front:
-            for axis in range(k):
-                for move in (-1, 1):
-                    level = p.knobs[axis] + move
-                    if 0 <= level < cards[axis]:
-                        pool.add(p.knobs[:axis] + (level,) + p.knobs[axis + 1 :])
-        cands = sorted(c for c in pool if not ev.seen(c))
+        draws = set(map(tuple, rng.integers(0, cards, size=(256, k)).tolist()))
+        # the unseen draws and the front's unseen neighbours, sorted
+        cands = ev.unseen_neighbours() + [
+            d for d in draws if not ev.seen(d) and not ev.near_front(d)
+        ]
+        cands.sort()
         if not cands:
             ev.evaluate(_unseen_random(ev, rng, cards))
             continue
@@ -412,13 +392,14 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         front_logs = np.array([_log_objectives(p) for p in front])
         # a draw is an improvement when no front point weakly dominates it
         scores = 1.0 - _dominated(front_logs, draws).mean(axis=1)
-        order = sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
+        # by falling score, ties in candidate order since cands is sorted
+        order = np.argsort(-scores, kind="stable")
         # coverage-greedy batch: among candidates likely to improve the front,
         # pick predictions farthest from what is already evaluated so the batch
         # spreads across the predicted front instead of dog-piling one region
         top = scores[order[0]]
         if top > 0:
-            eligible = [i for i in order if scores[i] >= 0.25 * top]
+            eligible = order[scores[order] >= 0.25 * top]
         else:
             eligible = order[:32]
         pts = mu[eligible]
@@ -428,10 +409,10 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         batch: list[int] = []
         while len(batch) < 5 and len(batch) < len(eligible):
             j = int(np.argmax(gap))
-            batch.append(eligible[j])
+            batch.append(int(eligible[j]))
             gap = np.minimum(gap, np.sqrt(((pts - pts[j]) ** 2).sum(axis=1)))
             gap[j] = -1.0
-        for i in order:
+        for i in order.tolist():
             if len(batch) == 5:
                 break
             if i not in batch:
@@ -473,30 +454,54 @@ def run_eda(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 # -- table-policy explorers ---------------------------------------------------
 
 
+def _width_groups(cards: tuple[int, ...]) -> list[tuple[np.ndarray, int]]:
+    """(rows, width) for each distinct cardinality, rows the knobs that have it."""
+    return [(np.flatnonzero(np.array(cards) == card), card) for card in sorted(set(cards))]
+
+
+def _softmax_rows(tables: np.ndarray, widths: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Softmax of each -inf-padded row, bit-equal to the softmax of the row
+    cut to its width. numpy's summation order depends on a row's length, so
+    each row is summed at its own width, the rows of one width in one call."""
+    e = np.exp(tables - tables.max(axis=1, keepdims=True))
+    sums = np.empty((len(tables), 1))
+    for rows, width in widths:
+        sums[rows, 0] = e[rows, :width].sum(axis=1)
+    return e / sums
+
+
 def _run_policy(ev: BudgetedEvaluator, schema, rng: np.random.Generator, with_baseline: bool) -> None:
     cards = schema.cardinalities
-    tables = [np.zeros(c) for c in cards]
-    baseline = np.zeros(len(cards))
+    k = len(cards)
+    # one softmax table row per knob, padded with -inf to the widest knob
+    tables = np.full((k, max(cards)), -np.inf)
+    for axis, card in enumerate(cards):
+        tables[axis, :card] = 0.0
+    widths = _width_groups(cards)
+    axes = np.arange(k)
+    baseline = np.zeros(k)
     while True:
+        probs = _softmax_rows(tables, widths)
         actions = []
-        for table in tables:
+        for axis, card in enumerate(cards):
             if rng.random() < 0.1:
-                actions.append(int(rng.integers(len(table))))
+                actions.append(int(rng.integers(card)))
             else:
-                actions.append(_sample_categorical(rng, _softmax(table)))
+                actions.append(_sample_categorical(rng, probs[axis, :card].tolist()))
         point = ev.evaluate(tuple(actions))
-        front = ev.front_points()
-        reward = -min(
-            coverage_distance(p.objectives, point.objectives) for p in front
-        )
-        for axis, table in enumerate(tables):
-            advantage = reward - baseline[axis] if with_baseline else reward
-            if with_baseline:
-                baseline[axis] += 0.1 * (reward - baseline[axis])
-            probs = _softmax(table)
-            grad = -probs
-            grad[actions[axis]] += 1.0
-            table += 0.05 * advantage * grad
+        front, denom = ev.front_arrays()
+        # the least worst-coordinate relative shortfall against a front point;
+        # 0.0 first, so that -0.0 maps to 0.0 as Python's max(0.0, x) does
+        rel = (np.array(point.objectives.as_tuple()) - front) / denom
+        reward = -np.maximum(0.0, rel).max(axis=1).min()
+        if with_baseline:
+            advantage = reward - baseline
+            baseline += 0.1 * (reward - baseline)
+        else:
+            advantage = np.full(k, reward)
+        grad = -probs
+        grad[axes, actions] += 1.0
+        tables += (0.05 * advantage)[:, None] * grad
 
 
 @register(ExplorerId.PG)

@@ -2,18 +2,27 @@
 
 Every explorer spends its budget through one BudgetedEvaluator, which owns the
 memo table (repeat proposals are free), the archive of evaluated points, and an
-incrementally maintained archive front. An explorer that keeps re-proposing
-evaluated points is stopped as stalled, and `explore` spends the rest of its
-budget on unseen uniform points, so every run ends for a stated reason after
-bounded work. `explore` is the one way to run an explorer, in process or in a
-pool worker. Wall-clock time is modeled, not measured: `explore` multiplies
-the evaluations by the explorer's nominal per-evaluation cost, so reported
-times are deterministic and identical across worker counts and machines.
+incrementally maintained archive front. The front is a staircase: parallel
+lists of points, areas and latencies, updated by one binary search and one
+slice assignment per admitted point. Its points tuple and its objective and
+ADRS-denominator arrays are cached until it next changes. Once an explorer
+first asks, the evaluator also keeps the sorted list of unevaluated points one
+level from a front point on one knob, with a reference count per neighbour,
+so that lattice and SBO read it instead of rebuilding it.
+
+An explorer that keeps re-proposing evaluated points is stopped as stalled,
+and `explore` spends the rest of its budget on unseen uniform points, so every
+run ends for a stated reason after bounded work. `explore` is the one way to
+run an explorer, in process or in a pool worker. Wall-clock time is modeled,
+not measured: `explore` multiplies the evaluations by the explorer's nominal
+per-evaluation cost, so reported times are deterministic and identical across
+worker counts and machines.
 """
 
 from __future__ import annotations
 
 import importlib
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Callable, Optional
@@ -22,7 +31,7 @@ import numpy as np
 
 from ..benchmarks import BenchmarkInstance, KnobSchema, random_knobs
 from ..hashing import mix64
-from ..pareto import DesignPoint, ParetoFront, adrs, dominates, pareto_filter
+from ..pareto import ZERO_REFERENCE_EPS, DesignPoint, ParetoFront, adrs, pareto_filter
 from ..surrogate import SurrogateModel, exhaustive_front
 
 
@@ -149,7 +158,16 @@ class BudgetedEvaluator:
         self._streak = 0
         self._proposal_cap = max(2000, 250 * budget.max_evaluations)
         self.evaluated: list[DesignPoint] = []
+        # the front as a staircase: points with their areas and latencies
         self._front: list[DesignPoint] = []
+        self._areas: list[float] = []
+        self._lats: list[float] = []
+        # caches of the front, dropped whenever it changes
+        self._points: Optional[tuple[DesignPoint, ...]] = None
+        self._arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
+        # neighbour reference counts and the sorted unseen ones, once asked for
+        self._refs: Optional[dict[tuple[int, ...], int]] = None
+        self._unseen: list[tuple[int, ...]] = []
 
     @property
     def evaluations_used(self) -> int:
@@ -219,27 +237,92 @@ class BudgetedEvaluator:
         point = DesignPoint(knobs, self._model.evaluate_knobs(knobs))
         self._memo[knobs] = point
         self.evaluated.append(point)
+        if self._refs is not None and knobs in self._refs:
+            del self._unseen[bisect_left(self._unseen, knobs)]
         self._admit_to_front(point)
         return point
 
+    def _admit_to_front(self, point: DesignPoint) -> None:
+        """Staircase update of the front, whose areas strictly rise while its
+        latencies strictly fall.
+
+        The only front point that can dominate or equal the new one is the
+        last with area <= its area. The points the new one dominates are that
+        point, when its area is equal, and the run after it with latency >= its
+        latency; one slice assignment replaces them. Equal objectives keep the
+        smaller knob vector.
+        """
+        area, latency = point.objectives.area, point.objectives.latency
+        areas, lats = self._areas, self._lats
+        i = bisect_right(areas, area)
+        if i and lats[i - 1] <= latency:
+            equal = areas[i - 1] == area and lats[i - 1] == latency
+            if not equal or self._front[i - 1].knobs <= point.knobs:
+                return
+        start = i - 1 if i and areas[i - 1] == area else i
+        end = i
+        while end < len(lats) and lats[end] >= latency:
+            end += 1
+        if self._refs is not None:
+            for old in self._front[start:end]:
+                self._track(old.knobs, -1)
+            self._track(point.knobs, 1)
+        self._front[start:end] = [point]
+        areas[start:end] = [area]
+        lats[start:end] = [latency]
+        self._points = self._arrays = None
+
     def front_points(self) -> tuple[DesignPoint, ...]:
         """Current archive front, sorted by ascending area."""
-        return tuple(self._front)
+        if self._points is None:
+            self._points = tuple(self._front)
+        return self._points
 
-    def _admit_to_front(self, point: DesignPoint) -> None:
-        obj = point.objectives
-        for old in self._front:
-            o = old.objectives
-            if dominates(o, obj):
-                return
-            if o.area == obj.area and o.latency == obj.latency:
-                if old.knobs <= point.knobs:
-                    return
-                self._front.remove(old)
-                break
-        self._front = [old for old in self._front if not dominates(obj, old.objectives)]
-        self._front.append(point)
-        self._front.sort(key=lambda p: (p.objectives.area, p.objectives.latency))
+    def front_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The front's (n, 2) objectives, columns (area, latency), and their
+        ADRS denominators: each objective, or ZERO_REFERENCE_EPS where it is 0."""
+        if self._arrays is None:
+            objs = np.array((self._areas, self._lats)).T
+            self._arrays = (objs, np.where(objs > 0.0, objs, ZERO_REFERENCE_EPS))
+        return self._arrays
+
+    def unseen_neighbours(self) -> list[tuple[int, ...]]:
+        """Sorted unevaluated points one level away from a front point on one knob.
+
+        Tracked from the first call on; the list is the evaluator's own and
+        changes as points are evaluated, so callers must not modify it.
+        """
+        if self._refs is None:
+            self._refs = {}
+            for point in self._front:
+                self._track(point.knobs, 1)
+        return self._unseen
+
+    def near_front(self, knobs: tuple[int, ...]) -> bool:
+        """Whether knobs is one level from a front point on one knob; needs
+        `unseen_neighbours` to have been called."""
+        return knobs in self._refs
+
+    def _track(self, knobs: tuple[int, ...], delta: int) -> None:
+        """Add (1) or drop (-1) one front point's neighbours from the counts."""
+        refs, unseen = self._refs, self._unseen
+        for axis, card in enumerate(self._schema.cardinalities):
+            level = knobs[axis]
+            for moved in (level - 1, level + 1):
+                if not 0 <= moved < card:
+                    continue
+                nbr = knobs[:axis] + (moved,) + knobs[axis + 1 :]
+                before = refs.get(nbr, 0)
+                if before + delta:
+                    refs[nbr] = before + delta
+                else:
+                    del refs[nbr]
+                if nbr in self._memo:
+                    continue
+                if not before:
+                    insort(unseen, nbr)
+                elif not before + delta:
+                    del unseen[bisect_left(unseen, nbr)]
 
 
 Runner = Callable[[BudgetedEvaluator, KnobSchema, np.random.Generator], None]

@@ -132,28 +132,16 @@ def pareto_filter(points: Iterable[DesignPoint]) -> ParetoFront:
     return ParetoFront(tuple(kept))
 
 
-def coverage_distance(target: ObjectiveVector, candidate: ObjectiveVector) -> float:
-    """Worst-coordinate relative shortfall of candidate against target.
-
-    Zero exactly when the candidate weakly dominates the target; positive
-    otherwise. Zero-valued target coordinates fall back to a tiny epsilon
-    denominator.
-    """
-    da = target.area if target.area > 0.0 else ZERO_REFERENCE_EPS
-    dl = target.latency if target.latency > 0.0 else ZERO_REFERENCE_EPS
-    return max(
-        max(0.0, (candidate.area - target.area) / da),
-        max(0.0, (candidate.latency - target.latency) / dl),
-    )
-
-
 def adrs(reference: ParetoFront, approx: ParetoFront) -> float:
     """Average distance of reference-front points to an approximate front.
 
-    For each reference point the distance to the closest approximate point is
-    taken under :func:`coverage_distance`; the mean over the reference front
-    is returned. The result is 0 exactly when every reference point is weakly
-    dominated by some approximate point.
+    The distance from a reference point r to an approximate point c is the
+    worst-coordinate relative shortfall max(0, (c_a - r_a) / r_a, (c_l - r_l)
+    / r_l), with ZERO_REFERENCE_EPS in place of a zero coordinate of r as the
+    denominator. Each reference point takes its closest approximate point,
+    and the mean over the reference front is returned. The result is 0
+    exactly when every reference point is weakly dominated by some
+    approximate point.
     """
     if len(reference) == 0 or len(approx) == 0:
         raise ValueError("degenerate ADRS input: reference and approx fronts must be non-empty")

@@ -241,3 +241,167 @@ def reference_train_rl(agent, features: np.ndarray, score_matrix: np.ndarray, *,
             np.array(returns),
         )
     return agent, curve, every_reward
+
+
+# -- explorer routines as first written, before the shared front bookkeeping --
+
+
+def coverage_distance(target, candidate) -> float:
+    """Worst-coordinate relative shortfall of candidate against target.
+
+    Zero exactly when the candidate weakly dominates the target; positive
+    otherwise. Zero-valued target coordinates fall back to a tiny epsilon
+    denominator.
+    """
+    da = target.area if target.area > 0.0 else 1e-9
+    dl = target.latency if target.latency > 0.0 else 1e-9
+    return max(
+        max(0.0, (candidate.area - target.area) / da),
+        max(0.0, (candidate.latency - target.latency) / dl),
+    )
+
+
+def _dominates(p, q) -> bool:
+    no_worse = p.area <= q.area and p.latency <= q.latency
+    return no_worse and (p.area < q.area or p.latency < q.latency)
+
+
+def reference_admit_to_front(front: list, point) -> list:
+    """The archive front after admitting point: a scan of the whole front,
+    then a re-sort by (area, latency). Equal objectives keep the smaller knobs."""
+    front = list(front)
+    obj = point.objectives
+    for old in front:
+        o = old.objectives
+        if _dominates(o, obj):
+            return front
+        if o.area == obj.area and o.latency == obj.latency:
+            if old.knobs <= point.knobs:
+                return front
+            front.remove(old)
+            break
+    front = [old for old in front if not _dominates(obj, old.objectives)]
+    front.append(point)
+    front.sort(key=lambda p: (p.objectives.area, p.objectives.latency))
+    return front
+
+
+def reference_nondominated_ranks(objs: list[tuple[float, float]]) -> list[int]:
+    """O(n^2) fast non-dominated sorting ranks (0 = best front)."""
+    n = len(objs)
+    worse_than: list[list[int]] = [[] for _ in range(n)]
+    blockers = [0] * n
+    for i in range(n):
+        ai, li = objs[i]
+        for j in range(i + 1, n):
+            aj, lj = objs[j]
+            if ai <= aj and li <= lj and (ai < aj or li < lj):
+                worse_than[i].append(j)
+                blockers[j] += 1
+            elif aj <= ai and lj <= li and (aj < ai or lj < li):
+                worse_than[j].append(i)
+                blockers[i] += 1
+    ranks = [0] * n
+    current = [i for i in range(n) if blockers[i] == 0]
+    rank = 0
+    while current:
+        nxt = []
+        for i in current:
+            ranks[i] = rank
+            for j in worse_than[i]:
+                blockers[j] -= 1
+                if blockers[j] == 0:
+                    nxt.append(j)
+        current = nxt
+        rank += 1
+    return ranks
+
+
+def _loop_sample_categorical(rng: np.random.Generator, probs) -> int:
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax of one 1-D array."""
+    shifted = z - z.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def reference_run_lattice(ev, schema, rng: np.random.Generator) -> None:
+    """Lattice search rebuilding and sorting the front's neighbour set every step."""
+    cards = schema.cardinalities
+    k = len(cards)
+    ev.evaluate(_scalar_random_knobs(rng, cards))
+    while True:
+        if rng.random() < 0.15:
+            ev.evaluate(_scalar_unseen_random(ev, rng, cards))
+            continue
+        neighbors = sorted(
+            {
+                p.knobs[:axis] + (p.knobs[axis] + move,) + p.knobs[axis + 1 :]
+                for p in ev.front_points()
+                for axis in range(k)
+                for move in (-1, 1)
+                if 0 <= p.knobs[axis] + move < cards[axis]
+            }
+        )
+        fresh = [n for n in neighbors if not ev.seen(n)]
+        if fresh:
+            ev.evaluate(fresh[int(rng.integers(len(fresh)))])
+        else:
+            ev.evaluate(_scalar_unseen_random(ev, rng, cards))
+
+
+def reference_run_aco(ev, schema, rng: np.random.Generator) -> None:
+    """Ant colony search normalising every knob's pheromone for every sample
+    and testing each batch point against each front point."""
+    cards = schema.cardinalities
+    pheromone = [np.ones(c) for c in cards]
+    while True:
+        batch = []
+        for _ in range(20):
+            knobs = tuple(_loop_sample_categorical(rng, tau / tau.sum()) for tau in pheromone)
+            batch.append(ev.evaluate(knobs))
+        front = ev.front_points()
+        for tau in pheromone:
+            tau *= 0.9
+        for point in batch:
+            behind = sum(1 for q in front if _dominates(q.objectives, point.objectives))
+            deposit = 1.0 / (1.0 + behind)
+            for axis, level in enumerate(point.knobs):
+                pheromone[axis][level] += deposit
+        for tau in pheromone:
+            np.clip(tau, 0.05, 20.0, out=tau)
+
+
+def reference_run_policy(ev, schema, rng: np.random.Generator, with_baseline: bool) -> None:
+    """The table-policy explorers (AC with a baseline, PG without) on one
+    array per knob, two softmaxes per knob per step and a scalar reward loop."""
+    cards = schema.cardinalities
+    tables = [np.zeros(c) for c in cards]
+    baseline = np.zeros(len(cards))
+    while True:
+        actions = []
+        for table in tables:
+            if rng.random() < 0.1:
+                actions.append(int(rng.integers(len(table))))
+            else:
+                actions.append(_loop_sample_categorical(rng, softmax(table)))
+        point = ev.evaluate(tuple(actions))
+        front = ev.front_points()
+        reward = -min(coverage_distance(p.objectives, point.objectives) for p in front)
+        for axis, table in enumerate(tables):
+            advantage = reward - baseline[axis] if with_baseline else reward
+            if with_baseline:
+                baseline[axis] += 0.1 * (reward - baseline[axis])
+            probs = softmax(table)
+            grad = -probs
+            grad[actions[axis]] += 1.0
+            table += 0.05 * advantage * grad

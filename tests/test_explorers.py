@@ -18,8 +18,14 @@ from dsekit.explorers import (
     score_results,
 )
 from dsekit.dataset import run_suite
-from dsekit.explorers import base
-from dsekit.explorers.algorithms import _dominated, run_sbo
+from dsekit.explorers import algorithms, base
+from dsekit.explorers.algorithms import (
+    _dominated,
+    _nondominated_ranks,
+    _softmax_rows,
+    _width_groups,
+    run_sbo,
+)
 from dsekit.explorers.base import (
     NOMINAL_EVAL_SECONDS,
     STALL_STREAK,
@@ -27,10 +33,19 @@ from dsekit.explorers.base import (
     Stalled,
     portfolio_seed,
 )
-from dsekit.pareto import pareto_filter
+from dsekit.pareto import ZERO_REFERENCE_EPS, ObjectiveVector, ParetoFront, pareto_filter
 from dsekit.surrogate import SurrogateModel, exhaustive_front
 
-from oracles import dominance_matrix, reference_run_sbo
+from oracles import (
+    dominance_matrix,
+    reference_admit_to_front,
+    reference_nondominated_ranks,
+    reference_run_aco,
+    reference_run_lattice,
+    reference_run_policy,
+    reference_run_sbo,
+    softmax,
+)
 
 ALL_EXPLORERS = list(ExplorerId)
 
@@ -412,3 +427,160 @@ class TestSurrogateExplorer:
         rows = batched.integers(0, cards, size=(256, len(cards))).tolist()
         assert [tuple(row) for row in rows] == [scalar(loop) for _ in range(256)]
         assert batched.bit_generator.state == loop.bit_generator.state
+
+
+class TableModel:
+    """Cost-model stand-in returning objectives from a table the test fills."""
+
+    def __init__(self, cardinalities) -> None:
+        self.cardinalities = cardinalities
+        self.table: dict[tuple[int, ...], ObjectiveVector] = {}
+
+    def evaluate_knobs(self, knobs):
+        return self.table[knobs]
+
+
+def neighbours(knobs, cards):
+    return {
+        knobs[:axis] + (level,) + knobs[axis + 1 :]
+        for axis in range(len(cards))
+        for level in (knobs[axis] - 1, knobs[axis] + 1)
+        if 0 <= level < cards[axis]
+    }
+
+
+# (space index, area, latency) admissions on a 0..4 grid, so equal
+# objectives, ties in one objective and zero coordinates are common
+ADMISSIONS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=60
+)
+
+
+class TestArchiveFront:
+    """The staircase front and its neighbourhood against brute force."""
+
+    @staticmethod
+    def admitting(small_case, admissions):
+        """An evaluator over the small case's space; yields it after each new point."""
+        instance, _ = small_case
+        space = list(instance.schema.iter_points())
+        model = TableModel(instance.schema.cardinalities)
+        ev = BudgetedEvaluator(model, instance.schema, Budget(len(space)))
+        for index, area, latency in admissions:
+            knobs = space[index % len(space)]
+            if ev.seen(knobs):
+                continue
+            model.table[knobs] = ObjectiveVector(area, latency)
+            ev.evaluate(knobs)
+            yield ev, ev.evaluated[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(admissions=ADMISSIONS)
+    @example(admissions=[(0, 1, 1), (1, 1, 1), (2, 1, 1)])
+    @example(admissions=[(5, 1, 1), (3, 1, 1), (1, 2, 0), (0, 0, 2), (4, 1, 0)])
+    @example(admissions=[(0, 2, 2), (1, 2, 1), (2, 1, 2), (3, 0, 3), (4, 3, 0), (5, 1, 1)])
+    def test_admission_matches_the_full_scan(self, small_case, admissions):
+        front: list = []
+        for ev, point in self.admitting(small_case, admissions):
+            front = reference_admit_to_front(front, point)
+            assert ev.front_points() == tuple(front)
+            objs, denom = ev.front_arrays()
+            assert objs.tolist() == [[p.objectives.area, p.objectives.latency] for p in front]
+            assert np.array_equal(denom, np.where(objs > 0.0, objs, ZERO_REFERENCE_EPS))
+        assert ParetoFront(front) == pareto_filter(ev.evaluated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(admissions=ADMISSIONS, asked_after=st.integers(0, 60))
+    @example(admissions=[(0, 1, 1), (1, 1, 1), (2, 1, 1)], asked_after=0)
+    def test_unseen_neighbours_match_the_brute_force_set(self, small_case, admissions, asked_after):
+        schema = small_case[0].schema
+        cards = schema.cardinalities
+        for n, (ev, _) in enumerate(self.admitting(small_case, admissions)):
+            if n < asked_after:
+                continue
+            near = {nbr for p in ev.front_points() for nbr in neighbours(p.knobs, cards)}
+            assert ev.unseen_neighbours() == sorted(near - {p.knobs for p in ev.evaluated})
+            assert all(ev.near_front(knobs) == (knobs in near) for knobs in schema.iter_points())
+
+    @settings(max_examples=300, deadline=None)
+    @given(objs=st.lists(GRID_POINTS, max_size=40))
+    @example(objs=[])
+    @example(objs=[(1.0, 1.0), (1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (0.5, 0.5)])
+    def test_ranks_match_the_pairwise_count(self, objs):
+        assert _nondominated_ranks(objs) == reference_nondominated_ranks(objs)
+
+
+class TestPolicyTables:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.integers(2, 16).flatmap(
+                lambda width: st.lists(
+                    st.floats(-50.0, 50.0, allow_nan=False), min_size=width, max_size=width
+                )
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @example(rows=[[0.0] * 5, [0.0] * 16, [1e-3 * i for i in range(9)]])
+    def test_padded_softmax_is_bit_equal_to_each_row_at_its_width(self, rows):
+        cards = tuple(len(row) for row in rows)
+        tables = np.full((len(rows), max(cards)), -np.inf)
+        for axis, row in enumerate(rows):
+            tables[axis, : len(row)] = row
+        probs = _softmax_rows(tables, _width_groups(cards))
+        for axis, row in enumerate(rows):
+            assert np.array_equal(probs[axis, : len(row)], softmax(np.array(row)))
+            assert not probs[axis, len(row) :].any()
+
+
+def _with_pairwise_ranks(runner):
+    """The runner with the O(n^2) reference ranks in place of the library's."""
+
+    def run(ev, schema, rng):
+        original = algorithms._nondominated_ranks
+        algorithms._nondominated_ranks = reference_nondominated_ranks
+        try:
+            runner(ev, schema, rng)
+        finally:
+            algorithms._nondominated_ranks = original
+
+    return run
+
+
+# explorer -> (library runner, the routine it replaced)
+REPLACED = {
+    "lattice": (algorithms.run_lattice, reference_run_lattice),
+    "ac": (algorithms.run_ac, lambda ev, schema, rng: reference_run_policy(ev, schema, rng, True)),
+    "pg": (algorithms.run_pg, lambda ev, schema, rng: reference_run_policy(ev, schema, rng, False)),
+    "aco": (algorithms.run_aco, reference_run_aco),
+    "nsga2": (algorithms.run_nsga2, _with_pairwise_ranks(algorithms.run_nsga2)),
+    "qlmoea": (algorithms.run_qlmoea, _with_pairwise_ranks(algorithms.run_qlmoea)),
+}
+
+
+class TestSharedFrontRunners:
+    """Runners on the shared front state against the routines they replaced.
+
+    Plateau small at budget 500 saturates the memo: AC and PG stall there,
+    and ACO and QLMOEA make tens of thousands of repeat proposals.
+    """
+
+    @pytest.mark.parametrize("budget", [60, 500])
+    @pytest.mark.parametrize(
+        "family,size",
+        [
+            (Family.SMOOTH, "medium"),
+            (Family.DECEPTIVE, "medium"),
+            (Family.CLUSTERED, "medium"),
+            (Family.PLATEAU, "small"),
+        ],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    @pytest.mark.parametrize("explorer", sorted(REPLACED))
+    def test_evaluates_the_reference_sequence(self, explorer, family, size, budget):
+        instance = synth_instance(family, 0, size)
+        runner, reference = REPLACED[explorer]
+        expected = TestSurrogateExplorer.trajectory(reference, instance, budget)
+        assert TestSurrogateExplorer.trajectory(runner, instance, budget) == expected

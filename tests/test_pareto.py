@@ -13,12 +13,11 @@ from dsekit.pareto import (
     ObjectiveVector,
     ParetoFront,
     adrs,
-    coverage_distance,
     dominates,
     pareto_filter,
 )
 
-from oracles import brute_force_pareto_indices, naive_adrs
+from oracles import brute_force_pareto_indices, coverage_distance, naive_adrs
 
 
 def pt(area, latency, knobs=(0,)):
