@@ -21,8 +21,8 @@ for family in (Family.SMOOTH, Family.RUGGED, Family.PLATEAU):
     portfolio = score_results(instance, model, results)
 
     print(instance.id)
-    for explorer, result in zip(ExplorerId, portfolio.results):
+    for explorer, result, score in zip(ExplorerId, portfolio.results, portfolio.adrs_values):
         marker = "  <- winner" if explorer == portfolio.argmin else ""
-        print(f"  {explorer.name.lower():8s} adrs={result.adrs:.5f} "
+        print(f"  {explorer.name.lower():8s} adrs={score:.5f} "
               f"evals={result.evaluations_used:4d}{marker}")
     print()

@@ -24,6 +24,8 @@ from .benchmarks import Family, extract_features
 from .blas import use_one_blas_thread
 from .dataset import (
     INSTANCES_FILE,
+    LABEL_KEYS,
+    RUN_KEYS,
     DatasetConfig,
     _write_atomic,
     check_runs_cover,
@@ -325,23 +327,29 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    labels_rows = read_jsonl(Path(args.labels))
-    runs_rows = read_jsonl(Path(args.runs))
-    report_rows = read_jsonl(Path(args.report))
+    labels_rows = read_jsonl(Path(args.labels), keys=LABEL_KEYS)
+    runs_rows = read_jsonl(Path(args.runs), keys=RUN_KEYS + ("wall_seconds",))
+    report_rows = read_jsonl(Path(args.report), keys=("benchmark_id", "selected_code"))
     if not labels_rows or not report_rows:
         raise ValueError("labels and report files must be non-empty")
     check_runs_cover(runs_rows, labels_rows, Path(args.runs), Path(args.labels))
-    known = {record["benchmark_id"] for record in labels_rows}
+    rows = {record["benchmark_id"]: record["adrs_row"] for record in labels_rows}
     reported: set[str] = set()
     counts: dict[str, list[int]] = {"overall": [0, 0]}
     for lineno, record in enumerate(report_rows, 1):
-        benchmark_id = record["benchmark_id"]
-        if benchmark_id not in known:
+        benchmark_id, code = record["benchmark_id"], record["selected_code"]
+        if benchmark_id not in rows:
             raise ValueError(f"{args.report}:{lineno}: unknown benchmark {benchmark_id}")
         if benchmark_id in reported:
             raise ValueError(f"{args.report}:{lineno}: repeated report of {benchmark_id}")
+        if type(code) is not int or not 0 <= code < N_EXPLORERS:
+            raise ValueError(
+                f"{args.report}:{lineno}: selected_code must be an integer in 0..9, got {code!r}"
+            )
         reported.add(benchmark_id)
-        correct = int(float(record["regret"]) == 0.0)
+        # a pick is correct when it scored the row's minimum; `regret` is not read
+        row = rows[benchmark_id]
+        correct = int(row[code] == min(row))
         for scope in ("overall", benchmark_id.split("-")[0]):
             counts.setdefault(scope, [0, 0])
             counts[scope][0] += correct

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -54,6 +54,10 @@ RUNS_FILE = "runs.jsonl"
 LABELS_FILE = "labels.jsonl"
 MANIFEST_FILE = "manifest.json"
 DATA_FILES = (INSTANCES_FILE, RUNS_FILE, LABELS_FILE)
+
+# The keys of a runs and a labels record that `check_runs_cover` reads
+RUN_KEYS = ("benchmark_id", "explorer_code")
+LABEL_KEYS = ("benchmark_id", "label_code", "adrs_row")
 
 
 # -- canonical serialization -----------------------------------------------------
@@ -132,15 +136,6 @@ class LabeledSample:
     label: int
     adrs_row: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        row = self.adrs_row
-        best = min(row)
-        expected = min(i for i, v in enumerate(row) if v == best)
-        if self.label != expected:
-            raise ValueError(
-                f"label {self.label} is not the lowest-code minimizer for {self.benchmark_id}"
-            )
-
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -159,19 +154,6 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         if set(self.train_ids) & set(self.inference_ids):
             raise ValueError("train and inference splits overlap")
-
-    def to_record(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "budget": self.budget,
-            "size_class": self.size_class,
-            "families": list(self.families),
-            "seeds": list(self.seeds),
-            "split_fraction": self.split_fraction,
-            "train_ids": list(self.train_ids),
-            "inference_ids": list(self.inference_ids),
-            "hashes": dict(self.hashes),
-        }
 
     @staticmethod
     def from_record(record: dict) -> "DatasetManifest":
@@ -279,14 +261,14 @@ def run_suite(
 
 
 def split_ids(
-    instance_ids: Sequence[str], split_fraction: float, master_seed: int
+    benchmark_ids: Sequence[str], split_fraction: float, master_seed: int
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Seeded shuffle split; the train side gets floor(fraction * n) ids."""
     rng = np.random.default_rng(np.random.SeedSequence([_SPLIT_TAG, master_seed & (2**64 - 1)]))
-    order = rng.permutation(len(instance_ids))
-    n_train = int(math.floor(split_fraction * len(instance_ids)))
-    train = tuple(sorted(instance_ids[i] for i in order[:n_train]))
-    inference = tuple(sorted(instance_ids[i] for i in order[n_train:]))
+    order = rng.permutation(len(benchmark_ids))
+    n_train = int(math.floor(split_fraction * len(benchmark_ids)))
+    train = tuple(sorted(benchmark_ids[i] for i in order[:n_train]))
+    inference = tuple(sorted(benchmark_ids[i] for i in order[n_train:]))
     return train, inference
 
 
@@ -299,11 +281,11 @@ def _instance_line(instance: BenchmarkInstance, size_class: str, features: Itera
     return record
 
 
-def _run_line(benchmark_id: str, result: ExplorationResult) -> dict:
+def _run_line(benchmark_id: str, result: ExplorationResult, adrs_value: float) -> dict:
     return {
         "benchmark_id": benchmark_id,
         "explorer_code": result.explorer.value,
-        "adrs": float(result.adrs),
+        "adrs": float(adrs_value),
         "evaluations_used": result.evaluations_used,
         "proposals": result.proposals,
         "stop_reason": result.stop_reason,
@@ -353,10 +335,11 @@ def persist_instances(
     )
 
 
-def read_jsonl(path: Path, text: str | None = None) -> list[dict]:
+def read_jsonl(path: Path, text: str | None = None, keys: Sequence[str] = ()) -> list[dict]:
     """The JSON objects of a JSONL file, one per line; reads the file unless given its text.
 
-    A line that is not a JSON object is rejected with the path and line number.
+    A line that is not a JSON object, or whose object lacks one of `keys`, is
+    rejected with the path and line number.
     """
     if text is None:
         if not path.exists():
@@ -370,6 +353,9 @@ def read_jsonl(path: Path, text: str | None = None) -> list[dict]:
             raise ValueError(f"{path}:{lineno}: {err.msg} at column {err.colno}") from None
         if not isinstance(record, dict):
             raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        for key in keys:
+            if key not in record:
+                raise ValueError(f"{path}:{lineno}: missing key {key!r}")
         records.append(record)
     return records
 
@@ -401,10 +387,11 @@ def read_instances(
 def check_runs_cover(
     runs: Iterable[dict], labels: Iterable[dict], runs_path: Path, labels_path: Path
 ) -> None:
-    """Require one runs record of each of the ten explorers for every labelled benchmark.
+    """Require one runs record of each of the ten explorers for every labelled benchmark,
+    and each label's ten finite `adrs_row` values to have their first minimum at `label_code`.
 
-    A repeated (benchmark, explorer) in runs or a repeated benchmark in labels
-    is rejected with its path and line number.
+    A label that breaks this, a repeated (benchmark, explorer) in runs or a
+    repeated benchmark in labels is rejected with its path and line number.
     """
     covered: set[tuple[str, int]] = set()
     for lineno, record in enumerate(runs, 1):
@@ -420,6 +407,21 @@ def check_runs_cover(
         if benchmark_id in labelled:
             raise ValueError(f"{labels_path}:{lineno}: repeated label of {benchmark_id}")
         labelled.add(benchmark_id)
+        row = record["adrs_row"]
+        if not (
+            isinstance(row, list)
+            and len(row) == len(ExplorerId)
+            and all(type(v) in (int, float) and math.isfinite(v) for v in row)
+        ):
+            raise ValueError(
+                f"{labels_path}:{lineno}: adrs_row of {benchmark_id} needs 10 finite numbers"
+            )
+        best = row.index(min(row))
+        if record["label_code"] != best:
+            raise ValueError(
+                f"{labels_path}:{lineno}: label_code of {benchmark_id} is not {best}, "
+                "the lowest index of the adrs_row minimum"
+            )
         missing = [e.name.lower() for e in ExplorerId if (benchmark_id, e.value) not in covered]
         if missing:
             raise ValueError(
@@ -470,9 +472,9 @@ def persist_results(
         hashes[RUNS_FILE] = write_jsonl(
             out / RUNS_FILE,
             (
-                _run_line(inst.id, result)
+                _run_line(inst.id, result, value)
                 for inst, portfolio in zip(instances, portfolios)
-                for result in portfolio.results
+                for result, value in zip(portfolio.results, portfolio.adrs_values)
             ),
         )
         hashes[LABELS_FILE] = write_jsonl(
@@ -496,7 +498,7 @@ def persist_results(
             inference_ids=inference_ids,
             hashes=hashes,
         )
-        _write_atomic(out / MANIFEST_FILE, canonical_json(manifest.to_record()) + "\n")
+        _write_atomic(out / MANIFEST_FILE, canonical_json(asdict(manifest)) + "\n")
     except BaseException:
         for name in (RUNS_FILE, LABELS_FILE, MANIFEST_FILE):
             (out / name).unlink(missing_ok=True)
@@ -539,8 +541,8 @@ def load(dataset_dir: str | Path) -> Dataset:
     texts = {name: _read_verified(paths[name], manifest.hashes[name]) for name in DATA_FILES}
 
     instances, feature_map, _ = read_instances(paths[INSTANCES_FILE], texts[INSTANCES_FILE])
-    runs = read_jsonl(paths[RUNS_FILE], texts[RUNS_FILE])
-    labels = read_jsonl(paths[LABELS_FILE], texts[LABELS_FILE])
+    runs = read_jsonl(paths[RUNS_FILE], texts[RUNS_FILE], RUN_KEYS + ("front",))
+    labels = read_jsonl(paths[LABELS_FILE], texts[LABELS_FILE], LABEL_KEYS)
     check_runs_cover(runs, labels, paths[RUNS_FILE], paths[LABELS_FILE])
 
     samples = []
@@ -579,8 +581,10 @@ __all__ = [
     "DATA_FILES",
     "INSTANCES_FILE",
     "LABELS_FILE",
+    "LABEL_KEYS",
     "MANIFEST_FILE",
     "RUNS_FILE",
+    "RUN_KEYS",
     "Dataset",
     "DatasetConfig",
     "DatasetManifest",

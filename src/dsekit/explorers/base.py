@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import importlib
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Optional
 
@@ -95,7 +95,7 @@ class Budget:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """Outcome of one explorer run on one benchmark.
+    """Outcome of one explorer run on one benchmark: its archive front and what it spent.
 
     `stop_reason` is "budget" (the search spent it), "exhaustive_fallback"
     (the space was no larger than the budget and was enumerated) or
@@ -104,26 +104,22 @@ class ExplorationResult:
     """
 
     explorer: ExplorerId
-    evaluated: tuple[DesignPoint, ...]
     front: ParetoFront
     evaluations_used: int
     wall_seconds: float
     stop_reason: str
     proposals: int
-    adrs: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class PortfolioResult:
-    """All ten explorers on one benchmark, scored against one reference."""
+    """All ten explorers on one benchmark: `adrs_values[i]` scores `results[i]`'s
+    front against `reference`, and `argmin` has the lowest (the lowest code on ties)."""
 
     results: tuple[ExplorationResult, ...]
+    adrs_values: tuple[float, ...]
     reference: ParetoFront
     argmin: ExplorerId
-
-    @property
-    def adrs_values(self) -> tuple[float, ...]:
-        return tuple(r.adrs for r in self.results)
 
 
 class BudgetSaturated(Exception):
@@ -386,7 +382,6 @@ def explore(
         raise RuntimeError(f"explorer {explorer.name} failed on {instance.id}") from err
     return ExplorationResult(
         explorer=explorer,
-        evaluated=tuple(evaluator.evaluated),
         front=ParetoFront(evaluator.front_points()),
         evaluations_used=evaluator.evaluations_used,
         wall_seconds=evaluator.evaluations_used * NOMINAL_EVAL_SECONDS[explorer],
@@ -415,6 +410,6 @@ def score_results(
         reference = exhaustive_front(model, instance.schema, EXHAUSTIVE_REFERENCE_LIMIT)
     else:
         reference = pareto_filter(p for r in results for p in r.front.points)
-    scored = tuple(replace(r, adrs=adrs(reference, r.front)) for r in results)
-    best = min(scored, key=lambda r: (r.adrs, r.explorer.value))
-    return PortfolioResult(results=scored, reference=reference, argmin=best.explorer)
+    adrs_values = tuple(adrs(reference, r.front) for r in results)
+    _, argmin = min(zip(adrs_values, (r.explorer for r in results)))
+    return PortfolioResult(results, adrs_values, reference, argmin)

@@ -42,17 +42,10 @@ class ObjectiveVector:
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """A vector of knob level indices, optionally carrying evaluated objectives."""
+    """A vector of knob level indices, a tuple of Python ints, and its objectives."""
 
     knobs: tuple[int, ...]
-    objectives: ObjectiveVector | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "knobs", tuple(int(k) for k in self.knobs))
-
-    @property
-    def evaluated(self) -> bool:
-        return self.objectives is not None
+    objectives: ObjectiveVector
 
 
 def dominates(p: ObjectiveVector, q: ObjectiveVector) -> bool:
@@ -80,8 +73,6 @@ class ParetoFront:
         object.__setattr__(self, "points", pts)
         prev: ObjectiveVector | None = None
         for point in pts:
-            if not point.evaluated:
-                raise ValueError("Pareto front points must carry objectives")
             obj = point.objectives
             if prev is not None and not (obj.area > prev.area and obj.latency < prev.latency):
                 raise ValueError(
@@ -107,16 +98,13 @@ class ParetoFront:
 
 
 def pareto_filter(points: Iterable[DesignPoint]) -> ParetoFront:
-    """Non-dominated subset of evaluated points.
+    """Non-dominated subset of the points.
 
     Each distinct objective vector keeps a single representative (the
     lexicographically smallest knob vector); the result is sorted ascending
     by (area, latency).
     """
     pts = list(points)
-    for p in pts:
-        if not p.evaluated:
-            raise ValueError(f"pareto_filter requires evaluated points; {p.knobs} has no objectives")
     pts.sort(key=lambda p: (p.objectives.area, p.objectives.latency, p.knobs))
     kept: list[DesignPoint] = []
     best_latency = math.inf
@@ -148,8 +136,11 @@ def adrs(reference: ParetoFront, approx: ParetoFront) -> float:
     ref = reference.objective_array()
     app = approx.objective_array()
     denom = np.where(ref > 0.0, ref, ZERO_REFERENCE_EPS)
+    # (R, A) shortfalls in area and latency, updated in place; worst ends as their maximum
+    worst, latency = (np.subtract(app[:, k], ref[:, k, None]) for k in (0, 1))
     with np.errstate(over="ignore"):
-        rel = (app[None, :, :] - ref[:, None, :]) / denom[:, None, :]
-    worst_coord = np.maximum(rel, 0.0).max(axis=2)
-    return float(worst_coord.min(axis=1).mean())
-
+        for k, rel in enumerate((worst, latency)):
+            rel /= denom[:, k, None]
+            np.maximum(rel, 0.0, out=rel)
+    np.maximum(worst, latency, out=worst)
+    return float(worst.min(axis=1).mean())

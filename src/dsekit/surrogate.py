@@ -35,7 +35,6 @@ _KIND_AREA_WEIGHT = {"unroll": 1.1, "pipeline": 0.7, "partition": 1.3}
 class SurrogateModel:
     """Closed-form quality-of-results model for one benchmark instance."""
 
-    instance_id: str
     family: Family
     seed: int
     cardinalities: tuple[int, ...]
@@ -108,7 +107,6 @@ class SurrogateModel:
             extras["pocket_latency"] = tuple(float(rng.uniform(0.45, 0.60)) for _ in range(n_pockets))
             extras["outside_penalty"] = 2.0
         return cls(
-            instance_id=instance.id,
             family=family,
             seed=seed,
             cardinalities=cards,

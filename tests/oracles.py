@@ -56,6 +56,18 @@ def naive_adrs(reference: list[tuple[float, float]], approx: list[tuple[float, f
     return total / len(reference)
 
 
+def reference_adrs(reference, approx) -> float:
+    """`pareto.adrs` as first written: the distances broadcast as (R, A, 2)
+    arrays, with the same IEEE operations in the same argument order."""
+    ref = reference.objective_array()
+    app = approx.objective_array()
+    denom = np.where(ref > 0.0, ref, 1e-9)
+    with np.errstate(over="ignore"):
+        rel = (app[None, :, :] - ref[:, None, :]) / denom[:, None, :]
+    worst_coord = np.maximum(rel, 0.0).max(axis=2)
+    return float(worst_coord.min(axis=1).mean())
+
+
 def naive_discounted_advantages(
     rewards: list[float],
     values: list[float],

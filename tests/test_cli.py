@@ -385,39 +385,55 @@ class TestInfer:
             )
 
 
+def toy_row(best: int) -> list[float]:
+    """An ADRS row whose one minimum is at code `best`."""
+    row = [1.0] * len(ExplorerId)
+    row[best] = 0.5
+    return row
+
+
+# three benchmarks whose picks are right, wrong and right
+TOY_LABELS = [
+    {"benchmark_id": "smooth-small-0000", "label_code": 5, "adrs_row": toy_row(5)},
+    {"benchmark_id": "smooth-small-0001", "label_code": 4, "adrs_row": toy_row(4)},
+    {"benchmark_id": "rugged-small-0000", "label_code": 5, "adrs_row": toy_row(5)},
+]
+TOY_REPORT = [
+    {"benchmark_id": "smooth-small-0000", "selected_code": 5, "regret": 0.0},
+    {"benchmark_id": "smooth-small-0001", "selected_code": 0, "regret": 0.5},
+    {"benchmark_id": "rugged-small-0000", "selected_code": 5, "regret": 0.0},
+]
+
+
+def run_report(runs: Path, labels: Path, report: Path, out: Path) -> int:
+    return main(
+        ["report", "--runs", str(runs), "--labels", str(labels), "--report", str(report), "--out", str(out)]
+    )
+
+
+def write_toy_files(root: Path, report: list[dict]) -> tuple[Path, Path, Path]:
+    """The toy labels, their runs and the given report rows, as report's three inputs."""
+    root.mkdir()
+    runs = [
+        {"benchmark_id": record["benchmark_id"], "explorer_code": c, "wall_seconds": 0.25, "adrs": 0.0, "evaluations_used": 1, "front": []}
+        for record in TOY_LABELS
+        for c in range(len(ExplorerId))
+    ]
+    for name, rows in (("labels.jsonl", TOY_LABELS), ("report.jsonl", report), ("runs.jsonl", runs)):
+        (root / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return root / "runs.jsonl", root / "labels.jsonl", root / "report.jsonl"
+
+
+def report_on_toy_files(root: Path, report: list[dict]) -> Path:
+    """`report` on the toy files with these report rows; its output directory."""
+    out = root / "out"
+    assert run_report(*write_toy_files(root, report), out) == 0
+    return out
+
+
 class TestReport:
     def test_accuracy_matches_hand_count_on_toy_files(self, tmp_path):
-        n = len(ExplorerId)
-        labels = [
-            {"benchmark_id": "smooth-small-0000", "label_code": 5, "adrs_row": [1.0] * n},
-            {"benchmark_id": "smooth-small-0001", "label_code": 4, "adrs_row": [1.0] * n},
-            {"benchmark_id": "rugged-small-0000", "label_code": 5, "adrs_row": [1.0] * n},
-        ]
-        report = [
-            {"benchmark_id": "smooth-small-0000", "selected_code": 5, "regret": 0.0},
-            {"benchmark_id": "smooth-small-0001", "selected_code": 0, "regret": 0.3},
-            {"benchmark_id": "rugged-small-0000", "selected_code": 5, "regret": 0.0},
-        ]
-        runs = [
-            {"benchmark_id": record["benchmark_id"], "explorer_code": c, "wall_seconds": 0.25, "adrs": 0.0, "evaluations_used": 1, "front": []}
-            for record in labels
-            for c in range(n)
-        ]
-        for name, rows in (("labels.jsonl", labels), ("report.jsonl", report), ("runs.jsonl", runs)):
-            (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
-        out = tmp_path / "out"
-        assert (
-            main(
-                [
-                    "report",
-                    "--runs", str(tmp_path / "runs.jsonl"),
-                    "--labels", str(tmp_path / "labels.jsonl"),
-                    "--report", str(tmp_path / "report.jsonl"),
-                    "--out", str(out),
-                ]
-            )
-            == 0
-        )
+        out = report_on_toy_files(tmp_path / "toy", TOY_REPORT)
         accuracy = (out / ACCURACY_FILE).read_text().splitlines()
         assert accuracy[0] == "scope,correct,total,accuracy"
         assert accuracy[1] == "overall,2,3,0.666667"
@@ -432,6 +448,47 @@ class TestReport:
         assert matrix[0].split(",") == ["benchmark_id", *EXPLORER_NAMES, "best"]
         assert len(matrix) == 1 + 3
         assert matrix[1].endswith(",sbo")
+
+    def test_accuracy_reads_the_labels_row_not_the_regret(self, tmp_path):
+        edited = [dict(record, regret=0.0) for record in TOY_REPORT]
+        honest = report_on_toy_files(tmp_path / "honest", TOY_REPORT)
+        doctored = report_on_toy_files(tmp_path / "doctored", edited)
+        for name in (ACCURACY_FILE, ADRS_MATRIX_FILE, RUNTIME_FILE):
+            assert (doctored / name).read_bytes() == (honest / name).read_bytes(), name
+
+    @pytest.mark.parametrize("code", [10, -1, "5", 5.0, None])
+    def test_a_selected_code_outside_the_explorers_is_named_by_line(self, tmp_path, capsys, code):
+        report = [dict(record) for record in TOY_REPORT]
+        report[1]["selected_code"] = code
+        runs, labels, report_path = write_toy_files(tmp_path / "toy", report)
+        assert run_report(runs, labels, report_path, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report_path}:2: selected_code must be an integer in 0..9")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_labels_row_of_nine_values_is_named_by_line(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["d"] / "labels.jsonl").read_text().splitlines(keepends=True)
+        cut = json.loads(lines[1])
+        cut["adrs_row"] = cut["adrs_row"][:9]
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join([lines[0], json.dumps(cut) + "\n", *lines[2:]]))
+        out = tmp_path / "r"
+        assert run_report(pipeline["d"] / "runs.jsonl", labels, pipeline["i"] / REPORT_FILE, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labels}:2: adrs_row of {cut['benchmark_id']} needs 10 finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_record_missing_a_key_is_named_by_file_line_and_key(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["d"] / "runs.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[4])
+        del record["wall_seconds"]
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join([*lines[:4], json.dumps(record) + "\n", *lines[5:]]))
+        out = tmp_path / "r"
+        assert run_report(runs, pipeline["d"] / "labels.jsonl", pipeline["i"] / REPORT_FILE, out) == 1
+        assert capsys.readouterr().err == f"error: {runs}:5: missing key 'wall_seconds'\n"
+        assert not out.exists()
 
     def test_runtime_totals_equal_sum_of_wall_seconds(self, pipeline):
         runs = read_jsonl(pipeline["d"] / "runs.jsonl")

@@ -18,8 +18,8 @@ from dsekit.dataset import (
     MANIFEST_FILE,
     RUNS_FILE,
     DatasetConfig,
-    LabeledSample,
     canonical_json,
+    check_runs_cover,
     instance_master_seed,
     load,
     persist_instances,
@@ -135,11 +135,26 @@ class TestReadJsonl:
 
 
 class TestSamples:
+    @staticmethod
+    def check_label(label_code, adrs_row):
+        runs = [{"benchmark_id": "b", "explorer_code": code} for code in range(10)]
+        labels = [{"benchmark_id": "b", "label_code": label_code, "adrs_row": adrs_row}]
+        check_runs_cover(runs, labels, "runs.jsonl", "labels.jsonl")
+
     def test_label_law_enforced(self):
-        row = (0.5, 0.1, 0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9)
-        LabeledSample("b", (0.0,), 1, row)  # lowest-code minimizer is fine
-        with pytest.raises(ValueError, match="lowest-code minimizer"):
-            LabeledSample("b", (0.0,), 2, row)
+        row = [0.5, 0.1, 0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
+        self.check_label(1, row)  # lowest-code minimizer is fine
+        with pytest.raises(ValueError, match="^labels.jsonl:1: label_code of b is not 1, the lowest index"):
+            self.check_label(2, row)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[0.5] * 9, [0.5] * 11, [0.5] * 9 + [math.inf], [0.5] * 9 + ["0.5"], [0.5] * 9 + [True], 0.5],
+        ids=["nine", "eleven", "inf", "string", "bool", "number"],
+    )
+    def test_adrs_row_needs_ten_finite_values(self, row):
+        with pytest.raises(ValueError, match="^labels.jsonl:1: adrs_row of b needs 10 finite numbers"):
+            self.check_label(0, row)
 
 
 class TestPersistAndLoad:
@@ -157,9 +172,9 @@ class TestPersistAndLoad:
             assert sample.label == portfolio.argmin.value
             assert sample.adrs_row == portfolio.adrs_values
         assert [(r["benchmark_id"], r["explorer_code"], r["adrs"]) for r in loaded.runs] == [
-            (inst.id, result.explorer.value, result.adrs)
+            (inst.id, result.explorer.value, value)
             for inst, portfolio in zip(instances, portfolios)
-            for result in portfolio.results
+            for result, value in zip(portfolio.results, portfolio.adrs_values)
         ]
 
     def test_split_sizes_and_disjointness(self, tiny_dataset):
@@ -253,6 +268,21 @@ class TestLoadIntegrity:
         dropped = json.loads(lines[13])
         self.rewrite_with_matching_hash(copy, RUNS_FILE, lines[:13] + lines[14:])
         with pytest.raises(ValueError, match=f"no run of .* on benchmark {dropped['benchmark_id']}"):
+            load(copy)
+
+    def test_label_rows_are_checked_where_they_enter(self, tiny_dataset, tmp_path):
+        _, out = tiny_dataset
+        copy = self.make_copy(out, tmp_path)
+        lines = (copy / LABELS_FILE).read_text().splitlines(keepends=True)
+        cut = json.loads(lines[2])
+        cut["adrs_row"] = cut["adrs_row"][:9]
+        self.rewrite_with_matching_hash(copy, LABELS_FILE, lines[:2] + [json.dumps(cut) + "\n"])
+        pattern = f"{re.escape(str(copy / LABELS_FILE))}:3: adrs_row of {cut['benchmark_id']} needs 10"
+        with pytest.raises(ValueError, match=pattern):
+            load(copy)
+        del cut["adrs_row"]
+        self.rewrite_with_matching_hash(copy, LABELS_FILE, lines[:2] + [json.dumps(cut) + "\n"])
+        with pytest.raises(ValueError, match=":3: missing key 'adrs_row'$"):
             load(copy)
 
     def test_mixed_size_classes_named_by_line(self, tiny_dataset, tmp_path):

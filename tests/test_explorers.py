@@ -33,7 +33,7 @@ from dsekit.explorers.base import (
     Stalled,
     portfolio_seed,
 )
-from dsekit.pareto import ZERO_REFERENCE_EPS, ObjectiveVector, ParetoFront, pareto_filter
+from dsekit.pareto import ZERO_REFERENCE_EPS, DesignPoint, ObjectiveVector, ParetoFront, pareto_filter
 from dsekit.surrogate import SurrogateModel, exhaustive_front
 
 from oracles import (
@@ -67,6 +67,29 @@ class CountingModel:
     def evaluate_knobs(self, knobs):
         self.calls += 1
         return self.inner.evaluate_knobs(knobs)
+
+
+class RecordingModel(CountingModel):
+    """Counting wrapper that also records every evaluated point, in order.
+
+    The evaluator calls the model once per new point, so `evaluated` is the
+    run's archive in evaluation order.
+    """
+
+    def __init__(self, inner: SurrogateModel) -> None:
+        super().__init__(inner)
+        self.evaluated: list[DesignPoint] = []
+
+    def evaluate_knobs(self, knobs):
+        objectives = super().evaluate_knobs(knobs)
+        self.evaluated.append(DesignPoint(knobs, objectives))
+        return objectives
+
+
+def recorded_explore(explorer, instance, model, budget, seed):
+    """`explore` through a RecordingModel: the result and its evaluated points."""
+    recording = RecordingModel(model)
+    return explore(explorer, instance, recording, budget, seed), recording.evaluated
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +144,8 @@ class TestBudgetedEvaluator:
         assert ev.evaluations_used == 1
 
     def test_incremental_front_matches_batch_filter(self, medium_case):
-        result = explore(ExplorerId.SA, *medium_case, Budget(200), seed=7)
-        assert result.front == pareto_filter(result.evaluated)
+        result, evaluated = recorded_explore(ExplorerId.SA, *medium_case, Budget(200), seed=7)
+        assert result.front == pareto_filter(evaluated)
 
 
 class TestExplore:
@@ -135,8 +158,8 @@ class TestExplore:
 
     @pytest.mark.parametrize("explorer", ALL_EXPLORERS, ids=lambda e: e.name)
     def test_front_is_filter_of_evaluated(self, medium_case, explorer):
-        result = explore(explorer, *medium_case, Budget(80), seed=3)
-        assert result.front == pareto_filter(result.evaluated)
+        result, evaluated = recorded_explore(explorer, *medium_case, Budget(80), seed=3)
+        assert result.front == pareto_filter(evaluated)
         assert result.wall_seconds == pytest.approx(
             result.evaluations_used * NOMINAL_EVAL_SECONDS[explorer]
         )
@@ -156,9 +179,9 @@ class TestExplore:
         assert result.wall_seconds == 3 * NOMINAL_EVAL_SECONDS[ExplorerId.SA]
 
     def test_seed_changes_the_trajectory(self, medium_case):
-        a = explore(ExplorerId.PSO, *medium_case, Budget(120), seed=1)
-        b = explore(ExplorerId.PSO, *medium_case, Budget(120), seed=2)
-        assert a.evaluated != b.evaluated
+        _, a = recorded_explore(ExplorerId.PSO, *medium_case, Budget(120), seed=1)
+        _, b = recorded_explore(ExplorerId.PSO, *medium_case, Budget(120), seed=2)
+        assert a != b
 
     def test_unknown_explorer_rejected(self, small_case):
         with pytest.raises(ValueError):
@@ -189,6 +212,35 @@ class TestExplore:
             result = explore(explorer, instance, counting, Budget(cap), seed=5)
             assert 1 <= result.evaluations_used <= cap
             assert counting.calls == result.evaluations_used
+
+
+def is_int_tuple(knobs) -> bool:
+    return type(knobs) is tuple and all(type(k) is int for k in knobs)
+
+
+class TestKnobTypes:
+    """Points keep their knobs as given, so every producer must give a tuple of int."""
+
+    @pytest.mark.parametrize("explorer", ALL_EXPLORERS, ids=lambda e: e.name)
+    def test_each_search_evaluates_tuples_of_int(self, medium_case, explorer):
+        result, evaluated = recorded_explore(explorer, *medium_case, Budget(60), seed=2)
+        assert result.stop_reason == "budget"
+        assert all(is_int_tuple(p.knobs) for p in evaluated)
+
+    def test_the_stall_fill_evaluates_tuples_of_int(self):
+        instance = synth_instance(Family.PLATEAU, 0, "small")
+        model = SurrogateModel.from_instance(instance)
+        seed = portfolio_seed(0, ExplorerId.EDA)
+        result, evaluated = recorded_explore(ExplorerId.EDA, instance, model, Budget(500), seed)
+        assert result.stop_reason == "stalled"
+        assert all(is_int_tuple(p.knobs) for p in evaluated)
+
+    def test_the_exhaustive_fallback_evaluates_tuples_of_int(self, small_case):
+        instance, model = small_case
+        budget = Budget(instance.schema.space_size())
+        result, evaluated = recorded_explore(ExplorerId.PG, instance, model, budget, seed=0)
+        assert result.stop_reason == "exhaustive_fallback"
+        assert all(is_int_tuple(p.knobs) for p in evaluated)
 
 
 class AlwaysZero:
@@ -228,14 +280,14 @@ class TestStall:
 
         base._ensure_runners()
         monkeypatch.setitem(base._RUNNERS, ExplorerId.SA, one_point_forever)
-        result = explore(ExplorerId.SA, *medium_case, Budget(50), seed=0)
+        result, evaluated = recorded_explore(ExplorerId.SA, *medium_case, Budget(50), seed=0)
         assert len(proposed) == 1 + STALL_STREAK
         assert result.proposals == 1 + STALL_STREAK  # the fill proposes nothing
         assert result.stop_reason == "stalled"
         assert result.evaluations_used == 50
-        assert result.evaluated[0].knobs == proposed[0]
-        assert len({p.knobs for p in result.evaluated}) == 50
-        assert result.front == pareto_filter(result.evaluated)
+        assert evaluated[0].knobs == proposed[0]
+        assert len({p.knobs for p in evaluated}) == 50
+        assert result.front == pareto_filter(evaluated)
 
     def test_fill_leaves_the_explorer_generator_as_the_search_left_it(self, monkeypatch):
         instance = synth_instance(Family.PLATEAU, 0, "small")
@@ -250,7 +302,7 @@ class TestStall:
             run_eda(ev, schema, rng)
 
         monkeypatch.setitem(base._RUNNERS, ExplorerId.EDA, recording)
-        result = explore(ExplorerId.EDA, instance, model, Budget(500), seed)
+        result, evaluated = recorded_explore(ExplorerId.EDA, instance, model, Budget(500), seed)
         assert result.stop_reason == "stalled"
 
         alone = BudgetedEvaluator(model, instance.schema, Budget(500))
@@ -263,7 +315,7 @@ class TestStall:
         assert result.proposals == alone.proposals
         searched = len(alone.evaluated)
         assert searched < 500
-        assert result.evaluated[:searched] == tuple(alone.evaluated)
+        assert evaluated[:searched] == alone.evaluated
 
     def test_fill_enumerates_when_draws_keep_hitting_seen_points(self, small_case):
         instance, model = small_case
@@ -272,6 +324,7 @@ class TestStall:
         ev.evaluate(first_four[0])
         assert ev.fill_unseen(AlwaysZero()) == 3
         assert [p.knobs for p in ev.evaluated] == first_four
+        assert all(is_int_tuple(p.knobs) for p in ev.evaluated)
         assert ev.proposals == 1
 
     def test_a_spent_budget_is_not_filled(self, small_case):
@@ -333,9 +386,10 @@ class TestPortfolio:
     def test_large_space_reference_is_the_front_of_everything_evaluated(self, medium_case):
         instance, model = medium_case
         assert instance.schema.space_size() > EXHAUSTIVE_REFERENCE_LIMIT
-        portfolio = scored_portfolio(instance, model, Budget(60), master_seed=4)
-        evaluated = [p for r in portfolio.results for p in r.evaluated]
-        assert portfolio.reference == pareto_filter(evaluated)
+        recording = RecordingModel(model)
+        portfolio = scored_portfolio(instance, recording, Budget(60), master_seed=4)
+        assert recording.calls == sum(r.evaluations_used for r in portfolio.results)
+        assert portfolio.reference == pareto_filter(recording.evaluated)
 
     def test_scores_are_nonnegative_and_argmin_wins(self, medium_case):
         instance, model = medium_case

@@ -5,7 +5,9 @@ suite (smooth, deceptive and plateau, instance seed 0), and synth -> run on
 the medium smooth benchmark of seed 0, both at budget 500 with master and
 training seed 0. The small suite covers the exhaustive fallback and a stalled
 run's fill (plateau-small-0000), the medium one a large SBO and lattice front.
-Its single benchmark leaves no training split, so it stops after `run`.
+Its single benchmark leaves no training split, so it stops after `run`. The
+medium round runs again at `--workers 2`, through the process pool, and must
+give the same digests.
 
 The constants hold for numpy 2.4.6 with its bundled OpenBLAS, pinned to one
 thread as the CLI pins it. A change that alters an output on purpose updates
@@ -47,11 +49,11 @@ GOLDEN = {
 }
 
 
-def _round(root: Path, families: str, size: str, full: bool) -> dict[str, str]:
+def _round(root: Path, families: str, size: str, full: bool, workers: int = 1) -> dict[str, str]:
     d, t, i, r = (str(root / name) for name in "dtir")
     stages = [
         ["synth", "--families", families, "--seeds", "0", "--size", size, "--out", d],
-        ["run", "--dataset", d, "--budget", BUDGET, "--master-seed", "0"],
+        ["run", "--dataset", d, "--budget", BUDGET, "--master-seed", "0", "--workers", str(workers)],
     ]
     if full:
         stages += [
@@ -72,12 +74,13 @@ def _round(root: Path, families: str, size: str, full: bool) -> dict[str, str]:
 def digests(tmp_path_factory) -> dict[str, dict[str, str]]:
     small = _round(tmp_path_factory.mktemp("small"), "smooth,deceptive,plateau", "small", True)
     medium = _round(tmp_path_factory.mktemp("medium"), "smooth", "medium", False)
-    return {"small": small, "medium": medium}
+    medium_w2 = _round(tmp_path_factory.mktemp("medium-w2"), "smooth", "medium", False, workers=2)
+    return {"small": small, "medium": medium, "medium-w2": medium_w2}
 
 
-@pytest.mark.parametrize("suite", sorted(GOLDEN))
+@pytest.mark.parametrize("suite", ["small", "medium", "medium-w2"])
 def test_every_output_file_matches_its_pinned_digest(digests, suite):
-    written = digests[suite]
-    assert sorted(written) == sorted(GOLDEN[suite]), f"{suite}: unexpected set of output files"
-    differ = [name for name, digest in GOLDEN[suite].items() if written[name] != digest]
+    written, golden = digests[suite], GOLDEN[suite.removesuffix("-w2")]
+    assert sorted(written) == sorted(golden), f"{suite}: unexpected set of output files"
+    differ = [name for name, digest in golden.items() if written[name] != digest]
     assert not differ, f"{suite}: these files differ from their pinned digests: {differ}"

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dsekit.pareto import (
     DesignPoint,
@@ -17,7 +18,7 @@ from dsekit.pareto import (
     pareto_filter,
 )
 
-from oracles import brute_force_pareto_indices, coverage_distance, naive_adrs
+from oracles import brute_force_pareto_indices, coverage_distance, naive_adrs, reference_adrs
 
 
 def pt(area, latency, knobs=(0,)):
@@ -25,6 +26,13 @@ def pt(area, latency, knobs=(0,)):
 
 
 objective_values = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+# zero coordinates (signed too), subnormals, and values whose shortfall over
+# the 1e-9 zero-reference denominator overflows to inf, beside ordinary ones
+edge_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0, 3.0, 1e300, 1.7976931348623157e308]),
+    objective_values,
+)
 
 
 class TestObjectiveVector:
@@ -101,8 +109,8 @@ class TestParetoFilter:
         assert len(pareto_filter([])) == 0
 
     def test_unevaluated_point_is_an_error(self):
-        with pytest.raises(ValueError, match="evaluated"):
-            pareto_filter([DesignPoint((0,))])
+        with pytest.raises(TypeError, match="objectives"):
+            DesignPoint((0,))
 
     def test_front_constructor_rejects_dominated_order(self):
         with pytest.raises(ValueError, match="strictly"):
@@ -199,6 +207,28 @@ class TestAdrs:
                 [p.objectives.as_tuple() for p in approx],
             )
             assert adrs(reference, approx) == pytest.approx(expect, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ref_raw=st.lists(st.tuples(edge_values, edge_values), min_size=1, max_size=12),
+        app_raw=st.lists(st.tuples(edge_values, edge_values), min_size=1, max_size=12),
+        shared=st.integers(0, 12),
+    )
+    @example(ref_raw=[(0.0, 1.0)], app_raw=[(1e300, 1.0)], shared=0)  # inf
+    @example(ref_raw=[(2.0, 1.0)], app_raw=[(2.0, 1.0)], shared=1)  # 1-point fronts, one point
+    @example(ref_raw=[(0.0, 0.0), (0.0, 0.0)], app_raw=[(-0.0, -0.0)], shared=0)  # -0.0 shortfalls
+    @example(ref_raw=[(1.0, 4.0), (3.0, 2.0), (4.0, 1.0)], app_raw=[(2.0, 4.0), (4.0, 2.0)], shared=0)
+    def test_bit_equal_to_the_broadcasting_oracle(self, ref_raw, app_raw, shared):
+        """The (R, A) in-place computation gives the very bits of the (R, A, 2) one.
+
+        The approximate front shares the first `shared` reference points.
+        """
+        reference = pareto_filter(pt(a, l, (i,)) for i, (a, l) in enumerate(ref_raw))
+        approx = pareto_filter(
+            pt(a, l, (i,)) for i, (a, l) in enumerate(app_raw + ref_raw[:shared])
+        )
+        got, expected = adrs(reference, approx), reference_adrs(reference, approx)
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
 
     @given(
         st.lists(st.tuples(objective_values, objective_values), min_size=1, max_size=20),
