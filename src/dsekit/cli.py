@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -338,7 +339,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     counts: dict[str, list[int]] = {"overall": [0, 0]}
     for lineno, record in enumerate(report_rows, 1):
         benchmark_id, code = record["benchmark_id"], record["selected_code"]
-        if benchmark_id not in rows:
+        if type(benchmark_id) is not str or benchmark_id not in rows:
             raise ValueError(f"{args.report}:{lineno}: unknown benchmark {benchmark_id}")
         if benchmark_id in reported:
             raise ValueError(f"{args.report}:{lineno}: repeated report of {benchmark_id}")
@@ -354,6 +355,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             counts.setdefault(scope, [0, 0])
             counts[scope][0] += correct
             counts[scope][1] += 1
+    totals = [0.0] * N_EXPLORERS
+    for lineno, record in enumerate(runs_rows, 1):
+        seconds = record["wall_seconds"]
+        if type(seconds) not in (int, float) or not math.isfinite(seconds):
+            raise ValueError(
+                f"{args.runs}:{lineno}: wall_seconds must be a finite number, got {seconds!r}"
+            )
+        totals[record["explorer_code"]] += float(seconds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -372,9 +381,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     ]
     _write_csv(out / ACCURACY_FILE, ("scope", "correct", "total", "accuracy"), accuracy_rows)
 
-    totals = [0.0] * N_EXPLORERS
-    for record in runs_rows:
-        totals[int(record["explorer_code"])] += float(record["wall_seconds"])
     _write_csv(
         out / RUNTIME_FILE,
         ("explorer", "modelled_wall_seconds"),

@@ -384,26 +384,39 @@ def read_instances(
     return tuple(instances), feature_map, records
 
 
+def _benchmark_id(record: dict, path: Path, lineno: int) -> str:
+    benchmark_id = record["benchmark_id"]
+    if type(benchmark_id) is not str:
+        raise ValueError(f"{path}:{lineno}: benchmark_id must be a string, got {benchmark_id!r}")
+    return benchmark_id
+
+
 def check_runs_cover(
     runs: Iterable[dict], labels: Iterable[dict], runs_path: Path, labels_path: Path
 ) -> None:
     """Require one runs record of each of the ten explorers for every labelled benchmark,
     and each label's ten finite `adrs_row` values to have their first minimum at `label_code`.
 
-    A label that breaks this, a repeated (benchmark, explorer) in runs or a
-    repeated benchmark in labels is rejected with its path and line number.
+    A `benchmark_id` that is not a string, an `explorer_code` that is not an
+    integer in 0..9, a label that breaks the law above, a repeated (benchmark,
+    explorer) in runs or a repeated benchmark in labels is rejected with its
+    path and line number.
     """
     covered: set[tuple[str, int]] = set()
     for lineno, record in enumerate(runs, 1):
-        cell = (record["benchmark_id"], int(record["explorer_code"]))
-        if cell in covered:
+        benchmark_id, code = _benchmark_id(record, runs_path, lineno), record["explorer_code"]
+        if type(code) is not int or not 0 <= code < len(ExplorerId):
             raise ValueError(
-                f"{runs_path}:{lineno}: repeated run of explorer code {cell[1]} on {cell[0]}"
+                f"{runs_path}:{lineno}: explorer_code must be an integer in 0..9, got {code!r}"
             )
-        covered.add(cell)
+        if (benchmark_id, code) in covered:
+            raise ValueError(
+                f"{runs_path}:{lineno}: repeated run of explorer code {code} on {benchmark_id}"
+            )
+        covered.add((benchmark_id, code))
     labelled: set[str] = set()
     for lineno, record in enumerate(labels, 1):
-        benchmark_id = record["benchmark_id"]
+        benchmark_id = _benchmark_id(record, labels_path, lineno)
         if benchmark_id in labelled:
             raise ValueError(f"{labels_path}:{lineno}: repeated label of {benchmark_id}")
         labelled.add(benchmark_id)
@@ -417,7 +430,7 @@ def check_runs_cover(
                 f"{labels_path}:{lineno}: adrs_row of {benchmark_id} needs 10 finite numbers"
             )
         best = row.index(min(row))
-        if record["label_code"] != best:
+        if type(record["label_code"]) is not int or record["label_code"] != best:
             raise ValueError(
                 f"{labels_path}:{lineno}: label_code of {benchmark_id} is not {best}, "
                 "the lowest index of the adrs_row minimum"

@@ -10,14 +10,22 @@ search flows through the passed-in generator, which is what makes a run
 reproducible from its seed.
 
 The runners read the evaluator's shared front state rather than rebuilding
-it: AC, PG and ACO take the cached front objective arrays, and lattice and
-SBO the sorted list of the front's unseen neighbours.
+it: AC, PG and ACO take the cached front objective arrays, SBO the cached
+front tuple, and lattice and SBO the sorted list of the front's unseen
+neighbours.
+
+Every categorical draw is one `rng.random()` placed by binary search in the
+distribution's left-to-right running sums, which gives the index a linear scan
+for the first sum above the draw would. A distribution that serves several
+draws (ACO's ants, EDA's samples, PSO's leaders, a policy row between updates)
+has its sums built once.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -42,14 +50,13 @@ def _unseen_random(
     return knobs
 
 
-def _sample_categorical(rng: np.random.Generator, probs) -> int:
-    u = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
+def _sample_cumulative(rng: np.random.Generator, cum: list[float]) -> int:
+    """Draw from the distribution whose running sums are cum, list(accumulate(probs)).
+
+    The first index whose sum exceeds the uniform draw, or the last index
+    when rounding leaves every sum at or below it.
+    """
+    return min(bisect_right(cum, rng.random()), len(cum) - 1)
 
 
 def _log_objectives(point: DesignPoint) -> tuple[float, float]:
@@ -264,9 +271,9 @@ def run_aco(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     cards = schema.cardinalities
     pheromone = [np.ones(c) for c in cards]
     while True:
-        probs = [(tau / tau.sum()).tolist() for tau in pheromone]
+        cums = [list(accumulate((tau / tau.sum()).tolist())) for tau in pheromone]
         batch = [
-            ev.evaluate(tuple(_sample_categorical(rng, p) for p in probs)) for _ in range(20)
+            ev.evaluate(tuple(_sample_cumulative(rng, cum) for cum in cums)) for _ in range(20)
         ]
         front, _ = ev.front_arrays()
         objs = np.array([p.objectives.as_tuple() for p in batch])
@@ -300,9 +307,9 @@ def run_pso(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         finite = crowd[np.isfinite(crowd)]
         cap = (finite.max() if finite.size else 0.0) * 2.0 + 1.0
         weights = np.where(np.isfinite(crowd), crowd, cap) + 1e-9
-        weights = weights / weights.sum()
+        cum = list(accumulate((weights / weights.sum()).tolist()))
         for i in range(n):
-            leader = front[_sample_categorical(rng, weights)]
+            leader = front[_sample_cumulative(rng, cum)]
             target = np.array(leader.knobs, dtype=float)
             own = np.array(best[i].knobs, dtype=float)
             r1, r2 = rng.random(k), rng.random(k)
@@ -337,6 +344,11 @@ def _design_matrix(levels: np.ndarray, cards: tuple[int, ...]) -> np.ndarray:
     return x
 
 
+def _level_array(rows: list[tuple[int, ...]], k: int) -> np.ndarray:
+    """The (n, k) int64 array of n knob tuples of length k."""
+    return np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * k).reshape(len(rows), k)
+
+
 def _dominated(front_logs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Mask of the draws (..., 2) that some front point dominates.
 
@@ -368,16 +380,17 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     # points evaluated since the last refit instead of rebuilt
     x = _design_matrix(np.zeros((0, k), dtype=np.int64), cards)
     y = np.zeros((0, 2))
+    # the front's log objectives, rebuilt only when the front tuple changes
+    logs_of = front_logs = None
     while True:
         if coef is None or ev.evaluations_used - fitted_at >= 25:
             fresh = ev.evaluated[len(x) :]
-            x = np.concatenate((x, _design_matrix(np.array([p.knobs for p in fresh]), cards)))
+            x = np.concatenate((x, _design_matrix(_level_array([p.knobs for p in fresh], k), cards)))
             y = np.concatenate((y, [_log_objectives(p) for p in fresh]))
             coef, *_ = np.linalg.lstsq(x, y, rcond=None)
             resid = y - x @ coef
             sigma = np.maximum(resid.std(axis=0), 1e-3)
             fitted_at = ev.evaluations_used
-        front = ev.front_points()
         draws = set(map(tuple, rng.integers(0, cards, size=(256, k)).tolist()))
         # the unseen draws and the front's unseen neighbours, sorted
         cands = ev.unseen_neighbours() + [
@@ -387,9 +400,12 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         if not cands:
             ev.evaluate(_unseen_random(ev, rng, cards))
             continue
-        mu = _design_matrix(np.array(cands), cards) @ coef
+        mu = _design_matrix(_level_array(cands, k), cards) @ coef
         draws = mu[:, None, :] + rng.standard_normal((len(cands), 8, 2)) * sigma
-        front_logs = np.array([_log_objectives(p) for p in front])
+        front = ev.front_points()
+        if front is not logs_of:
+            logs_of = front
+            front_logs = np.array([_log_objectives(p) for p in front])
         # a draw is an improvement when no front point weakly dominates it
         scores = 1.0 - _dominated(front_logs, draws).mean(axis=1)
         # by falling score, ties in candidate order since cands is sorted
@@ -403,9 +419,8 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         else:
             eligible = order[:32]
         pts = mu[eligible]
-        gap = np.sqrt(
-            ((pts[:, None, :] - front_logs[None, :, :]) ** 2).sum(axis=2)
-        ).min(axis=1)
+        # sqrt is monotone and correctly rounded, so it commutes with min
+        gap = np.sqrt(((pts[:, None, :] - front_logs[None, :, :]) ** 2).sum(axis=2).min(axis=1))
         batch: list[int] = []
         while len(batch) < 5 and len(batch) < len(eligible):
             j = int(np.argmax(gap))
@@ -431,11 +446,9 @@ def run_eda(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     while True:
         for m, (w_lat, w_area) in enumerate(weights):
             samples = []
+            cums = [list(accumulate(dist.tolist())) for dist in marginals[m]]
             for _ in range(8):
-                knobs = tuple(
-                    _sample_categorical(rng, dist) for dist in marginals[m]
-                )
-                point = ev.evaluate(knobs)
+                point = ev.evaluate(tuple(_sample_cumulative(rng, cum) for cum in cums))
                 lat, area = _log_objectives(point)
                 ideal[0] = min(ideal[0], lat)
                 ideal[1] = min(ideal[1], area)
@@ -454,54 +467,86 @@ def run_eda(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 # -- table-policy explorers ---------------------------------------------------
 
 
-def _width_groups(cards: tuple[int, ...]) -> list[tuple[np.ndarray, int]]:
-    """(rows, width) for each distinct cardinality, rows the knobs that have it."""
-    return [(np.flatnonzero(np.array(cards) == card), card) for card in sorted(set(cards))]
+def _width_runs(cards: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The table layout with rows grouped by width: each knob's row, and
+    (start, stop, width) of each width's run of rows."""
+    rows = [0] * len(cards)
+    for row, axis in enumerate(sorted(range(len(cards)), key=cards.__getitem__)):
+        rows[axis] = row
+    runs: list[tuple[int, int, int]] = []
+    for width in sorted(set(cards)):
+        start = runs[-1][1] if runs else 0
+        runs.append((start, start + cards.count(width), width))
+    return rows, runs
 
 
-def _softmax_rows(tables: np.ndarray, widths: list[tuple[np.ndarray, int]]) -> np.ndarray:
+def _softmax_runs(tables: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
     """Softmax of each -inf-padded row, bit-equal to the softmax of the row
     cut to its width. numpy's summation order depends on a row's length, so
-    each row is summed at its own width, the rows of one width in one call."""
-    e = np.exp(tables - tables.max(axis=1, keepdims=True))
-    sums = np.empty((len(tables), 1))
-    for rows, width in widths:
-        sums[rows, 0] = e[rows, :width].sum(axis=1)
-    return e / sums
+    each row is summed at its own width: a width's rows are one basic slice."""
+    probs = np.exp(tables - tables.max(axis=1, keepdims=True))
+    for start, stop, width in runs:
+        block = probs[start:stop, :width]
+        block /= block.sum(axis=1, keepdims=True)
+    return probs
 
 
 def _run_policy(ev: BudgetedEvaluator, schema, rng: np.random.Generator, with_baseline: bool) -> None:
+    """A softmax table per knob, trained by REINFORCE on the negated coverage
+    shortfall of each proposal against the front; AC subtracts a running
+    baseline from the reward, PG does not.
+
+    Memo-saturated runs mostly re-propose known points, so a repeat is kept
+    cheap: the reward is cached per knob tuple until the front changes, and a
+    PG step whose reward is ±0 is skipped. Adding (±0)·grad could only flip
+    the sign of a zero entry, and exp(±0 - m) is one value, so every
+    probability, and with them the row sums the next draws use, stays
+    bit-equal. AC's baseline keeps its advantage nonzero, so AC always steps.
+    """
     cards = schema.cardinalities
-    k = len(cards)
-    # one softmax table row per knob, padded with -inf to the widest knob
-    tables = np.full((k, max(cards)), -np.inf)
-    for axis, card in enumerate(cards):
-        tables[axis, :card] = 0.0
-    widths = _width_groups(cards)
-    axes = np.arange(k)
-    baseline = np.zeros(k)
+    rows, runs = _width_runs(cards)
+    # one table row per knob, padded with -inf to the widest knob
+    tables = np.full((len(cards), max(cards)), -np.inf)
+    for row, card in zip(rows, cards):
+        tables[row, :card] = 0.0
+    # one baseline serves every knob: each knob's would take the same updates
+    baseline = 0.0
+    arrays = None
+    rewards: dict[tuple[int, ...], float] = {}
+    probs = None
     while True:
-        probs = _softmax_rows(tables, widths)
-        actions = []
-        for axis, card in enumerate(cards):
-            if rng.random() < 0.1:
-                actions.append(int(rng.integers(card)))
-            else:
-                actions.append(_sample_categorical(rng, probs[axis, :card].tolist()))
-        point = ev.evaluate(tuple(actions))
-        front, denom = ev.front_arrays()
-        # the least worst-coordinate relative shortfall against a front point;
-        # 0.0 first, so that -0.0 maps to 0.0 as Python's max(0.0, x) does
-        rel = (np.array(point.objectives.as_tuple()) - front) / denom
-        reward = -np.maximum(0.0, rel).max(axis=1).min()
+        if probs is None:
+            probs = _softmax_runs(tables, runs)
+            listed = probs.tolist()
+            cums = [list(accumulate(listed[row][:card])) for row, card in zip(rows, cards)]
+        actions = tuple(
+            int(rng.integers(card)) if rng.random() < 0.1 else _sample_cumulative(rng, cum)
+            for card, cum in zip(cards, cums)
+        )
+        point = ev.evaluate(actions)
+        if ev.front_arrays() is not arrays:
+            arrays = ev.front_arrays()
+            rewards.clear()
+        reward = rewards.get(actions)
+        if reward is None:
+            front, denom = arrays
+            # the least worst-coordinate relative shortfall against a front
+            # point; 0.0 first, so that -0.0 maps to 0.0 as Python's max(0.0, x) does
+            rel = (np.array(point.objectives.as_tuple()) - front) / denom
+            reward = rewards[actions] = -float(np.maximum(0.0, rel).max(axis=1).min())
         if with_baseline:
             advantage = reward - baseline
             baseline += 0.1 * (reward - baseline)
+        elif reward == 0.0:
+            continue
         else:
-            advantage = np.full(k, reward)
+            advantage = reward
         grad = -probs
-        grad[axes, actions] += 1.0
-        tables += (0.05 * advantage)[:, None] * grad
+        for row, action in zip(rows, actions):
+            grad[row, action] += 1.0
+        grad *= 0.05 * advantage
+        tables += grad
+        probs = None
 
 
 @register(ExplorerId.PG)

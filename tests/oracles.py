@@ -417,3 +417,79 @@ def reference_run_policy(ev, schema, rng: np.random.Generator, with_baseline: bo
             grad = -probs
             grad[actions[axis]] += 1.0
             table += 0.05 * advantage * grad
+
+
+def reference_run_eda(ev, schema, rng: np.random.Generator) -> None:
+    """The decomposition EDA scanning each marginal from its start for every sample."""
+    cards = schema.cardinalities
+    weights = [(i / 7.0, 1.0 - i / 7.0) for i in range(8)]
+    marginals = [[np.full(c, 1.0 / c) for c in cards] for _ in range(8)]
+    ideal = [math.inf, math.inf]
+    while True:
+        for m, (w_lat, w_area) in enumerate(weights):
+            samples = []
+            for _ in range(8):
+                knobs = tuple(_loop_sample_categorical(rng, dist) for dist in marginals[m])
+                point = ev.evaluate(knobs)
+                lat, area = _log_objectives(point)
+                ideal[0] = min(ideal[0], lat)
+                ideal[1] = min(ideal[1], area)
+                samples.append(point)
+
+            def tcheby(point) -> float:
+                lat, area = _log_objectives(point)
+                return max(w_lat * (lat - ideal[0]), w_area * (area - ideal[1]))
+
+            best = min(samples, key=lambda p: (tcheby(p), p.knobs))
+            for axis, dist in enumerate(marginals[m]):
+                dist *= 0.8
+                dist[best.knobs[axis]] += 0.2
+
+
+def _front_crowding(objs: list[tuple[float, float]]) -> np.ndarray:
+    """Crowding distance of one front's (area, latency) pairs, ends infinite."""
+    n = len(objs)
+    dist = np.zeros(n)
+    if n <= 2:
+        dist[:] = math.inf
+        return dist
+    for dim in (0, 1):
+        order = sorted(range(n), key=lambda i: objs[i][dim])
+        dist[order[0]] = dist[order[-1]] = math.inf
+        span = objs[order[-1]][dim] - objs[order[0]][dim]
+        if span <= 0:
+            continue
+        for a, b, c in zip(order, order[1:], order[2:]):
+            dist[b] += (objs[c][dim] - objs[a][dim]) / span
+    return dist
+
+
+def reference_run_pso(ev, schema, rng: np.random.Generator) -> None:
+    """The discrete swarm scanning the leader weights from their start for every draw."""
+    cards = schema.cardinalities
+    k = len(cards)
+    n = 30
+    hi = np.array(cards, dtype=float) - 1.0
+    pos = rng.uniform(0.0, 1.0, size=(n, k)) * hi
+    vel = np.zeros((n, k))
+    best = [ev.evaluate(tuple(int(round(v)) for v in row)) for row in pos]
+    while True:
+        front = ev.front_points()
+        crowd = _front_crowding([(p.objectives.area, p.objectives.latency) for p in front])
+        finite = crowd[np.isfinite(crowd)]
+        cap = (finite.max() if finite.size else 0.0) * 2.0 + 1.0
+        weights = np.where(np.isfinite(crowd), crowd, cap) + 1e-9
+        weights = weights / weights.sum()
+        for i in range(n):
+            leader = front[_loop_sample_categorical(rng, weights)]
+            target = np.array(leader.knobs, dtype=float)
+            own = np.array(best[i].knobs, dtype=float)
+            r1, r2 = rng.random(k), rng.random(k)
+            vel[i] = 0.7 * vel[i] + 1.5 * r1 * (own - pos[i]) + 1.5 * r2 * (target - pos[i])
+            np.clip(vel[i], -hi, hi, out=vel[i])
+            pos[i] = np.clip(pos[i] + vel[i], 0.0, hi)
+            point = ev.evaluate(tuple(int(round(v)) for v in pos[i]))
+            if _dominates(point.objectives, best[i].objectives):
+                best[i] = point
+            elif not _dominates(best[i].objectives, point.objectives) and rng.random() < 0.5:
+                best[i] = point

@@ -288,6 +288,40 @@ class TestRuntimeErrors:
         assert f"{inputs[flag]}:2: repeated" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("explorer_code", -1),
+            ("explorer_code", 99),
+            ("explorer_code", True),
+            ("explorer_code", "x"),
+            ("wall_seconds", "x"),
+            ("wall_seconds", float("nan")),
+            ("benchmark_id", [1]),
+        ],
+        ids=["code-1", "code99", "code_bool", "code_str", "seconds_str", "seconds_nan", "id_list"],
+    )
+    def test_report_names_the_line_of_a_mistyped_runs_value(self, pipeline, tmp_path, capsys, key, value):
+        lines = (pipeline["d"] / "runs.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record[key] = value
+        lines[2] = json.dumps(record) + "\n"
+        runs = tmp_path / "runs.jsonl"
+        runs.write_text("".join(lines))
+        code = main(
+            [
+                "report",
+                "--runs", str(runs),
+                "--labels", str(pipeline["d"] / "labels.jsonl"),
+                "--report", str(pipeline["i"] / REPORT_FILE),
+                "--out", str(tmp_path / "r"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{runs}:3: {key} must be" in err
+        assert not (tmp_path / "r").exists()
+
     def test_report_names_the_line_of_a_truncated_runs_file(self, pipeline, tmp_path, capsys):
         text = (pipeline["d"] / "runs.jsonl").read_bytes()
         text = text[: len(text) // 2]

@@ -144,8 +144,9 @@ class TestSamples:
     def test_label_law_enforced(self):
         row = [0.5, 0.1, 0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
         self.check_label(1, row)  # lowest-code minimizer is fine
-        with pytest.raises(ValueError, match="^labels.jsonl:1: label_code of b is not 1, the lowest index"):
-            self.check_label(2, row)
+        for mistyped in (2, True, 1.0):
+            with pytest.raises(ValueError, match="^labels.jsonl:1: label_code of b is not 1, the lowest index"):
+                self.check_label(mistyped, row)
 
     @pytest.mark.parametrize(
         "row",
@@ -155,6 +156,30 @@ class TestSamples:
     def test_adrs_row_needs_ten_finite_values(self, row):
         with pytest.raises(ValueError, match="^labels.jsonl:1: adrs_row of b needs 10 finite numbers"):
             self.check_label(0, row)
+
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("explorer_code", -1, "explorer_code must be an integer in 0..9, got -1"),
+            ("explorer_code", 10, "explorer_code must be an integer in 0..9, got 10"),
+            ("explorer_code", False, "explorer_code must be an integer in 0..9, got False"),
+            ("explorer_code", 3.0, "explorer_code must be an integer in 0..9, got 3.0"),
+            ("benchmark_id", ["b"], re.escape("benchmark_id must be a string, got ['b']")),
+        ],
+    )
+    def test_runs_name_an_explorer_of_a_named_benchmark(self, key, value, message):
+        runs = [{"benchmark_id": "b", "explorer_code": code} for code in range(10)]
+        runs[3][key] = value
+        labels = [{"benchmark_id": "b", "label_code": 0, "adrs_row": [0.5] * 10}]
+        with pytest.raises(ValueError, match=f"^runs.jsonl:4: {message}"):
+            check_runs_cover(runs, labels, "runs.jsonl", "labels.jsonl")
+
+    def test_labels_name_a_benchmark_by_string(self):
+        runs = [{"benchmark_id": "b", "explorer_code": code} for code in range(10)]
+        labels = [{"benchmark_id": 7, "label_code": 0, "adrs_row": [0.5] * 10}]
+        with pytest.raises(ValueError, match="^labels.jsonl:1: benchmark_id must be a string, got 7"):
+            check_runs_cover(runs, labels, "runs.jsonl", "labels.jsonl")
 
 
 class TestPersistAndLoad:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from dsekit.explorers import algorithms, base
 from dsekit.explorers.algorithms import (
     _dominated,
     _nondominated_ranks,
-    _softmax_rows,
-    _width_groups,
+    _sample_cumulative,
+    _softmax_runs,
+    _width_runs,
     run_sbo,
 )
 from dsekit.explorers.base import (
@@ -37,12 +39,15 @@ from dsekit.pareto import ZERO_REFERENCE_EPS, DesignPoint, ObjectiveVector, Pare
 from dsekit.surrogate import SurrogateModel, exhaustive_front
 
 from oracles import (
+    _loop_sample_categorical,
     dominance_matrix,
     reference_admit_to_front,
     reference_nondominated_ranks,
     reference_run_aco,
+    reference_run_eda,
     reference_run_lattice,
     reference_run_policy,
+    reference_run_pso,
     reference_run_sbo,
     softmax,
 )
@@ -564,29 +569,121 @@ class TestArchiveFront:
         assert _nondominated_ranks(objs) == reference_nondominated_ranks(objs)
 
 
+def grouped_tables(rows):
+    """The rows as one -inf-padded table in the width-grouped layout: each row's
+    index in the table, the runs of one width, and the table."""
+    cards = tuple(len(row) for row in rows)
+    at, runs = _width_runs(cards)
+    tables = np.full((len(rows), max(cards)), -np.inf)
+    for r, row in zip(at, rows):
+        tables[r, : len(row)] = row
+    return at, runs, tables
+
+
+# table entries on a coarse grid, so that ±0, ties and exact sums are common
+ENTRY = st.one_of(
+    st.just(0.0), st.just(-0.0), st.integers(-8, 8).map(lambda v: v / 4), st.floats(-50.0, 50.0)
+)
+TABLE_ROWS = st.lists(
+    st.integers(2, 16).flatmap(lambda width: st.lists(ENTRY, min_size=width, max_size=width)),
+    min_size=1,
+    max_size=10,
+)
+
+
+class FixedDraw:
+    """Generator stand-in whose every uniform draw is u."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
 class TestPolicyTables:
     @settings(max_examples=300, deadline=None)
+    @given(cards=st.lists(st.integers(2, 16), min_size=1, max_size=12))
+    @example(cards=[3, 2, 3, 5, 2])
+    def test_layout_puts_each_width_in_one_run_of_rows(self, cards):
+        at, runs = _width_runs(tuple(cards))
+        assert sorted(at) == list(range(len(cards)))
+        assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+        assert runs[-1][1] == len(cards)
+        assert [width for _, _, width in runs] == sorted(set(cards))
+        for start, stop, width in runs:
+            assert sorted(a for a, r in enumerate(at) if start <= r < stop) == [
+                a for a, card in enumerate(cards) if card == width
+            ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=TABLE_ROWS)
+    @example(rows=[[0.0] * 5, [0.0] * 16, [1e-3 * i for i in range(9)], [0.0] * 5])
+    def test_grouped_softmax_is_bit_equal_to_each_row_at_its_width(self, rows):
+        at, runs, tables = grouped_tables(rows)
+        probs = _softmax_runs(tables, runs)
+        for r, row in zip(at, rows):
+            assert probs[r, : len(row)].tobytes() == softmax(np.array(row)).tobytes()
+            assert not probs[r, len(row) :].any()
+
+    @settings(max_examples=300, deadline=None)
     @given(
-        rows=st.lists(
-            st.integers(2, 16).flatmap(
-                lambda width: st.lists(
-                    st.floats(-50.0, 50.0, allow_nan=False), min_size=width, max_size=width
-                )
-            ),
+        rows=TABLE_ROWS,
+        steps=st.lists(
+            st.tuples(st.sampled_from([0.0, -0.0, 0.5, -1.0, -0.25]), st.integers(0, 15)),
             min_size=1,
-            max_size=10,
-        )
+            max_size=8,
+        ),
     )
-    @example(rows=[[0.0] * 5, [0.0] * 16, [1e-3 * i for i in range(9)]])
-    def test_padded_softmax_is_bit_equal_to_each_row_at_its_width(self, rows):
-        cards = tuple(len(row) for row in rows)
-        tables = np.full((len(rows), max(cards)), -np.inf)
-        for axis, row in enumerate(rows):
-            tables[axis, : len(row)] = row
-        probs = _softmax_rows(tables, _width_groups(cards))
-        for axis, row in enumerate(rows):
-            assert np.array_equal(probs[axis, : len(row)], softmax(np.array(row)))
-            assert not probs[axis, len(row) :].any()
+    @example(rows=[[0.0, -0.0, 0.0], [-0.0, 1.0]], steps=[(-0.0, 0), (0.0, 1), (-1.0, 2), (-0.0, 0)])
+    def test_skipping_a_signed_zero_update_keeps_the_softmax_bit_equal(self, rows, steps):
+        at, runs, stepped = grouped_tables(rows)
+        skipped = stepped.copy()
+        probs = _softmax_runs(skipped, runs)
+        for advantage, action in steps:
+            grad = -probs
+            for r, row in zip(at, rows):
+                grad[r, action % len(row)] += 1.0
+            grad *= 0.05 * advantage
+            stepped += grad
+            if advantage != 0.0:
+                skipped += grad
+                probs = _softmax_runs(skipped, runs)
+            assert _softmax_runs(stepped, runs).tobytes() == probs.tobytes()
+
+
+class TestSampler:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        probs=st.lists(
+            st.one_of(st.just(0.0), st.sampled_from([0.1, 0.25, 0.5]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=12,
+        ),
+        pick=st.integers(0, 11),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @example(probs=[0.1, 0.2, 0.3, 0.4], pick=0, u=0.0)
+    @example(probs=[0.0, 0.0, 0.5, 0.0, 0.25], pick=2, u=0.5)
+    @example(probs=[0.1] * 10, pick=0, u=0.9999999999999999)
+    def test_running_sums_pick_what_the_loop_picks(self, probs, pick, u):
+        cum = list(accumulate(probs))
+        # a draw equal to a running sum, and a free one that may reach past
+        # every sum: ten 0.1s sum to 0.9999999999999999, not 1
+        for draw in (cum[pick % len(cum)], u):
+            assert _sample_cumulative(FixedDraw(draw), cum) == _loop_sample_categorical(
+                FixedDraw(draw), probs
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), seed=st.integers(0, 2**32))
+    def test_takes_one_uniform_draw(self, probs, seed):
+        rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        cum = list(accumulate(probs))
+        assert [_sample_cumulative(rng, cum) for _ in range(20)] == [
+            _loop_sample_categorical(loop, probs) for _ in range(20)
+        ]
+        assert rng.bit_generator.state == loop.bit_generator.state
 
 
 def _with_pairwise_ranks(runner):
@@ -609,6 +706,8 @@ REPLACED = {
     "ac": (algorithms.run_ac, lambda ev, schema, rng: reference_run_policy(ev, schema, rng, True)),
     "pg": (algorithms.run_pg, lambda ev, schema, rng: reference_run_policy(ev, schema, rng, False)),
     "aco": (algorithms.run_aco, reference_run_aco),
+    "eda": (algorithms.run_eda, reference_run_eda),
+    "pso": (algorithms.run_pso, reference_run_pso),
     "nsga2": (algorithms.run_nsga2, _with_pairwise_ranks(algorithms.run_nsga2)),
     "qlmoea": (algorithms.run_qlmoea, _with_pairwise_ranks(algorithms.run_qlmoea)),
 }
@@ -618,7 +717,8 @@ class TestSharedFrontRunners:
     """Runners on the shared front state against the routines they replaced.
 
     Plateau small at budget 500 saturates the memo: AC and PG stall there,
-    and ACO and QLMOEA make tens of thousands of repeat proposals.
+    and ACO and QLMOEA make tens of thousands of repeat proposals. Deceptive
+    small is the small suite's other searched benchmark.
     """
 
     @pytest.mark.parametrize("budget", [60, 500])
@@ -629,6 +729,7 @@ class TestSharedFrontRunners:
             (Family.DECEPTIVE, "medium"),
             (Family.CLUSTERED, "medium"),
             (Family.PLATEAU, "small"),
+            (Family.DECEPTIVE, "small"),
         ],
         ids=lambda v: getattr(v, "name", v),
     )
