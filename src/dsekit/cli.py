@@ -327,10 +327,21 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same_numbers(values, want: list) -> bool:
+    """Whether a parsed JSON value is a list of numbers (not bools) equal to want."""
+    return (
+        isinstance(values, list)
+        and all(type(v) in (int, float) for v in values)
+        and values == want
+    )
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     labels_rows = read_jsonl(Path(args.labels), keys=LABEL_KEYS)
     runs_rows = read_jsonl(Path(args.runs), keys=RUN_KEYS + ("wall_seconds",))
-    report_rows = read_jsonl(Path(args.report), keys=("benchmark_id", "selected_code"))
+    report_rows = read_jsonl(
+        Path(args.report), keys=("benchmark_id", "selected_code", "adrs_row", "selected_adrs")
+    )
     if not labels_rows or not report_rows:
         raise ValueError("labels and report files must be non-empty")
     check_runs_cover(runs_rows, labels_rows, Path(args.runs), Path(args.labels))
@@ -348,8 +359,17 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{args.report}:{lineno}: selected_code must be an integer in 0..9, got {code!r}"
             )
         reported.add(benchmark_id)
-        # a pick is correct when it scored the row's minimum; `regret` is not read
         row = rows[benchmark_id]
+        if not _same_numbers(record["adrs_row"], row):
+            raise ValueError(
+                f"{args.report}:{lineno}: adrs_row of {benchmark_id} is not its labels.jsonl row"
+            )
+        if not _same_numbers([record["selected_adrs"]], [row[code]]):
+            raise ValueError(
+                f"{args.report}:{lineno}: selected_adrs of {benchmark_id} is not "
+                f"adrs_row[{code}], {row[code]!r}"
+            )
+        # a pick is correct when it scored the row's minimum; `regret` is not read
         correct = int(row[code] == min(row))
         for scope in ("overall", benchmark_id.split("-")[0]):
             counts.setdefault(scope, [0, 0])

@@ -446,7 +446,8 @@ def check_runs_cover(
 def _check_fronts_in_space(
     runs: Iterable[dict], instances: Sequence[BenchmarkInstance], runs_path: Path
 ) -> None:
-    """Require every stored front point to lie in its benchmark's design space."""
+    """Require every stored front point to lie in its benchmark's design space,
+    with finite, non-negative numbers (not bools) as its area and latency."""
     schemas = {inst.id: inst.schema for inst in instances}
     for lineno, record in enumerate(runs, 1):
         schema = schemas.get(record["benchmark_id"])
@@ -455,6 +456,10 @@ def _check_fronts_in_space(
         for i, entry in enumerate(record["front"]):
             try:
                 schema.validate_point(entry["knobs"])
+                for key in ("area", "latency"):
+                    value = entry.get(key)
+                    if type(value) not in (int, float) or not 0.0 <= value < math.inf:
+                        raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
             except ValueError as err:
                 raise ValueError(
                     f"{runs_path}:{lineno}: front point {i} of {record['benchmark_id']}: {err}"

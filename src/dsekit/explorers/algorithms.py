@@ -85,9 +85,13 @@ def _nondominated_ranks(objs: list[tuple[float, float]]) -> list[int]:
     return ranks
 
 
-def _crowding(objs: list[tuple[float, float]], ranks: list[int]) -> np.ndarray:
-    n = len(objs)
-    dist = np.zeros(n)
+def _crowding(objs: list[tuple[float, float]], ranks: list[int]) -> list[float]:
+    """Each point's crowding distance within its rank, as Python floats.
+
+    The ends of a rank, and every member of a rank of one or two points, are
+    infinitely far from their neighbours.
+    """
+    dist = [0.0] * len(objs)
     by_rank: dict[int, list[int]] = {}
     for i, r in enumerate(ranks):
         by_rank.setdefault(r, []).append(i)
@@ -108,7 +112,7 @@ def _crowding(objs: list[tuple[float, float]], ranks: list[int]) -> np.ndarray:
     return dist
 
 
-def _tournament(rng: np.random.Generator, ranks: list[int], crowd: np.ndarray) -> int:
+def _tournament(rng: np.random.Generator, ranks: list[int], crowd: list[float]) -> int:
     i, j = int(rng.integers(len(ranks))), int(rng.integers(len(ranks)))
     if (ranks[i], -crowd[i]) <= (ranks[j], -crowd[j]):
         return i
@@ -303,7 +307,7 @@ def run_pso(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     while True:
         front = ev.front_points()
         objs = [(p.objectives.area, p.objectives.latency) for p in front]
-        crowd = _crowding(objs, [0] * len(front))
+        crowd = np.array(_crowding(objs, [0] * len(front)))
         finite = crowd[np.isfinite(crowd)]
         cap = (finite.max() if finite.size else 0.0) * 2.0 + 1.0
         weights = np.where(np.isfinite(crowd), crowd, cap) + 1e-9

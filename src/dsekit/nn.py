@@ -9,8 +9,14 @@ which round-trips float64 exactly and diffs cleanly.
 
 A network's parameters live in one contiguous float64 vector laid out as
 w1 (hidden, inputs), b1 (hidden), w2 (outputs, hidden), b2 (outputs), each
-row-major. The four named arrays are views into that vector, gradients are
-vectors of the same layout, and a descent step is one vector subtraction.
+row-major. The four named arrays are views into that vector. A gradient has
+the same layout: `backward` writes its four blocks straight into the views of
+a preallocated buffer (an `Mlp` over the gradient vector), and a descent step
+scales that buffer and subtracts it from the parameters in place. Training
+loops copy a network's parameters once and then update the copy, so no step
+allocates a parameter vector or builds a network. Heads that read the same
+logits can share one `softmax_parts` call: one shift, exp and row sum give
+both the log-probabilities and the probabilities.
 """
 
 from __future__ import annotations
@@ -72,68 +78,100 @@ class Mlp:
 
 def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (logits, hidden activations) for a batch x of shape (n, inputs)."""
-    x = np.atleast_2d(x)
-    hidden = np.maximum(x @ net.w1.T + net.b1, 0.0)
-    return hidden @ net.w2.T + net.b2, hidden
+    hidden = x @ net.w1.T
+    hidden += net.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ net.w2.T
+    logits += net.b2
+    return logits, hidden
 
 
-def backward(net: Mlp, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-    """Exact parameter gradient, in net.params' layout, given the logit gradient."""
-    x = np.atleast_2d(x)
-    dw2 = dlogits.T @ hidden
-    db2 = dlogits.sum(axis=0)
-    dhidden = (dlogits @ net.w2) * (hidden > 0.0)
-    dw1 = dhidden.T @ x
-    db1 = dhidden.sum(axis=0)
-    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+def backward(
+    net: Mlp, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray, out: Mlp | None = None
+) -> np.ndarray:
+    """Exact parameter gradient, in net.params' layout, given the logit gradient.
+
+    The four blocks are written into `out`'s views (a fresh buffer when out is
+    None), and `out.params` is returned.
+    """
+    if out is None:
+        out = Mlp(net.dims, np.empty_like(net.params))
+    np.matmul(dlogits.T, hidden, out=out.w2)
+    np.add.reduce(dlogits, axis=0, out=out.b2)
+    dhidden = dlogits @ net.w2
+    dhidden *= hidden > 0.0
+    np.matmul(dhidden.T, x, out=out.w1)
+    np.add.reduce(dhidden, axis=0, out=out.b1)
+    return out.params
+
+
+def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log_softmax, softmax) of the rows, sharing one shift, exp and row sum."""
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    z -= np.log(s)
+    e /= s
+    return z, e
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax_parts(logits)[1]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return softmax_parts(logits)[0]
+
+
+# The heads below take a batch of shape (n, k). Each mean is the sum divided
+# by the count, which is how numpy's `mean` computes it. A head that takes
+# `parts` reads the caller's `softmax_parts(logits)` instead of recomputing it.
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood and its exact gradient on the logits."""
-    logits = np.atleast_2d(logits)
     n = logits.shape[0]
-    logp = log_softmax(logits)
-    loss = -logp[np.arange(n), labels].mean()
-    dlogits = softmax(logits)
-    dlogits[np.arange(n), labels] -= 1.0
-    return float(loss), dlogits / n
+    rows = np.arange(n)
+    logp, dlogits = softmax_parts(logits)
+    loss = -(np.add.reduce(logp[rows, labels]) / n)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= n
+    return float(loss), dlogits
 
 
-def mean_entropy(logits: np.ndarray) -> tuple[float, np.ndarray]:
+def mean_entropy(
+    logits: np.ndarray, *, parts: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[float, np.ndarray]:
     """Mean per-row entropy of the softmax and its exact logit gradient."""
-    logits = np.atleast_2d(logits)
     n = logits.shape[0]
-    logp = log_softmax(logits)
+    logp = (softmax_parts(logits) if parts is None else parts)[0]
     p = np.exp(logp)
-    row_entropy = -(p * logp).sum(axis=1)
-    dlogits = -p * (logp + row_entropy[:, None])
-    return float(row_entropy.mean()), dlogits / n
+    row_entropy = -np.add.reduce(p * logp, axis=1)
+    dlogits = logp + row_entropy[:, None]
+    dlogits *= -p
+    dlogits /= n
+    return float(np.add.reduce(row_entropy) / n), dlogits
 
 
 def mean_squared_error(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error over all entries and its exact gradient on pred."""
-    pred = np.atleast_2d(pred)
-    diff = pred - np.asarray(target).reshape(pred.shape)
-    return float((diff**2).mean()), 2.0 * diff / diff.size
+    diff = pred - target.reshape(pred.shape)
+    loss = float(np.add.reduce(diff * diff, axis=None) / diff.size)
+    diff *= 2.0
+    diff /= diff.size
+    return loss, diff
 
 
-def sgd_step(net: Mlp, grad: np.ndarray, lr: float) -> Mlp:
-    """One descent step, returning a new network; refuses non-finite updates."""
-    params = net.params - lr * grad
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """One descent step on a flat parameter vector in place; refuses non-finite updates.
+
+    `grad *= lr; params -= grad` gives the bits of `params - lr * grad`. The
+    gradient is scaled in place, and a refused update leaves params changed.
+    """
+    grad *= lr
+    params -= grad
     if not np.isfinite(params).all():
         raise FloatingPointError("training diverged: non-finite parameter update")
-    return Mlp(net.dims, params)
 
 
 def grad_check(
@@ -251,5 +289,6 @@ __all__ = [
     "save_mlp",
     "sgd_step",
     "softmax",
+    "softmax_parts",
     "write_matrix",
 ]

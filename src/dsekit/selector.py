@@ -15,6 +15,7 @@ log-probabilities, advantages and critic targets.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,6 +39,7 @@ from .nn import (
     save_mlp,
     sgd_step,
     softmax,
+    softmax_parts,
     write_matrix,
 )
 
@@ -125,7 +127,7 @@ def pretrain_supervised(
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise ValueError("cannot pretrain on an empty dataset")
-    if np.unique(labels).size < 2:
+    if len(set(labels.tolist())) < 2:
         warnings.warn("single-class training set: head degenerates to a constant predictor")
     scaler = FeatureScaler.fit(features)
     x = scaler.apply(features)
@@ -136,14 +138,15 @@ def pretrain_supervised(
     # fast enough to converge within the fixed epoch budget.
     net = Mlp.init(features.shape[1], HIDDEN, N_EXPLORERS, seed=mix64(_SUPERVISED_TAG, seed))
     net = Mlp.from_arrays(net.w1 * _HEAD_FEATURE_GAIN, net.b1, np.zeros_like(net.w2), net.b2)
+    grad = Mlp(net.dims, np.empty_like(net.params))
     curve: list[float] = []
     for _ in range(epochs):
         logits, hidden = forward(net, x)
         loss, dlogits = cross_entropy(logits, labels)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise FloatingPointError("supervised pretraining diverged: non-finite loss")
         curve.append(loss)
-        net = sgd_step(net, backward(net, x, hidden, dlogits), lr)
+        sgd_step(net.params, backward(net, x, hidden, dlogits, out=grad), lr)
     return SupervisedHead(scaler=scaler, net=net), curve
 
 
@@ -210,37 +213,49 @@ def ppo_policy_loss(
     advantages: np.ndarray,
     *,
     clip: float = CLIP_RATIO,
+    parts: tuple[np.ndarray, np.ndarray] | None = None,
+    onehot: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Clipped-ratio surrogate loss and its exact gradient on the logits."""
-    logits = np.atleast_2d(logits)
+    """Clipped-ratio surrogate loss and its exact gradient on the logits.
+
+    A caller that already has `softmax_parts(logits)` or the actions' one-hot
+    rows passes them as `parts` and `onehot`; neither is modified.
+    """
     n = logits.shape[0]
-    rows = np.arange(n)
-    logp = log_softmax(logits)
-    ratio = np.exp(logp[rows, actions] - old_logp)
-    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip)
+    logp, p = softmax_parts(logits) if parts is None else parts
+    if onehot is None:
+        onehot = np.zeros_like(p)
+        onehot[np.arange(n), actions] = 1.0
+    ratio = np.exp(logp[np.arange(n), actions] - old_logp)
+    clipped = np.minimum(np.maximum(ratio, 1.0 - clip), 1.0 + clip)
     surr_plain = ratio * advantages
     surr_clip = clipped * advantages
-    loss = -np.minimum(surr_plain, surr_clip).mean()
+    loss = -(np.add.reduce(np.minimum(surr_plain, surr_clip)) / n)
     # gradient flows through the ratio only where the plain branch is active
     # or the clip is not binding; elsewhere the objective is locally flat
-    inside = (ratio >= 1.0 - clip) & (ratio <= 1.0 + clip)
+    inside = clipped == ratio  # 1 - clip <= ratio <= 1 + clip; false for NaN
     active = (surr_plain <= surr_clip) | inside
-    dratio = np.where(active, advantages, 0.0)
-    p = softmax(logits)
-    onehot = np.zeros_like(p)
-    onehot[rows, actions] = 1.0
-    dlogits = -(dratio * ratio)[:, None] * (onehot - p) / n
+    scale = np.where(active, advantages, 0.0)
+    scale *= ratio
+    dlogits = onehot - p
+    dlogits *= -scale[:, None]
+    dlogits /= n
     return float(loss), dlogits
 
 
 def normalized(advantages: np.ndarray) -> np.ndarray:
     """Batch-standardized advantages; short or degenerate batches pass through."""
-    if advantages.size < 2:
+    n = advantages.size
+    if n < 2:
         return advantages
-    std = advantages.std()
+    # numpy's mean and std, spelled out: the sum over the count, and the root
+    # of the mean squared deviation from that
+    centred = advantages - np.add.reduce(advantages) / n
+    std = math.sqrt(np.add.reduce(centred * centred) / n)
     if std < 1e-8:
         return advantages
-    return (advantages - advantages.mean()) / std
+    centred /= std
+    return centred
 
 
 # -- stage two: ppo refinement ----------------------------------------------------
@@ -285,6 +300,76 @@ class PpoAgent:
         return np.concatenate([z, probs], axis=1)
 
 
+class _Learner:
+    """Copies of an agent's actor and critic that PPO passes update in place.
+
+    Both networks' parameters are copied once, back to back into one vector,
+    when the learner is made, and both gradients share one buffer of the same
+    layout. Every pass writes the two gradients into that buffer and takes one
+    descent step on the joint vector, which is the two networks' steps
+    elementwise; the agent the caller holds never changes.
+    """
+
+    def __init__(self, agent: PpoAgent) -> None:
+        self.agent = agent
+        actor, critic = agent.actor, agent.critic
+        self.params = np.concatenate([actor.params, critic.params])
+        self.grad = np.empty_like(self.params)
+        cut = actor.params.size
+        self.actor = Mlp(actor.dims, self.params[:cut])
+        self.critic = Mlp(critic.dims, self.params[cut:])
+        self.actor_grad = Mlp(actor.dims, self.grad[:cut])
+        self.critic_grad = Mlp(critic.dims, self.grad[cut:])
+
+    def trained(self) -> PpoAgent:
+        return replace(self.agent, actor=self.actor, critic=self.critic)
+
+    def update(
+        self,
+        states: np.ndarray,
+        actions: np.ndarray,
+        old_logp: np.ndarray,
+        advantages: np.ndarray,
+        returns: np.ndarray,
+        *,
+        passes: int,
+        lr: float,
+        clip: float,
+        value_coef: float,
+        entropy_coef: float,
+    ) -> list[float]:
+        """`passes` gradient steps on one buffer; returns the combined losses."""
+        n = len(actions)
+        if n == 0:
+            raise ValueError("ppo_update needs a non-empty buffer")
+        actor, critic = self.actor, self.critic
+        z = states[:, :FEATURE_DIM]
+        target = returns[:, None]
+        onehot = np.zeros((n, actor.dims[2]))
+        onehot[np.arange(n), actions] = 1.0
+        losses: list[float] = []
+        for _ in range(passes):
+            logits, hidden = forward(actor, states)
+            parts = softmax_parts(logits)
+            policy_loss, dlogits = ppo_policy_loss(
+                logits, actions, old_logp, advantages, clip=clip, parts=parts, onehot=onehot
+            )
+            entropy, d_entropy = mean_entropy(logits, parts=parts)
+            d_entropy *= entropy_coef
+            dlogits -= d_entropy
+            pred, hidden_c = forward(critic, z)
+            value_loss, d_value = mean_squared_error(pred, target)
+            total = policy_loss + value_coef * value_loss - entropy_coef * entropy
+            if not math.isfinite(total):
+                raise FloatingPointError("ppo update diverged: non-finite loss")
+            losses.append(total)
+            backward(actor, states, hidden, dlogits, out=self.actor_grad)
+            d_value *= value_coef
+            backward(critic, z, hidden_c, d_value, out=self.critic_grad)
+            sgd_step(self.params, self.grad, lr)
+        return losses
+
+
 def ppo_update(
     agent: PpoAgent,
     states: np.ndarray,
@@ -304,27 +389,15 @@ def ppo_update(
     The buffer is row-aligned arrays: states (n, STATE_DIM), the actions taken,
     their log-probabilities under the policy that took them, advantages and
     returns. Advantages arrive already normalized (the caller owns that
-    policy); the returns are the raw critic targets.
+    policy); the returns are the raw critic targets. The given agent is left
+    as it was.
     """
-    if len(actions) == 0:
-        raise ValueError("ppo_update needs a non-empty buffer")
-    z = states[:, :FEATURE_DIM]
-    actor, critic = agent.actor, agent.critic
-    losses: list[float] = []
-    for _ in range(passes):
-        logits, hidden = forward(actor, states)
-        policy_loss, d_policy = ppo_policy_loss(logits, actions, old_logp, advantages, clip=clip)
-        entropy, d_entropy = mean_entropy(logits)
-        dlogits = d_policy - entropy_coef * d_entropy
-        pred, hidden_c = forward(critic, z)
-        value_loss, d_value = mean_squared_error(pred, returns[:, None])
-        total = policy_loss + value_coef * value_loss - entropy_coef * entropy
-        if not np.isfinite(total):
-            raise FloatingPointError("ppo update diverged: non-finite loss")
-        losses.append(float(total))
-        actor = sgd_step(actor, backward(actor, states, hidden, dlogits), lr)
-        critic = sgd_step(critic, backward(critic, z, hidden_c, value_coef * d_value), lr)
-    return replace(agent, actor=actor, critic=critic), losses
+    learner = _Learner(agent)
+    losses = learner.update(
+        states, actions, old_logp, advantages, returns, passes=passes, lr=lr, clip=clip,
+        value_coef=value_coef, entropy_coef=entropy_coef,
+    )
+    return learner.trained(), losses
 
 
 def train_rl(
@@ -346,6 +419,8 @@ def train_rl(
     per-explorer results, and applies one clipped-surrogate update over the
     buffer. The buffer is built as arrays in permutation order, and the
     advantages of all n one-step episodes come from one batch `gae` call.
+    Every epoch updates one copy of the agent's networks in place; the given
+    agent is left as it was.
     """
     features = np.atleast_2d(features)
     score_matrix = np.atleast_2d(score_matrix)
@@ -356,10 +431,11 @@ def train_rl(
     states = agent.states(features)
     z = states[:, :FEATURE_DIM]
     best = score_matrix.min(axis=1)
+    learner = _Learner(agent)
     curve: list[float] = []
     for _ in range(epochs):
-        logp = log_softmax(forward(agent.actor, states)[0])
-        values = forward(agent.critic, z)[0][:, 0]
+        logp = log_softmax(forward(learner.actor, states)[0])
+        values = forward(learner.critic, z)[0][:, 0]
         order = rng.permutation(n)
         u = rng.random(n)
         # the first index whose cumulative probability reaches u, as
@@ -371,9 +447,8 @@ def train_rl(
             regret_reward(score_matrix[order, actions], best[order]), REWARD_FLOOR
         )
         advantages, returns = gae(rewards[:, None], values[order][:, None])
-        curve.append(float(rewards.mean()))
-        agent, _ = ppo_update(
-            agent,
+        curve.append(float(rewards.sum() / n))
+        learner.update(
             states[order],
             actions,
             logp[order, actions],
@@ -381,9 +456,11 @@ def train_rl(
             returns[:, 0],
             passes=passes,
             lr=lr,
+            clip=CLIP_RATIO,
+            value_coef=VALUE_COEF,
             entropy_coef=entropy_coef,
         )
-    return agent, curve
+    return learner.trained(), curve
 
 
 def recommend(

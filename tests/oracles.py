@@ -202,23 +202,178 @@ def reference_run_sbo(ev, schema, rng: np.random.Generator) -> None:
             ev.evaluate(cands[i])
 
 
+# -- selector training as first written: a new Mlp per step ------------------
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def reference_forward(net, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.atleast_2d(x)
+    hidden = np.maximum(x @ net.w1.T + net.b1, 0.0)
+    return hidden @ net.w2.T + net.b2, hidden
+
+
+def reference_backward(net, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+    """The gradient's four blocks computed apart and concatenated."""
+    x = np.atleast_2d(x)
+    dw2 = dlogits.T @ hidden
+    db2 = dlogits.sum(axis=0)
+    dhidden = (dlogits @ net.w2) * (hidden > 0.0)
+    dw1 = dhidden.T @ x
+    db1 = dhidden.sum(axis=0)
+    return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def reference_sgd_step(net, grad: np.ndarray, lr: float):
+    """A new network from `params - lr * grad`; refuses non-finite updates."""
+    from dsekit.nn import Mlp
+
+    params = net.params - lr * grad
+    if not np.isfinite(params).all():
+        raise FloatingPointError("training diverged: non-finite parameter update")
+    return Mlp(net.dims, params)
+
+
+def reference_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    logits = np.atleast_2d(logits)
+    n = logits.shape[0]
+    logp = reference_log_softmax(logits)
+    loss = -logp[np.arange(n), labels].mean()
+    dlogits = reference_softmax(logits)
+    dlogits[np.arange(n), labels] -= 1.0
+    return float(loss), dlogits / n
+
+
+def reference_mean_entropy(logits: np.ndarray) -> tuple[float, np.ndarray]:
+    logits = np.atleast_2d(logits)
+    n = logits.shape[0]
+    logp = reference_log_softmax(logits)
+    p = np.exp(logp)
+    row_entropy = -(p * logp).sum(axis=1)
+    dlogits = -p * (logp + row_entropy[:, None])
+    return float(row_entropy.mean()), dlogits / n
+
+
+def reference_mean_squared_error(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    pred = np.atleast_2d(pred)
+    diff = pred - np.asarray(target).reshape(pred.shape)
+    return float((diff**2).mean()), 2.0 * diff / diff.size
+
+
+def reference_ppo_policy_loss(logits, actions, old_logp, advantages, clip):
+    logits = np.atleast_2d(logits)
+    n = logits.shape[0]
+    rows = np.arange(n)
+    logp = reference_log_softmax(logits)
+    ratio = np.exp(logp[rows, actions] - old_logp)
+    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip)
+    surr_plain = ratio * advantages
+    surr_clip = clipped * advantages
+    loss = -np.minimum(surr_plain, surr_clip).mean()
+    inside = (ratio >= 1.0 - clip) & (ratio <= 1.0 + clip)
+    active = (surr_plain <= surr_clip) | inside
+    dratio = np.where(active, advantages, 0.0)
+    p = reference_softmax(logits)
+    onehot = np.zeros_like(p)
+    onehot[rows, actions] = 1.0
+    dlogits = -(dratio * ratio)[:, None] * (onehot - p) / n
+    return float(loss), dlogits
+
+
+def reference_pretrain_supervised(features: np.ndarray, labels, *, epochs, lr, seed):
+    """Full-batch descent with a new network built by every step.
+
+    Returns (head, loss curve) like `pretrain_supervised`.
+    """
+    from dsekit.hashing import mix64
+    from dsekit.nn import Mlp
+    from dsekit.selector import (
+        _HEAD_FEATURE_GAIN,
+        _SUPERVISED_TAG,
+        HIDDEN,
+        N_EXPLORERS,
+        FeatureScaler,
+        SupervisedHead,
+    )
+
+    features = np.atleast_2d(features)
+    labels = np.asarray(labels, dtype=int)
+    scaler = FeatureScaler.fit(features)
+    x = scaler.apply(features)
+    net = Mlp.init(features.shape[1], HIDDEN, N_EXPLORERS, seed=mix64(_SUPERVISED_TAG, seed))
+    net = Mlp.from_arrays(net.w1 * _HEAD_FEATURE_GAIN, net.b1, np.zeros_like(net.w2), net.b2)
+    curve: list[float] = []
+    for _ in range(epochs):
+        logits, hidden = reference_forward(net, x)
+        loss, dlogits = reference_cross_entropy(logits, labels)
+        curve.append(loss)
+        net = reference_sgd_step(net, reference_backward(net, x, hidden, dlogits), lr)
+    return SupervisedHead(scaler=scaler, net=net), curve
+
+
+def reference_ppo_update(
+    agent, states, actions, old_logp, advantages, returns, *, passes, lr, clip, value_coef,
+    entropy_coef,
+):
+    """PPO passes with each loss computing its own softmax, a concatenated
+    gradient and a new network from every step. Returns (agent, losses)."""
+    from dataclasses import replace
+
+    from dsekit.selector import FEATURE_DIM
+
+    z = states[:, :FEATURE_DIM]
+    actor, critic = agent.actor, agent.critic
+    losses: list[float] = []
+    for _ in range(passes):
+        logits, hidden = reference_forward(actor, states)
+        policy_loss, d_policy = reference_ppo_policy_loss(
+            logits, actions, old_logp, advantages, clip
+        )
+        entropy, d_entropy = reference_mean_entropy(logits)
+        dlogits = d_policy - entropy_coef * d_entropy
+        pred, hidden_c = reference_forward(critic, z)
+        value_loss, d_value = reference_mean_squared_error(pred, returns[:, None])
+        total = policy_loss + value_coef * value_loss - entropy_coef * entropy
+        if not np.isfinite(total):
+            raise FloatingPointError("ppo update diverged: non-finite loss")
+        losses.append(float(total))
+        actor = reference_sgd_step(actor, reference_backward(actor, states, hidden, dlogits), lr)
+        critic = reference_sgd_step(
+            critic, reference_backward(critic, z, hidden_c, value_coef * d_value), lr
+        )
+    return replace(agent, actor=actor, critic=critic), losses
+
+
 def reference_train_rl(agent, features: np.ndarray, score_matrix: np.ndarray, *, epochs, seed):
     """PPO training with the buffer built one benchmark at a time, as first
     written: a scalar uniform draw and `searchsorted` per pick, the regret in
-    Python floats, and one single-step `gae` call per slot.
+    Python floats, one single-step `gae` call per slot, and
+    `reference_ppo_update` for every epoch's update.
 
     Returns (agent, per-epoch mean rewards, every stored reward in order).
     """
-    from dsekit.nn import forward, log_softmax
     from dsekit.selector import (
         _MIN_BEST_SCORE,
         _RL_TAG,
+        CLIP_RATIO,
+        ENTROPY_COEF,
         FEATURE_DIM,
         N_EXPLORERS,
         REWARD_FLOOR,
+        RL_LR,
+        UPDATE_PASSES,
+        VALUE_COEF,
         gae,
         normalized,
-        ppo_update,
     )
 
     rng = np.random.default_rng(np.random.SeedSequence([_RL_TAG, seed & (2**64 - 1)]))
@@ -227,9 +382,9 @@ def reference_train_rl(agent, features: np.ndarray, score_matrix: np.ndarray, *,
     curve: list[float] = []
     every_reward: list[float] = []
     for _ in range(epochs):
-        logp = log_softmax(forward(agent.actor, states)[0])
+        logp = reference_log_softmax(reference_forward(agent.actor, states)[0])
         probs = np.exp(logp)
-        values = forward(agent.critic, z)[0][:, 0]
+        values = reference_forward(agent.critic, z)[0][:, 0]
         rows, actions, rewards, advantages, returns = [], [], [], [], []
         for i in rng.permutation(len(features)):
             action = int(np.searchsorted(np.cumsum(probs[i]), rng.random()))
@@ -244,13 +399,18 @@ def reference_train_rl(agent, features: np.ndarray, score_matrix: np.ndarray, *,
             returns.append(ret[0])
         curve.append(float(np.mean(rewards)))
         every_reward.extend(rewards)
-        agent, _ = ppo_update(
+        agent, _ = reference_ppo_update(
             agent,
             states[rows],
             np.array(actions),
             logp[rows, actions],
             normalized(np.array(advantages)),
             np.array(returns),
+            passes=UPDATE_PASSES,
+            lr=RL_LR,
+            clip=CLIP_RATIO,
+            value_coef=VALUE_COEF,
+            entropy_coef=ENTROPY_COEF,
         )
     return agent, curve, every_reward
 
@@ -444,6 +604,30 @@ def reference_run_eda(ev, schema, rng: np.random.Generator) -> None:
             for axis, dist in enumerate(marginals[m]):
                 dist *= 0.8
                 dist[best.knobs[axis]] += 0.2
+
+
+def reference_crowding(objs: list[tuple[float, float]], ranks: list[int]) -> np.ndarray:
+    """Crowding distance within each rank, accumulated in a numpy array."""
+    n = len(objs)
+    dist = np.zeros(n)
+    by_rank: dict[int, list[int]] = {}
+    for i, r in enumerate(ranks):
+        by_rank.setdefault(r, []).append(i)
+    for members in by_rank.values():
+        if len(members) <= 2:
+            for i in members:
+                dist[i] = math.inf
+            continue
+        for dim in (0, 1):
+            order = sorted(members, key=lambda i: objs[i][dim])
+            lo, hi = objs[order[0]][dim], objs[order[-1]][dim]
+            dist[order[0]] = dist[order[-1]] = math.inf
+            span = hi - lo
+            if span <= 0:
+                continue
+            for a, b, c in zip(order, order[1:], order[2:]):
+                dist[b] += (objs[c][dim] - objs[a][dim]) / span
+    return dist
 
 
 def _front_crowding(objs: list[tuple[float, float]]) -> np.ndarray:

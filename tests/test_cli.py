@@ -252,6 +252,39 @@ class TestRuntimeErrors:
         assert f"{d / 'runs.jsonl'}:{lineno}:" in err and "knob index 0 setting 99" in err
         assert not (tmp_path / "i" / REPORT_FILE).exists()
 
+    @pytest.mark.parametrize(
+        "key,value,shown",
+        [
+            ("area", "0.5", "'0.5'"),
+            ("latency", True, "True"),
+            ("area", float("nan"), "nan"),
+            ("latency", -1.0, "-1.0"),
+        ],
+        ids=["area_str", "latency_bool", "area_nan", "latency_negative"],
+    )
+    def test_train_names_the_line_of_a_mistyped_front_objective(
+        self, pipeline, tmp_path, capsys, key, value, shown
+    ):
+        d = tmp_path / "d"
+        shutil.copytree(pipeline["d"], d)
+        lines = (d / "runs.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["front"][1][key] = value
+        lines[3] = json.dumps(record) + "\n"
+        text = "".join(lines)
+        (d / "runs.jsonl").write_text(text)
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["hashes"]["runs.jsonl"] = fnv1a64_hex(text.encode("utf-8"))
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(d), "--out", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {d / 'runs.jsonl'}:4: front point 1 of {record['benchmark_id']}: "
+            f"{key} must be a finite number >= 0, got {shown}\n"
+        )
+        assert not (tmp_path / "t").exists()
+
     def test_report_rejects_runs_missing_a_labelled_cell(self, pipeline, tmp_path, capsys):
         lines = (pipeline["d"] / "runs.jsonl").read_text().splitlines(keepends=True)
         dropped = json.loads(lines[3])
@@ -437,6 +470,9 @@ TOY_REPORT = [
     {"benchmark_id": "smooth-small-0001", "selected_code": 0, "regret": 0.5},
     {"benchmark_id": "rugged-small-0000", "selected_code": 5, "regret": 0.0},
 ]
+for _label, _row in zip(TOY_LABELS, TOY_REPORT):
+    _row["adrs_row"] = _label["adrs_row"]
+    _row["selected_adrs"] = _label["adrs_row"][_row["selected_code"]]
 
 
 def run_report(runs: Path, labels: Path, report: Path, out: Path) -> int:
@@ -523,6 +559,44 @@ class TestReport:
         assert run_report(runs, pipeline["d"] / "labels.jsonl", pipeline["i"] / REPORT_FILE, out) == 1
         assert capsys.readouterr().err == f"error: {runs}:5: missing key 'wall_seconds'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,edit,message",
+        [
+            ("adrs_row", lambda r: r["adrs_row"].__setitem__(3, r["adrs_row"][3] + 0.25),
+             "adrs_row of {id} is not its labels.jsonl row"),
+            ("adrs_row", lambda r: r["adrs_row"].__setitem__(0, True),
+             "adrs_row of {id} is not its labels.jsonl row"),
+            ("selected_adrs", lambda r: r.__setitem__("selected_adrs", r["selected_adrs"] + 0.25),
+             "selected_adrs of {id} is not adrs_row["),
+            ("selected_adrs", lambda r: r.__setitem__("selected_adrs", str(r["selected_adrs"])),
+             "selected_adrs of {id} is not adrs_row["),
+        ],
+        ids=["row_entry", "row_bool", "selected_moved", "selected_str"],
+    )
+    def test_a_report_row_unlike_its_labels_row_is_named_by_line(
+        self, pipeline, tmp_path, capsys, key, edit, message
+    ):
+        lines = (pipeline["i"] / REPORT_FILE).read_text().splitlines(keepends=True)
+        record = json.loads(lines[-1])
+        edit(record)
+        report = tmp_path / REPORT_FILE
+        report.write_text("".join([*lines[:-1], json.dumps(record) + "\n"]))
+        out = tmp_path / "r"
+        labels = pipeline["d"] / "labels.jsonl"
+        assert run_report(pipeline["d"] / "runs.jsonl", labels, report, out) == 1
+        err = capsys.readouterr().err
+        expected = message.format(id=record["benchmark_id"])
+        assert err.startswith(f"error: {report}:{len(lines)}: {expected}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_valid_report_rows_give_the_same_tables(self, pipeline, tmp_path):
+        """Reading the labels' values back from the report rows changes no output byte."""
+        out = tmp_path / "r"
+        d = pipeline["d"]
+        assert run_report(d / "runs.jsonl", d / "labels.jsonl", pipeline["i"] / REPORT_FILE, out) == 0
+        for name in (ACCURACY_FILE, ADRS_MATRIX_FILE, RUNTIME_FILE):
+            assert (out / name).read_bytes() == (pipeline["r"] / name).read_bytes(), name
 
     def test_runtime_totals_equal_sum_of_wall_seconds(self, pipeline):
         runs = read_jsonl(pipeline["d"] / "runs.jsonl")

@@ -21,6 +21,7 @@ from dsekit.explorers import (
 from dsekit.dataset import run_suite
 from dsekit.explorers import algorithms, base
 from dsekit.explorers.algorithms import (
+    _crowding,
     _dominated,
     _nondominated_ranks,
     _sample_cumulative,
@@ -42,6 +43,7 @@ from oracles import (
     _loop_sample_categorical,
     dominance_matrix,
     reference_admit_to_front,
+    reference_crowding,
     reference_nondominated_ranks,
     reference_run_aco,
     reference_run_eda,
@@ -568,6 +570,24 @@ class TestArchiveFront:
     def test_ranks_match_the_pairwise_count(self, objs):
         assert _nondominated_ranks(objs) == reference_nondominated_ranks(objs)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        objs=st.lists(
+            st.one_of(GRID_POINTS, st.tuples(st.floats(0.1, 9.0), st.floats(0.1, 9.0))),
+            max_size=40,
+        ),
+        small_ranks=st.lists(st.integers(0, 3), min_size=40, max_size=40),
+    )
+    @example(objs=[], small_ranks=[0] * 40)
+    @example(objs=[(1.0, 1.0)] * 4 + [(0.5, 2.0), (2.0, 0.5)], small_ranks=[0, 1, 1, 2] * 10)
+    def test_crowding_floats_equal_the_array_oracle(self, objs, small_ranks):
+        """The real ranks, one shared rank, and a few small ranks whose
+        members are often one or two points; grid points make ties common."""
+        for ranks in (_nondominated_ranks(objs), [0] * len(objs), small_ranks[: len(objs)]):
+            got = _crowding(objs, ranks)
+            assert all(type(v) is float for v in got)
+            assert np.array(got, dtype=float).tobytes() == reference_crowding(objs, ranks).tobytes()
+
 
 def grouped_tables(rows):
     """The rows as one -inf-padded table in the width-grouped layout: each row's
@@ -686,16 +706,18 @@ class TestSampler:
         assert rng.bit_generator.state == loop.bit_generator.state
 
 
-def _with_pairwise_ranks(runner):
-    """The runner with the O(n^2) reference ranks in place of the library's."""
+def _with_reference_ranks(runner):
+    """The runner with the O(n^2) reference ranks and the numpy-array
+    crowding distances in place of the library's."""
 
     def run(ev, schema, rng):
-        original = algorithms._nondominated_ranks
+        originals = algorithms._nondominated_ranks, algorithms._crowding
         algorithms._nondominated_ranks = reference_nondominated_ranks
+        algorithms._crowding = reference_crowding
         try:
             runner(ev, schema, rng)
         finally:
-            algorithms._nondominated_ranks = original
+            algorithms._nondominated_ranks, algorithms._crowding = originals
 
     return run
 
@@ -708,8 +730,8 @@ REPLACED = {
     "aco": (algorithms.run_aco, reference_run_aco),
     "eda": (algorithms.run_eda, reference_run_eda),
     "pso": (algorithms.run_pso, reference_run_pso),
-    "nsga2": (algorithms.run_nsga2, _with_pairwise_ranks(algorithms.run_nsga2)),
-    "qlmoea": (algorithms.run_qlmoea, _with_pairwise_ranks(algorithms.run_qlmoea)),
+    "nsga2": (algorithms.run_nsga2, _with_reference_ranks(algorithms.run_nsga2)),
+    "qlmoea": (algorithms.run_qlmoea, _with_reference_ranks(algorithms.run_qlmoea)),
 }
 
 

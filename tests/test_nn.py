@@ -20,8 +20,14 @@ from dsekit.nn import (
     save_mlp,
     sgd_step,
     softmax,
+    softmax_parts,
 )
-from oracles import naive_mlp_forward
+from oracles import (
+    naive_mlp_forward,
+    reference_backward,
+    reference_log_softmax,
+    reference_softmax,
+)
 
 
 def kink_free_case(rng, dims, batch=4, margin=1e-3):
@@ -83,6 +89,17 @@ class TestForward:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.log(p), log_softmax(logits), atol=1e-9)
 
+    def test_shared_softmax_parts_have_the_bits_of_each_alone(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e-3, 1.0, 30.0, 800.0):
+            logits = rng.normal(scale=scale, size=(6, 10))
+            logits[0, :3] = logits[0, 3]  # a tied row maximum
+            logp, p = softmax_parts(logits)
+            assert logp.tobytes() == reference_log_softmax(logits).tobytes()
+            assert p.tobytes() == reference_softmax(logits).tobytes()
+            assert softmax(logits).tobytes() == p.tobytes()
+            assert log_softmax(logits).tobytes() == logp.tobytes()
+
 
 class TestExactGradients:
     """Every analytic gradient is certified against central differences."""
@@ -135,16 +152,48 @@ class TestTraining:
         labels = rng.integers(4, size=x.shape[0])
         logits, hidden = forward(net, x)
         loss0, dlogits = cross_entropy(logits, labels)
-        net2 = sgd_step(net, backward(net, x, hidden, dlogits), lr=0.05)
-        loss1, _ = cross_entropy(forward(net2, x)[0], labels)
+        sgd_step(net.params, backward(net, x, hidden, dlogits), lr=0.05)
+        loss1, _ = cross_entropy(forward(net, x)[0], labels)
         assert loss1 < loss0
 
+    def test_in_place_step_has_the_bits_of_a_new_vector(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            params = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=40)
+            grad = rng.normal(scale=10.0 ** rng.integers(-8, 4), size=40)
+            params[:3], grad[3:6] = 0.0, -0.0
+            lr = float(rng.uniform(1e-6, 1.0))
+            want = params - lr * grad
+            sgd_step(params, grad, lr)
+            assert params.tobytes() == want.tobytes()
+
     def test_non_finite_update_is_refused(self):
-        net = Mlp.init(3, 4, 2, seed=0)
-        grad = np.zeros_like(net.params)
-        grad[: net.w1.size] = np.nan
-        with pytest.raises(FloatingPointError, match="diverged"):
-            sgd_step(net, grad, lr=0.1)
+        """NaN, +inf and -inf in each of the four blocks."""
+        for block in ("w1", "b1", "w2", "b2"):
+            for bad in (np.nan, np.inf, -np.inf):
+                net = Mlp.init(3, 4, 2, seed=0)
+                grad = Mlp(net.dims, np.zeros_like(net.params))
+                getattr(grad, block).flat[-1] = bad
+                with pytest.raises(FloatingPointError, match="diverged"):
+                    sgd_step(net.params, grad.params, lr=0.1)
+
+    def test_an_overflowing_update_is_refused(self):
+        params = np.array([1e308, 0.0])
+        with pytest.raises(FloatingPointError, match="diverged"), np.errstate(over="ignore"):
+            sgd_step(params, np.array([-1e308, 0.0]), lr=1.0)
+
+    def test_backward_fills_a_buffer_with_the_concatenated_blocks(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            net, x = kink_free_case(rng, (5, 8, 4), batch=int(rng.integers(1, 9)))
+            logits, hidden = forward(net, x)
+            dlogits = rng.normal(size=logits.shape)
+            buffer = Mlp(net.dims, np.full_like(net.params, np.nan))
+            got = backward(net, x, hidden, dlogits, out=buffer)
+            assert got is buffer.params
+            want = reference_backward(net, x, hidden, dlogits)
+            assert got.tobytes() == want.tobytes()
+            assert backward(net, x, hidden, dlogits).tobytes() == want.tobytes()
 
     def test_layers_are_views_of_one_flat_vector(self):
         net = Mlp.init(6, 5, 3, seed=9)
@@ -168,7 +217,7 @@ class TestCheckpoint:
             np.full_like(net.w2, -1e-13),
             np.full_like(net.b2, 1.0 / 3.0),
         ).params
-        net = sgd_step(net, grad, lr=0.123456789)
+        sgd_step(net.params, grad, lr=0.123456789)
         buf = io.StringIO()
         save_mlp(buf, net)
         loaded = load_mlp(io.StringIO(buf.getvalue()))

@@ -3,23 +3,34 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsekit.explorers import ExplorerId
 from dsekit.nn import (
     Mlp,
     backward,
+    cross_entropy,
     forward,
     grad_check,
     log_softmax,
+    mean_entropy,
     mean_squared_error,
+    softmax_parts,
 )
 from dsekit.selector import (
+    CLIP_RATIO,
+    ENTROPY_COEF,
+    FEATURE_DIM,
     N_EXPLORERS,
     REWARD_FLOOR,
+    RL_LR,
     STATE_DIM,
+    SUPERVISED_LR,
+    VALUE_COEF,
     FeatureScaler,
     PpoAgent,
     gae,
@@ -33,7 +44,16 @@ from dsekit.selector import (
     save_selector,
     train_rl,
 )
-from oracles import naive_discounted_advantages, reference_train_rl
+from oracles import (
+    naive_discounted_advantages,
+    reference_cross_entropy,
+    reference_mean_entropy,
+    reference_mean_squared_error,
+    reference_ppo_policy_loss,
+    reference_ppo_update,
+    reference_pretrain_supervised,
+    reference_train_rl,
+)
 
 
 def blob_problem(rng, n=40, blobs=2, separation=3.0, owners=(1, 4, 7)):
@@ -301,6 +321,146 @@ class TestPpoUpdate:
             return p_loss - 0.01 * entropy, backward(net, states, hidden, dlogits)
 
         assert grad_check(fn, actor.params, sample=200, rng=rng) <= 1e-4
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+# How a buffer row's probability ratio starts: the log of the factor that
+# separates the old log-probability from the current one.
+RATIO_SHIFTS = {
+    "one": 0.0,
+    "inside": np.log(1.1),
+    "above": np.log(1.9),
+    "below": np.log(0.4),
+    "far": np.log(60.0),
+}
+
+
+def advantages_of(kind: str, rng, n: int) -> np.ndarray:
+    if kind == "zero":
+        return np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    if kind == "negative":
+        return -np.abs(rng.normal(size=n)) - 1e-3
+    if kind == "equal":
+        return np.full(n, rng.normal())
+    return rng.normal(size=n)
+
+
+@st.composite
+def ppo_buffers(draw):
+    """(agent, states, actions, old log-probs, advantages, returns) of 1 to 8 rows."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hidden = draw(st.sampled_from([3, 16, 40]))
+    actor = Mlp.init(STATE_DIM, hidden, N_EXPLORERS, seed=int(rng.integers(2**31)))
+    actor = Mlp.from_arrays(
+        actor.w1, rng.normal(scale=0.2, size=hidden), actor.w2 * 4.0, rng.normal(size=N_EXPLORERS)
+    )
+    critic = Mlp.init(FEATURE_DIM, hidden, 1, seed=int(rng.integers(2**31)))
+    critic = Mlp.from_arrays(critic.w1, critic.b1, critic.w2, rng.normal(size=1))
+    head, _ = pretrain_supervised(rng.normal(size=(2, FEATURE_DIM)), [0, 1], epochs=1)
+    agent = PpoAgent(head=head, actor=actor, critic=critic)
+    states = rng.normal(size=(n, STATE_DIM))
+    actions = rng.integers(N_EXPLORERS, size=n)
+    logp = log_softmax(forward(actor, states)[0])[np.arange(n), actions]
+    kinds = draw(st.lists(st.sampled_from(sorted(RATIO_SHIFTS)), min_size=n, max_size=n))
+    old_logp = logp - np.array([RATIO_SHIFTS[k] for k in kinds])
+    advantage_kind = draw(st.sampled_from(["random", "zero", "negative", "equal"]))
+    advantages = advantages_of(advantage_kind, rng, n)
+    returns = rng.normal(scale=3.0, size=n)
+    return agent, states, actions, old_logp, advantages, returns
+
+
+class TestInPlaceTraining:
+    """The in-place training loops against the step-by-new-network routines they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(buffer=ppo_buffers(), passes=st.integers(1, 4))
+    def test_ppo_update_has_the_bits_of_the_reference(self, buffer, passes):
+        agent = buffer[0]
+        before = [agent.actor.params.copy(), agent.critic.params.copy()]
+        got, losses = ppo_update(*buffer, passes=passes)
+        want, want_losses = reference_ppo_update(
+            *buffer, passes=passes, lr=RL_LR, clip=CLIP_RATIO, value_coef=VALUE_COEF,
+            entropy_coef=ENTROPY_COEF,
+        )
+        assert same_bits(losses, want_losses)
+        assert same_bits(got.actor.params, want.actor.params)
+        assert same_bits(got.critic.params, want.critic.params)
+        assert got.head is agent.head
+        # the caller's agent is left as it was
+        assert same_bits(agent.actor.params, before[0])
+        assert same_bits(agent.critic.params, before[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(buffer=ppo_buffers())
+    def test_each_loss_has_the_bits_of_the_reference(self, buffer):
+        agent, states, actions, old_logp, advantages, returns = buffer
+        logits, _ = forward(agent.actor, states)
+        parts = softmax_parts(logits)
+        onehot = np.zeros_like(logits)
+        onehot[np.arange(len(actions)), actions] = 1.0
+        want = reference_ppo_policy_loss(logits, actions, old_logp, advantages, CLIP_RATIO)
+        for got in (
+            ppo_policy_loss(logits, actions, old_logp, advantages),
+            ppo_policy_loss(logits, actions, old_logp, advantages, parts=parts, onehot=onehot),
+        ):
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        want = reference_mean_entropy(logits)
+        for got in (mean_entropy(logits), mean_entropy(logits, parts=parts)):
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        got, want = cross_entropy(logits, actions), reference_cross_entropy(logits, actions)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        pred, _ = forward(agent.critic, states[:, :FEATURE_DIM])
+        got = mean_squared_error(pred, returns[:, None])
+        want = reference_mean_squared_error(pred, returns[:, None])
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        # the shared parts are read, never written
+        again = softmax_parts(logits)
+        assert same_bits(parts[0], again[0]) and same_bits(parts[1], again[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        epochs=st.integers(1, 30),
+        classes=st.integers(1, 4),
+    )
+    def test_pretrain_supervised_has_the_bits_of_the_reference(self, n, seed, epochs, classes):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(n, FEATURE_DIM))
+        labels = rng.integers(classes, size=n) * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            head, curve = pretrain_supervised(features, labels, epochs=epochs, seed=seed)
+        want, want_curve = reference_pretrain_supervised(
+            features, labels, epochs=epochs, lr=SUPERVISED_LR, seed=seed
+        )
+        assert same_bits(curve, want_curve)
+        assert same_bits(head.net.params, want.net.params)
+
+    def test_train_rl_leaves_the_given_agent_as_it_was(self):
+        rng = np.random.default_rng(60)
+        features, scores, labels = blob_problem(rng, n=5)
+        head, _ = pretrain_supervised(features, labels, epochs=10)
+        agent = PpoAgent.init(head, seed=0)
+        before = [agent.actor.params.copy(), agent.critic.params.copy()]
+        trained, _ = train_rl(agent, features, scores, epochs=20, seed=0)
+        assert same_bits(agent.actor.params, before[0])
+        assert same_bits(agent.critic.params, before[1])
+        assert not same_bits(trained.actor.params, before[0])
+        assert not same_bits(trained.critic.params, before[1])
+
+    def test_a_non_finite_update_is_refused(self):
+        rng = np.random.default_rng(61)
+        features, scores, labels = blob_problem(rng, n=4)
+        head, _ = pretrain_supervised(features, labels, epochs=5)
+        agent = PpoAgent.init(head, seed=0)
+        with pytest.raises(FloatingPointError, match="diverged"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_rl(agent, features, scores, epochs=2, seed=0, lr=1e308)
 
 
 class TestTrainRl:
