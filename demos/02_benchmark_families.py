@@ -10,7 +10,7 @@ from dsekit.surrogate import SurrogateModel, exhaustive_front
 for family in Family:
     instance = synth_instance(family, seed=0, size_class="small")
     model = SurrogateModel.from_instance(instance)
-    front = exhaustive_front(model, instance.schema, limit=100_000)
+    front = exhaustive_front(model, instance.schema)
     features = extract_features(instance)
 
     print(instance.id)

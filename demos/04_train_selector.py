@@ -49,7 +49,7 @@ with tempfile.TemporaryDirectory() as tmp:
     hits = 0
     chosen_adrs = []
     for row in range(held_features.shape[0]):
-        choice, policy = recommend(head, agent, held_features[row][None, :])
+        choice, policy = recommend(agent, held_features[row][None, :])
         hits += int(choice.value == held_labels[row])
         chosen_adrs.append(held_scores[row, choice.value])
         sample = data.split("inference")[row]

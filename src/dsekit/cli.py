@@ -16,7 +16,6 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .dataset import (
     LABEL_KEYS,
     RUN_KEYS,
     DatasetConfig,
+    LabeledSample,
     _write_atomic,
     check_runs_cover,
     dataset_fingerprint,
@@ -62,43 +62,6 @@ N_EXPLORERS = len(ExplorerId)
 # Salt so the re-execution seed in `infer` never collides with the seed the
 # same (benchmark, explorer) cell used during `run`.
 _FRESH_RUN_TAG = 0x1F3B
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One held-out benchmark: the full ADRS row, the pick, and its regret."""
-
-    benchmark_id: str
-    adrs_row: tuple[float, ...]
-    selected: ExplorerId
-    selected_adrs: float
-    fresh_adrs: float
-    best: ExplorerId
-    regret: float
-
-    def __post_init__(self) -> None:
-        if len(self.adrs_row) != N_EXPLORERS:
-            raise ValueError(f"adrs_row needs {N_EXPLORERS} entries, got {len(self.adrs_row)}")
-        best_adrs = min(self.adrs_row)
-        if self.selected_adrs != self.adrs_row[self.selected.value]:
-            raise ValueError("selected_adrs disagrees with the selected column")
-        if self.adrs_row[self.best.value] != best_adrs:
-            raise ValueError("best explorer is not a row minimizer")
-        if self.regret != self.selected_adrs - best_adrs or self.regret < 0.0:
-            raise ValueError("regret must equal selected_adrs - best row ADRS (>= 0)")
-
-    def to_record(self) -> dict:
-        return {
-            "benchmark_id": self.benchmark_id,
-            "adrs_row": list(self.adrs_row),
-            "selected_code": self.selected.value,
-            "selected_name": self.selected.name.lower(),
-            "selected_adrs": self.selected_adrs,
-            "fresh_adrs": self.fresh_adrs,
-            "best_code": self.best.value,
-            "best_name": self.best.name.lower(),
-            "regret": self.regret,
-        }
 
 
 # -- flag parsing --------------------------------------------------------------------
@@ -175,6 +138,22 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple[str, ...]])
     _write_atomic(path, text)
 
 
+def _report_line(sample: LabeledSample, selected: ExplorerId, fresh_adrs: float) -> dict:
+    """One held-out benchmark: the full ADRS row, the pick, and its regret."""
+    row, best = sample.adrs_row, ExplorerId(sample.label)
+    return {
+        "benchmark_id": sample.benchmark_id,
+        "adrs_row": list(row),
+        "selected_code": selected.value,
+        "selected_name": selected.name.lower(),
+        "selected_adrs": row[selected.value],
+        "fresh_adrs": fresh_adrs,
+        "best_code": best.value,
+        "best_name": best.name.lower(),
+        "regret": row[selected.value] - row[best.value],
+    }
+
+
 # -- commands ------------------------------------------------------------------------
 
 
@@ -232,9 +211,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     checkpoint = io.StringIO()
-    save_selector(
-        checkpoint, head, agent, fingerprint=dataset_fingerprint(ds.manifest), seed=args.seed
-    )
+    save_selector(checkpoint, agent, fingerprint=dataset_fingerprint(ds.manifest), seed=args.seed)
     _write_atomic(out / CHECKPOINT_FILE, checkpoint.getvalue())
     _write_csv(
         out / SUPERVISED_CURVE_FILE,
@@ -262,11 +239,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
         checkpoint = checkpoint / CHECKPOINT_FILE
     if not checkpoint.exists():
         raise FileNotFoundError(f"checkpoint missing: {checkpoint}")
-    with checkpoint.open("r", encoding="utf-8") as fh:
-        try:
-            head, agent, settings = load_selector(fh)
-        except ValueError as exc:
-            raise ValueError(f"{checkpoint}: {exc}") from None
+    try:
+        agent, settings = load_selector(checkpoint.read_text(encoding="utf-8").splitlines())
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint}: {exc}") from None
     fingerprint = dataset_fingerprint(ds.manifest)
     if settings.get("fingerprint") != fingerprint:
         raise ValueError(
@@ -280,13 +256,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
     samples = {s.benchmark_id: s for s in ds.samples}
     instances = {inst.id: inst for inst in ds.instances}
 
-    rows: list[ReportRow] = []
+    rows: list[dict] = []
     for benchmark_id in ds.manifest.inference_ids:
         sample = samples[benchmark_id]
         instance = instances[benchmark_id]
-        choice, _ = recommend(head, agent, np.array(sample.features))
-        adrs_row = sample.adrs_row
-        best = ExplorerId(sample.label)
+        choice, _ = recommend(agent, np.array(sample.features))
 
         model = SurrogateModel.from_instance(instance)
         fresh_seed = portfolio_seed(
@@ -295,29 +269,19 @@ def cmd_infer(args: argparse.Namespace) -> int:
         )
         fresh = explore(choice, instance, model, Budget(args.budget), fresh_seed)
         if instance.schema.space_size() <= EXHAUSTIVE_REFERENCE_LIMIT:
-            reference = exhaustive_front(model, instance.schema, EXHAUSTIVE_REFERENCE_LIMIT)
+            reference = exhaustive_front(model, instance.schema)
         else:
             reference = pareto_filter(
                 [p for front in fronts_by_id[benchmark_id] for p in front.points]
             )
-        rows.append(
-            ReportRow(
-                benchmark_id=benchmark_id,
-                adrs_row=adrs_row,
-                selected=choice,
-                selected_adrs=adrs_row[choice.value],
-                fresh_adrs=adrs(reference, fresh.front),
-                best=best,
-                regret=adrs_row[choice.value] - adrs_row[best.value],
-            )
-        )
+        rows.append(_report_line(sample, choice, adrs(reference, fresh.front)))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_jsonl(out / REPORT_FILE, (row.to_record() for row in rows))
+    write_jsonl(out / REPORT_FILE, rows)
 
-    matrix = np.array([row.adrs_row for row in rows])
-    mean_selected = float(np.mean([row.selected_adrs for row in rows]))
+    matrix = np.array([row["adrs_row"] for row in rows])
+    mean_selected = float(np.mean([row["selected_adrs"] for row in rows]))
     best_fixed = int(np.argmin(matrix.mean(axis=0)))
     print(
         f"recommended on {len(rows)} held-out benchmarks: mean selected ADRS "
@@ -521,7 +485,6 @@ __all__ = [
     "RL_CURVE_FILE",
     "RUNTIME_FILE",
     "SUPERVISED_CURVE_FILE",
-    "ReportRow",
     "build_parser",
     "cmd_infer",
     "cmd_report",

@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .benchmarks import (
+    FEATURE_DIM,
     BenchmarkInstance,
     Family,
     instance_from_record,
@@ -151,12 +152,13 @@ class DatasetManifest:
     inference_ids: tuple[str, ...]
     hashes: dict[str, str]
 
-    def __post_init__(self) -> None:
-        if set(self.train_ids) & set(self.inference_ids):
-            raise ValueError("train and inference splits overlap")
-
     @staticmethod
     def from_record(record: dict) -> "DatasetManifest":
+        for key in ("train_ids", "inference_ids"):
+            ids = record[key]
+            bad = [i for i in ids if type(i) is not str] if isinstance(ids, list) else [ids]
+            if bad:
+                raise ValueError(f"{key} must list benchmark id strings, found {bad[0]!r}")
         return DatasetManifest(
             master_seed=int(record["master_seed"]),
             budget=int(record["budget"]),
@@ -365,8 +367,8 @@ def read_instances(
 ) -> tuple[tuple[BenchmarkInstance, ...], dict[str, tuple[float, ...]], list[dict]]:
     """Parse instances.jsonl into objects, features, and the raw records.
 
-    A suite has unique benchmark ids and one size class; a file that breaks
-    either is rejected with its path and line number.
+    A suite has unique benchmark ids, one size class and FEATURE_DIM finite
+    features per benchmark; a line that breaks one is named by path and number.
     """
     instances: list[BenchmarkInstance] = []
     feature_map: dict[str, tuple[float, ...]] = {}
@@ -380,8 +382,22 @@ def read_instances(
                 f"{records[0]['size_class']!r} on line 1; a suite has one size class"
             )
         instances.append(instance_from_record(record))
-        feature_map[record["id"]] = tuple(float(v) for v in record["feature_vector"])
+        features = record["feature_vector"]
+        if not _finite_numbers(features, FEATURE_DIM):
+            raise ValueError(
+                f"{path}:{lineno}: feature_vector of {record['id']} needs {FEATURE_DIM} finite numbers"
+            )
+        feature_map[record["id"]] = tuple(float(v) for v in features)
     return tuple(instances), feature_map, records
+
+
+def _finite_numbers(values, count: int) -> bool:
+    """Whether a parsed JSON value is a list of `count` finite numbers (not bools)."""
+    return (
+        isinstance(values, list)
+        and len(values) == count
+        and all(type(v) in (int, float) and math.isfinite(v) for v in values)
+    )
 
 
 def _benchmark_id(record: dict, path: Path, lineno: int) -> str:
@@ -421,11 +437,7 @@ def check_runs_cover(
             raise ValueError(f"{labels_path}:{lineno}: repeated label of {benchmark_id}")
         labelled.add(benchmark_id)
         row = record["adrs_row"]
-        if not (
-            isinstance(row, list)
-            and len(row) == len(ExplorerId)
-            and all(type(v) in (int, float) and math.isfinite(v) for v in row)
-        ):
+        if not _finite_numbers(row, len(ExplorerId)):
             raise ValueError(
                 f"{labels_path}:{lineno}: adrs_row of {benchmark_id} needs 10 finite numbers"
             )
@@ -551,10 +563,15 @@ def load(dataset_dir: str | Path) -> Dataset:
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.exists():
         raise FileNotFoundError(f"dataset manifest missing: {manifest_path}")
-    manifest = DatasetManifest.from_record(json.loads(manifest_path.read_text(encoding="utf-8")))
+    text = manifest_path.read_text(encoding="utf-8")
+    try:
+        manifest = DatasetManifest.from_record(json.loads(text))
+    except (KeyError, TypeError, ValueError) as err:
+        reason = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise ValueError(f"{manifest_path}: {reason}") from None
     for name in DATA_FILES:
         if name not in manifest.hashes:
-            raise ValueError(f"manifest lists no hash for {name}")
+            raise ValueError(f"{manifest_path}: lists no hash for {name}")
     paths = {name: directory / name for name in DATA_FILES}
     texts = {name: _read_verified(paths[name], manifest.hashes[name]) for name in DATA_FILES}
 
@@ -577,6 +594,12 @@ def load(dataset_dir: str | Path) -> Dataset:
                 label=int(record["label_code"]),
                 adrs_row=tuple(float(v) for v in record["adrs_row"]),
             )
+        )
+    labelled = sorted(sample.benchmark_id for sample in samples)
+    if sorted(manifest.train_ids + manifest.inference_ids) != labelled:
+        raise ValueError(
+            f"{manifest_path}: train_ids and inference_ids must together name each "
+            f"benchmark of {paths[LABELS_FILE]} once"
         )
     _check_fronts_in_space(runs, instances, paths[RUNS_FILE])
 

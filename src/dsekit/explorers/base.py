@@ -407,7 +407,7 @@ def score_results(
     which equals that of everything they evaluated.
     """
     if instance.schema.space_size() <= EXHAUSTIVE_REFERENCE_LIMIT:
-        reference = exhaustive_front(model, instance.schema, EXHAUSTIVE_REFERENCE_LIMIT)
+        reference = exhaustive_front(model, instance.schema)
     else:
         reference = pareto_filter(p for r in results for p in r.front.points)
     adrs_values = tuple(adrs(reference, r.front) for r in results)

@@ -2,9 +2,8 @@
 
 Everything here is deliberately small and explicit. The package needs only
 one architecture (input -> ReLU hidden -> linear output), three scalar heads
-(cross-entropy, mean entropy, mean squared error), stochastic gradient
-descent, and a finite-difference checker that can certify the analytic
-gradients. Checkpoints are line-oriented text with 17 significant digits,
+(cross-entropy, mean entropy, mean squared error) and stochastic gradient
+descent. Checkpoints are line-oriented text with 17 significant digits,
 which round-trips float64 exactly and diffs cleanly.
 
 A network's parameters live in one contiguous float64 vector laid out as
@@ -22,7 +21,7 @@ both the log-probabilities and the probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -174,45 +173,13 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         raise FloatingPointError("training diverged: non-finite parameter update")
 
 
-def grad_check(
-    loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    at: np.ndarray,
-    step: float = 1e-5,
-    sample: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    loss_and_grad maps a flat parameter vector to (scalar, gradient vector).
-    When sample is given, only that many randomly chosen coordinates are
-    probed; otherwise every coordinate is.
-    """
-    _, analytic = loss_and_grad(at)
-    coords: np.ndarray
-    if sample is not None and sample < at.size:
-        if rng is None:
-            raise ValueError("sampled grad_check needs an rng")
-        coords = rng.choice(at.size, size=sample, replace=False)
-    else:
-        coords = np.arange(at.size)
-    worst = 0.0
-    for i in coords:
-        bumped = at.copy()
-        bumped[i] += step
-        hi, _ = loss_and_grad(bumped)
-        bumped[i] -= 2 * step
-        lo, _ = loss_and_grad(bumped)
-        numeric = (hi - lo) / (2 * step)
-        denom = max(abs(analytic[i]), abs(numeric), 1e-2)
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst
-
-
 # -- text checkpoints ----------------------------------------------------------
 
 
 def write_matrix(out: TextIO, name: str, arr: np.ndarray) -> None:
+    """Write one named section, which must hold only finite values."""
     arr = np.atleast_2d(arr)
+    _require_finite(name, arr)
     out.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
     for row in arr:
         out.write(" ".join(format(v, ".17g") for v in row) + "\n")
@@ -241,11 +208,15 @@ def read_matrix(lines: Iterator[str], name: str, shape: tuple[int, int]) -> np.n
             data[r] = [float(v) for v in values]
         except ValueError:
             raise ValueError(f"section {name!r} row {r} holds a non-number") from None
+    _require_finite(name, data)
+    return data
+
+
+def _require_finite(name: str, data: np.ndarray) -> None:
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = bad[0]
         raise ValueError(f"section {name!r} row {r} column {c} is {data[r, c]}, not finite")
-    return data
 
 
 def save_mlp(out: TextIO, net: Mlp) -> None:
@@ -257,9 +228,8 @@ def save_mlp(out: TextIO, net: Mlp) -> None:
     write_matrix(out, "b2", net.b2)
 
 
-def load_mlp(source: TextIO | Iterator[str]) -> Mlp:
-    """Read one network record from a stream or an iterator of lines."""
-    lines = iter(source.read().splitlines()) if hasattr(source, "read") else source
+def load_mlp(lines: Iterator[str]) -> Mlp:
+    """Read one network record from an iterator of lines."""
     header = next(lines, None)
     if header is None or not header.startswith("mlp "):
         raise ValueError(f"not an mlp checkpoint: {header!r}")
@@ -280,7 +250,6 @@ __all__ = [
     "backward",
     "cross_entropy",
     "forward",
-    "grad_check",
     "load_mlp",
     "log_softmax",
     "mean_entropy",

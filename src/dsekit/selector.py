@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,12 +100,6 @@ class SupervisedHead:
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         return forward(self.net, self.scaler.apply(features))[0]
-
-    def probabilities(self, features: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(features))
-
-    def recommend(self, features: np.ndarray) -> ExplorerId:
-        return ExplorerId(int(np.argmax(self.logits(features)[0])))
 
 
 def pretrain_supervised(
@@ -341,7 +334,7 @@ class _Learner:
         """`passes` gradient steps on one buffer; returns the combined losses."""
         n = len(actions)
         if n == 0:
-            raise ValueError("ppo_update needs a non-empty buffer")
+            raise ValueError("a PPO update needs a non-empty buffer")
         actor, critic = self.actor, self.critic
         z = states[:, :FEATURE_DIM]
         target = returns[:, None]
@@ -368,36 +361,6 @@ class _Learner:
             backward(critic, z, hidden_c, d_value, out=self.critic_grad)
             sgd_step(self.params, self.grad, lr)
         return losses
-
-
-def ppo_update(
-    agent: PpoAgent,
-    states: np.ndarray,
-    actions: np.ndarray,
-    old_logp: np.ndarray,
-    advantages: np.ndarray,
-    returns: np.ndarray,
-    *,
-    passes: int = UPDATE_PASSES,
-    lr: float = RL_LR,
-    clip: float = CLIP_RATIO,
-    value_coef: float = VALUE_COEF,
-    entropy_coef: float = ENTROPY_COEF,
-) -> tuple[PpoAgent, list[float]]:
-    """Gradient passes over one collected buffer; returns the combined losses.
-
-    The buffer is row-aligned arrays: states (n, STATE_DIM), the actions taken,
-    their log-probabilities under the policy that took them, advantages and
-    returns. Advantages arrive already normalized (the caller owns that
-    policy); the returns are the raw critic targets. The given agent is left
-    as it was.
-    """
-    learner = _Learner(agent)
-    losses = learner.update(
-        states, actions, old_logp, advantages, returns, passes=passes, lr=lr, clip=clip,
-        value_coef=value_coef, entropy_coef=entropy_coef,
-    )
-    return learner.trained(), losses
 
 
 def train_rl(
@@ -463,14 +426,9 @@ def train_rl(
     return learner.trained(), curve
 
 
-def recommend(
-    head: SupervisedHead, agent: PpoAgent, features: np.ndarray
-) -> tuple[ExplorerId, np.ndarray]:
+def recommend(agent: PpoAgent, features: np.ndarray) -> tuple[ExplorerId, np.ndarray]:
     """Greedy hybrid pick and the policy's full distribution for one benchmark."""
-    z = head.scaler.apply(features)
-    probs = softmax(forward(head.net, z)[0])
-    state = np.concatenate([z, probs], axis=1)
-    logits, _ = forward(agent.actor, state)
+    logits, _ = forward(agent.actor, agent.states(features))
     policy = softmax(logits)[0]
     return ExplorerId(int(np.argmax(logits[0]))), policy
 
@@ -489,7 +447,7 @@ _SETTING_TYPES = dict(
 )
 
 
-def save_selector(out, head: SupervisedHead, agent: PpoAgent, *, fingerprint: str, seed: int) -> None:
+def save_selector(out, agent: PpoAgent, *, fingerprint: str, seed: int) -> None:
     """One text record: header with hyperparameters, scaler, then three nets."""
     settings = (
         f"fingerprint={fingerprint} seed={seed} "
@@ -499,6 +457,7 @@ def save_selector(out, head: SupervisedHead, agent: PpoAgent, *, fingerprint: st
         f"entropy_coef={ENTROPY_COEF:.17g} passes={UPDATE_PASSES} hidden={HIDDEN}"
     )
     out.write(f"{_CHECKPOINT_HEADER} {settings}\n")
+    head = agent.head
     write_matrix(out, "scaler_mean", head.scaler.mean)
     write_matrix(out, "scaler_std", head.scaler.std)
     save_mlp(out, head.net)
@@ -506,19 +465,13 @@ def save_selector(out, head: SupervisedHead, agent: PpoAgent, *, fingerprint: st
     save_mlp(out, agent.critic)
 
 
-def load_selector(source) -> tuple[SupervisedHead, PpoAgent, dict[str, str]]:
-    """Rebuild (head, agent, header settings) from one checkpoint record.
+def load_selector(lines: Iterable[str]) -> tuple[PpoAgent, dict[str, str]]:
+    """Rebuild (agent, header settings) from the lines of one checkpoint record.
 
-    Accepts a path, an open text file, or an iterable of lines. The header
-    must carry every setting `save_selector` writes, each parseable as its
-    type, and `hidden` must be the hidden width of all three networks.
+    The header must carry every setting `save_selector` writes, each parseable
+    as its type, and `hidden` must be the hidden width of all three networks.
     """
-    if isinstance(source, (str, Path)):
-        lines = iter(Path(source).read_text().splitlines())
-    elif hasattr(source, "read"):
-        lines = iter(source.read().splitlines())
-    else:
-        lines = iter(source)
+    lines = iter(lines)
     header = next(lines, None)
     if header is None or not header.startswith(_CHECKPOINT_HEADER + " "):
         raise ValueError(f"not a selector checkpoint: {header!r}")
@@ -559,7 +512,7 @@ def load_selector(source) -> tuple[SupervisedHead, PpoAgent, dict[str, str]]:
             )
         nets.append(net)
     head = SupervisedHead(scaler=scaler, net=nets[0])
-    return head, PpoAgent(head=head, actor=nets[1], critic=nets[2]), settings
+    return PpoAgent(head=head, actor=nets[1], critic=nets[2]), settings
 
 
 __all__ = [
@@ -583,7 +536,6 @@ __all__ = [
     "load_selector",
     "normalized",
     "ppo_policy_loss",
-    "ppo_update",
     "pretrain_supervised",
     "recommend",
     "regret_reward",

@@ -22,7 +22,6 @@ from .pareto import DesignPoint, ObjectiveVector, ParetoFront, pareto_filter
 
 OBJECTIVE_MIN = 0.01
 OBJECTIVE_MAX = 100.0
-DEFAULT_EXHAUSTIVE_LIMIT = 100_000
 
 _LOG_SPAN = math.log(20.0)
 _MODEL_TAG = 0x60DE
@@ -310,15 +309,6 @@ def enumerate_points(model: SurrogateModel, schema: KnobSchema) -> Iterable[Desi
         yield DesignPoint(knobs, model.evaluate_knobs(knobs))
 
 
-def exhaustive_front(
-    model: SurrogateModel,
-    schema: KnobSchema,
-    limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> ParetoFront:
-    """True Pareto front by full enumeration; refuses oversized spaces."""
-    size = schema.space_size()
-    if size > limit:
-        raise ValueError(
-            f"design space has {size} points which exceeds the exhaustive limit {limit}"
-        )
+def exhaustive_front(model: SurrogateModel, schema: KnobSchema) -> ParetoFront:
+    """True Pareto front by full enumeration of the design space."""
     return pareto_filter(enumerate_points(model, schema))

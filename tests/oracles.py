@@ -8,6 +8,7 @@ is meaningful evidence of correctness rather than shared bugs.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -200,6 +201,43 @@ def reference_run_sbo(ev, schema, rng: np.random.Generator) -> None:
                 batch.append(i)
         for i in batch:
             ev.evaluate(cands[i])
+
+
+# -- finite differences against the analytic gradients ----------------------
+
+
+def grad_check(
+    loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    at: np.ndarray,
+    step: float = 1e-5,
+    sample: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Worst relative error between analytic and central-difference gradients.
+
+    loss_and_grad maps a flat parameter vector to (scalar, gradient vector).
+    When sample is given, only that many randomly chosen coordinates are
+    probed; otherwise every coordinate is.
+    """
+    _, analytic = loss_and_grad(at)
+    coords: np.ndarray
+    if sample is not None and sample < at.size:
+        if rng is None:
+            raise ValueError("sampled grad_check needs an rng")
+        coords = rng.choice(at.size, size=sample, replace=False)
+    else:
+        coords = np.arange(at.size)
+    worst = 0.0
+    for i in coords:
+        bumped = at.copy()
+        bumped[i] += step
+        hi, _ = loss_and_grad(bumped)
+        bumped[i] -= 2 * step
+        lo, _ = loss_and_grad(bumped)
+        numeric = (hi - lo) / (2 * step)
+        denom = max(abs(analytic[i]), abs(numeric), 1e-2)
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
+    return worst
 
 
 # -- selector training as first written: a new Mlp per step ------------------

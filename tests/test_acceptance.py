@@ -29,7 +29,6 @@ from dsekit.nn import (
     backward,
     cross_entropy,
     forward,
-    grad_check,
     log_softmax,
     mean_entropy,
     mean_squared_error,
@@ -38,7 +37,12 @@ from dsekit.pareto import DesignPoint, ObjectiveVector, adrs, pareto_filter
 from dsekit.selector import N_EXPLORERS, gae, load_selector, ppo_policy_loss
 from dsekit.surrogate import SurrogateModel
 
-from oracles import brute_force_pareto_indices, naive_adrs, naive_discounted_advantages
+from oracles import (
+    brute_force_pareto_indices,
+    grad_check,
+    naive_adrs,
+    naive_discounted_advantages,
+)
 from test_explorers import CountingModel
 from test_nn import kink_free_case
 
@@ -290,7 +294,8 @@ def test_trained_selector_beats_every_fixed_explorer(pipeline, capsys):
 
 
 def test_hybrid_policy_matches_or_beats_supervised_head(pipeline, capsys):
-    head, _agent, _settings = load_selector(pipeline.paths.train / CHECKPOINT_FILE)
+    checkpoint = (pipeline.paths.train / CHECKPOINT_FILE).read_text(encoding="utf-8")
+    head = load_selector(checkpoint.splitlines())[0].head
     features, labels, _rows = pipeline.data.matrices("inference")
     supervised_picks = np.argmax(head.logits(features), axis=1)
     supervised_accuracy = float((supervised_picks == labels).mean())

@@ -18,7 +18,6 @@ from dsekit.cli import (
     RL_CURVE_FILE,
     RUNTIME_FILE,
     SUPERVISED_CURVE_FILE,
-    ReportRow,
     main,
 )
 from dsekit.dataset import dataset_fingerprint, load
@@ -375,6 +374,107 @@ class TestRuntimeErrors:
         assert not (tmp_path / "r" / RUNTIME_FILE).exists()
 
 
+def rehashed_copy(pipeline, root: Path, name: str, edit) -> Path:
+    """A copy of the pipeline's dataset with edit(records) applied to one data file,
+    whose manifest hash is updated so that only the edit is wrong."""
+    d = root / "d"
+    shutil.copytree(pipeline["d"], d)
+    records = read_jsonl(d / name)
+    edit(records)
+    text = "".join(json.dumps(record) + "\n" for record in records)
+    (d / name).write_text(text)
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["hashes"][name] = fnv1a64_hex(text.encode("utf-8"))
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    return d
+
+
+def train_and_infer_fail(pipeline, d: Path, root: Path, capsys) -> list[str]:
+    """Run train and infer on dataset d; both must exit 1. Their stderr, one per command."""
+    capsys.readouterr()
+    errors = []
+    for argv in (
+        ["train", "--dataset", str(d), "--out", str(root / "t")],
+        ["infer", "--dataset", str(d), "--checkpoints", str(pipeline["t"]), "--out", str(root / "i")],
+    ):
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert not (root / "t" / CHECKPOINT_FILE).exists()
+    assert not (root / "i" / REPORT_FILE).exists()
+    return errors
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m.update(train_ids=["nope"]), "must together name each benchmark of"),
+            (lambda m: m.update(inference_ids=[1]), "inference_ids must list benchmark id strings, found 1"),
+            (lambda m: m.update(train_ids="smooth-small-0000"), "train_ids must list benchmark id strings"),
+            (lambda m: m["train_ids"].pop(0), "must together name each"),
+            (lambda m: m["train_ids"].append(m["train_ids"][0]), "must together name each"),
+            (lambda m: m["inference_ids"].append(m["train_ids"][0]), "must together name each"),
+            (lambda m: m.pop("budget"), "missing key 'budget'"),
+            (lambda m: m["hashes"].pop("runs.jsonl"), "lists no hash for runs.jsonl"),
+        ],
+        ids=["unknown_id", "int_id", "string_split", "unnamed", "repeated", "overlap", "no_budget", "no_hash"],
+    )
+    def test_a_bad_manifest_is_named_in_one_line(self, pipeline, tmp_path, capsys, edit, message):
+        d = tmp_path / "d"
+        shutil.copytree(pipeline["d"], d)
+        manifest = json.loads((d / "manifest.json").read_text())
+        edit(manifest)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        for err in train_and_infer_fail(pipeline, d, tmp_path, capsys):
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: {d / 'manifest.json'}: ") and message in err
+
+    @pytest.mark.parametrize(
+        "split,features",
+        [
+            ("train_ids", [0.5] * 5),
+            ("inference_ids", [0.5] * 5),
+            ("train_ids", [0.5] * 23 + [True]),
+            ("inference_ids", [0.5] * 23 + [float("nan")]),
+            ("train_ids", [0.5] * 23 + ["0.5"]),
+            ("train_ids", {"values": [0.5] * 24}),
+        ],
+        ids=["short_train_row", "short_inference_row", "bool", "nan", "string", "object"],
+    )
+    def test_a_malformed_feature_vector_is_named_by_line(
+        self, pipeline, tmp_path, capsys, split, features
+    ):
+        target = json.loads((pipeline["d"] / "manifest.json").read_text())[split][0]
+        lineno = next(
+            n for n, record in enumerate(read_jsonl(pipeline["d"] / "instances.jsonl"), 1)
+            if record["id"] == target
+        )
+
+        def edit(records):
+            records[lineno - 1]["feature_vector"] = features
+
+        d = rehashed_copy(pipeline, tmp_path, "instances.jsonl", edit)
+        want = f"error: {d / 'instances.jsonl'}:{lineno}: feature_vector of {target} needs 24 finite numbers\n"
+        assert train_and_infer_fail(pipeline, d, tmp_path, capsys) == [want, want]
+        assert main(["run", "--dataset", str(d), "--budget", "5"]) == 1
+        assert capsys.readouterr().err == want
+
+    def test_train_refuses_to_write_a_checkpoint_infer_would_refuse(self, pipeline, tmp_path, capsys):
+        target = json.loads((pipeline["d"] / "manifest.json").read_text())["train_ids"][0]
+
+        def edit(records):
+            record = next(r for r in records if r["id"] == target)
+            record["feature_vector"][3] = 1e308
+
+        d = rehashed_copy(pipeline, tmp_path, "instances.jsonl", edit)
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(d), "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == (
+            "error: section 'scaler_std' row 0 column 3 is inf, not finite\n"
+        )
+        assert not (tmp_path / "t" / CHECKPOINT_FILE).exists()
+
+
 class TestSynth:
     def test_line_count_contract(self, tmp_path):
         out = tmp_path / "suite"
@@ -422,34 +522,19 @@ class TestInfer:
         rows = read_jsonl(pipeline["i"] / REPORT_FILE)
         assert [r["benchmark_id"] for r in rows] == list(ds.manifest.inference_ids)
         for row in rows:
+            assert list(row) == [
+                "benchmark_id", "adrs_row", "selected_code", "selected_name", "selected_adrs",
+                "fresh_adrs", "best_code", "best_name", "regret",
+            ]
             assert len(row["adrs_row"]) == len(ExplorerId)
             assert row["selected_adrs"] == row["adrs_row"][row["selected_code"]]
             assert row["regret"] >= 0.0
             assert row["regret"] == row["selected_adrs"] - min(row["adrs_row"])
             assert row["fresh_adrs"] >= 0.0
-
-    def test_report_row_invariants_enforced(self):
-        row = tuple(float(k + 1) for k in range(len(ExplorerId)))
-        with pytest.raises(ValueError, match="regret"):
-            ReportRow(
-                benchmark_id="x",
-                adrs_row=row,
-                selected=ExplorerId.SA,
-                selected_adrs=row[1],
-                fresh_adrs=0.0,
-                best=ExplorerId.NSGA2,
-                regret=0.5,
-            )
-        with pytest.raises(ValueError, match="minimizer"):
-            ReportRow(
-                benchmark_id="x",
-                adrs_row=row,
-                selected=ExplorerId.SA,
-                selected_adrs=row[1],
-                fresh_adrs=0.0,
-                best=ExplorerId.SA,
-                regret=1.0,
-            )
+            # the best explorer is the first minimum of the row, as in labels.jsonl
+            assert row["best_code"] == row["adrs_row"].index(min(row["adrs_row"]))
+            assert row["best_name"] == EXPLORER_NAMES[row["best_code"]]
+            assert row["selected_name"] == EXPLORER_NAMES[row["selected_code"]]
 
 
 def toy_row(best: int) -> list[float]:

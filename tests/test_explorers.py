@@ -205,7 +205,7 @@ class TestExplore:
         size = instance.schema.space_size()
         result = explore(ExplorerId.ACO, instance, model, Budget(size), seed=0)
         assert result.evaluations_used == size
-        assert result.front == exhaustive_front(model, instance.schema, size)
+        assert result.front == exhaustive_front(model, instance.schema)
 
     def test_spent_budget_never_exceeds_the_cap(self, medium_case):
         instance, model = medium_case
@@ -388,7 +388,7 @@ class TestPortfolio:
         size = instance.schema.space_size()
         assert size <= EXHAUSTIVE_REFERENCE_LIMIT
         portfolio = scored_portfolio(instance, model, Budget(20), master_seed=0)
-        assert portfolio.reference == exhaustive_front(model, instance.schema, size)
+        assert portfolio.reference == exhaustive_front(model, instance.schema)
 
     def test_large_space_reference_is_the_front_of_everything_evaluated(self, medium_case):
         instance, model = medium_case

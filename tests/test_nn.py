@@ -12,7 +12,6 @@ from dsekit.nn import (
     backward,
     cross_entropy,
     forward,
-    grad_check,
     load_mlp,
     log_softmax,
     mean_entropy,
@@ -23,6 +22,7 @@ from dsekit.nn import (
     softmax_parts,
 )
 from oracles import (
+    grad_check,
     naive_mlp_forward,
     reference_backward,
     reference_log_softmax,
@@ -242,6 +242,15 @@ class TestCheckpoint:
         clipped = "\n".join(buf.getvalue().splitlines()[:-2]) + "\n"
         with pytest.raises(ValueError, match="truncated|wants"):
             load_mlp(io.StringIO(clipped))
+
+    def test_refuses_to_write_non_finite_values(self):
+        net = Mlp.init(4, 3, 2, seed=1)
+        for value in (np.nan, np.inf, -np.inf):
+            net.w2[1, 2] = value
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match=r"section 'w2' row 1 column 2 is .*, not finite"):
+                save_mlp(buf, net)
+            assert "w2" not in buf.getvalue()
 
     def test_rejects_non_finite_values_and_misshapen_sections(self):
         buf = io.StringIO()

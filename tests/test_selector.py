@@ -15,10 +15,10 @@ from dsekit.nn import (
     backward,
     cross_entropy,
     forward,
-    grad_check,
     log_softmax,
     mean_entropy,
     mean_squared_error,
+    softmax,
     softmax_parts,
 )
 from dsekit.selector import (
@@ -30,14 +30,15 @@ from dsekit.selector import (
     RL_LR,
     STATE_DIM,
     SUPERVISED_LR,
+    UPDATE_PASSES,
     VALUE_COEF,
     FeatureScaler,
     PpoAgent,
     gae,
     load_selector,
     normalized,
+    _Learner,
     ppo_policy_loss,
-    ppo_update,
     pretrain_supervised,
     recommend,
     regret_reward,
@@ -45,6 +46,7 @@ from dsekit.selector import (
     train_rl,
 )
 from oracles import (
+    grad_check,
     naive_discounted_advantages,
     reference_cross_entropy,
     reference_mean_entropy,
@@ -233,6 +235,11 @@ class TestRewardAndScaling:
         assert np.all(scaler.apply(np.ones((10, 3))) == 0.0)
 
 
+def head_pick(head, features) -> ExplorerId:
+    """The supervised head's greedy pick for one benchmark."""
+    return ExplorerId(int(np.argmax(head.logits(features)[0])))
+
+
 class TestSupervisedHead:
     def test_two_family_separable_data_reaches_high_accuracy(self):
         rng = np.random.default_rng(7)
@@ -240,7 +247,7 @@ class TestSupervisedHead:
         head, curve = pretrain_supervised(features, labels, seed=0)
         assert len(curve) == 250
         assert curve[-1] <= curve[0]
-        picks = [head.recommend(features[i : i + 1]) for i in range(len(labels))]
+        picks = [head_pick(head, features[i : i + 1]) for i in range(len(labels))]
         accuracy = np.mean([p.value == l for p, l in zip(picks, labels)])
         assert accuracy >= 0.95
 
@@ -248,14 +255,14 @@ class TestSupervisedHead:
         rng = np.random.default_rng(8)
         features = rng.normal(size=(1, 24))
         head, _ = pretrain_supervised(features, [7], seed=0)
-        assert head.recommend(features) is ExplorerId.AC
+        assert head_pick(head, features) is ExplorerId.AC
 
     def test_single_class_warns_and_degenerates(self):
         rng = np.random.default_rng(9)
         features = rng.normal(size=(6, 24))
         with pytest.warns(UserWarning, match="single-class"):
             head, _ = pretrain_supervised(features, [3] * 6, epochs=50)
-        assert head.recommend(rng.normal(size=(1, 24))) is ExplorerId.PSO
+        assert head_pick(head, rng.normal(size=(1, 24))) is ExplorerId.PSO
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -268,6 +275,16 @@ class TestSupervisedHead:
         head_b, curve_b = pretrain_supervised(features, labels, epochs=40)
         assert curve_a == curve_b
         assert (head_a.net.w2 == head_b.net.w2).all()
+
+
+PPO_SETTINGS = dict(lr=RL_LR, clip=CLIP_RATIO, value_coef=VALUE_COEF, entropy_coef=ENTROPY_COEF)
+
+
+def learner_update(agent, *buffer, passes=UPDATE_PASSES):
+    """One PPO update of a fresh learner at the training settings: (agent, losses)."""
+    learner = _Learner(agent)
+    losses = learner.update(*buffer, passes=passes, **PPO_SETTINGS)
+    return learner.trained(), losses
 
 
 class TestPpoUpdate:
@@ -292,12 +309,12 @@ class TestPpoUpdate:
         agent, _, _ = self.setup_agent(rng)
         empty = np.zeros(0)
         with pytest.raises(ValueError, match="non-empty"):
-            ppo_update(agent, np.zeros((0, STATE_DIM)), empty.astype(int), empty, empty, empty)
+            learner_update(agent, np.zeros((0, STATE_DIM)), empty.astype(int), empty, empty, empty)
 
     def test_losses_recorded_per_pass_and_nets_move(self):
         rng = np.random.default_rng(12)
         agent, features, scores = self.setup_agent(rng)
-        updated, losses = ppo_update(agent, *self.make_buffer(rng, agent, features, scores))
+        updated, losses = learner_update(agent, *self.make_buffer(rng, agent, features, scores))
         assert len(losses) == 4
         assert (updated.actor.w2 != agent.actor.w2).any()
         assert (updated.critic.w2 != agent.critic.w2).any()
@@ -381,11 +398,8 @@ class TestInPlaceTraining:
     def test_ppo_update_has_the_bits_of_the_reference(self, buffer, passes):
         agent = buffer[0]
         before = [agent.actor.params.copy(), agent.critic.params.copy()]
-        got, losses = ppo_update(*buffer, passes=passes)
-        want, want_losses = reference_ppo_update(
-            *buffer, passes=passes, lr=RL_LR, clip=CLIP_RATIO, value_coef=VALUE_COEF,
-            entropy_coef=ENTROPY_COEF,
-        )
+        got, losses = learner_update(*buffer, passes=passes)
+        want, want_losses = reference_ppo_update(*buffer, passes=passes, **PPO_SETTINGS)
         assert same_bits(losses, want_losses)
         assert same_bits(got.actor.params, want.actor.params)
         assert same_bits(got.critic.params, want.critic.params)
@@ -474,7 +488,7 @@ class TestTrainRl:
         trained, curve = train_rl(agent, features, scores, epochs=200, seed=3)
         assert len(curve) == 200
         assert np.mean(curve[-20:]) > np.mean(curve[:20])
-        picks = [recommend(head, trained, features[i : i + 1])[0] for i in range(24)]
+        picks = [recommend(trained, features[i : i + 1])[0] for i in range(24)]
         assert np.mean([p is ExplorerId.EDA for p in picks]) >= 0.95
 
     def test_zero_best_rows_train_without_diverging(self):
@@ -567,7 +581,7 @@ class TestRecommend:
         zero_actor = Mlp(agent.actor.dims, np.zeros_like(agent.actor.params))
         from dataclasses import replace
 
-        pick, policy = recommend(head, replace(agent, actor=zero_actor), features[:1])
+        pick, policy = recommend(replace(agent, actor=zero_actor), features[:1])
         assert pick is ExplorerId.NSGA2
         np.testing.assert_allclose(policy, np.full(N_EXPLORERS, 0.1), atol=1e-12)
 
@@ -576,8 +590,8 @@ class TestRecommend:
         features, scores, labels = blob_problem(rng, n=8)
         head, _ = pretrain_supervised(features, labels, epochs=10)
         agent = PpoAgent.init(head, seed=0)
-        a_pick, a_policy = recommend(head, agent, features[:1])
-        b_pick, b_policy = recommend(head, agent, features[:1])
+        a_pick, a_policy = recommend(agent, features[:1])
+        b_pick, b_policy = recommend(agent, features[:1])
         assert a_pick is b_pick
         assert (a_policy == b_policy).all()
         assert a_policy.sum() == pytest.approx(1.0, abs=1e-12)
@@ -600,8 +614,8 @@ class TestRecommend:
         head, _ = pretrain_supervised(features, labels, epochs=50)
         agent = PpoAgent.init(head, seed=0)
         for i in range(4):
-            _, policy = recommend(head, agent, features[i : i + 1])
-            prior = head.probabilities(features[i : i + 1])[0]
+            _, policy = recommend(agent, features[i : i + 1])
+            prior = softmax(head.logits(features[i : i + 1]))[0]
             expected = np.exp(_PRIOR_GAIN * prior)
             np.testing.assert_allclose(policy, expected / expected.sum(), rtol=1e-12)
 
@@ -646,8 +660,9 @@ class TestCheckpoint:
 
         features, head, agent = self._trained_pair()
         buf = io.StringIO()
-        save_selector(buf, head, agent, fingerprint="abc123", seed=7)
-        loaded_head, loaded_agent, settings = load_selector(io.StringIO(buf.getvalue()))
+        save_selector(buf, agent, fingerprint="abc123", seed=7)
+        loaded_agent, settings = load_selector(io.StringIO(buf.getvalue()))
+        loaded_head = loaded_agent.head
 
         assert settings["fingerprint"] == "abc123"
         assert settings["seed"] == "7"
@@ -663,8 +678,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(restored.w2, original.w2)
             np.testing.assert_array_equal(restored.b2, original.b2)
 
-        choice, policy = recommend(head, agent, features[0])
-        loaded_choice, loaded_policy = recommend(loaded_head, loaded_agent, features[0])
+        choice, policy = recommend(agent, features[0])
+        loaded_choice, loaded_policy = recommend(loaded_agent, features[0])
         assert loaded_choice == choice
         np.testing.assert_array_equal(loaded_policy, policy)
 
@@ -672,27 +687,17 @@ class TestCheckpoint:
         _, head, agent = self._trained_pair(seed=3)
         path = tmp_path / "checkpoint.txt"
         with path.open("w", encoding="utf-8") as fh:
-            save_selector(fh, head, agent, fingerprint="feed", seed=3)
+            save_selector(fh, agent, fingerprint="feed", seed=3)
         with path.open("r", encoding="utf-8") as fh:
-            _, loaded_agent, _ = load_selector(fh)
+            loaded_agent, _ = load_selector(fh)
         np.testing.assert_array_equal(loaded_agent.actor.w1, agent.actor.w1)
-
-    def test_loads_from_a_path(self, tmp_path):
-        _, head, agent = self._trained_pair(seed=4)
-        path = tmp_path / "checkpoint.txt"
-        with path.open("w", encoding="utf-8") as fh:
-            save_selector(fh, head, agent, fingerprint="beef", seed=4)
-        for source in (path, str(path)):
-            _, loaded_agent, settings = load_selector(source)
-            np.testing.assert_array_equal(loaded_agent.critic.w1, agent.critic.w1)
-            assert settings["fingerprint"] == "beef"
 
     def test_rejects_a_non_positive_scaler_std(self):
         import io
 
         _, head, agent = self._trained_pair()
         buf = io.StringIO()
-        save_selector(buf, head, agent, fingerprint="abc123", seed=0)
+        save_selector(buf, agent, fingerprint="abc123", seed=0)
         lines = buf.getvalue().splitlines()
         row = lines.index(f"scaler_std 1 {head.scaler.std.size}") + 1
         for value in ("0", "-1.5"):
@@ -715,7 +720,7 @@ class TestCheckpoint:
 
         _, head, agent = self._trained_pair()
         buf = io.StringIO()
-        save_selector(buf, head, agent, fingerprint="abc123", seed=0)
+        save_selector(buf, agent, fingerprint="abc123", seed=0)
         lines = buf.getvalue().splitlines()
         assert old in lines[0]
         lines[0] = lines[0].replace(old, new)

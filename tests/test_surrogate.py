@@ -8,7 +8,6 @@ import pytest
 from dsekit.benchmarks import Family, synth_instance
 from dsekit.pareto import pareto_filter
 from dsekit.surrogate import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
     OBJECTIVE_MAX,
     OBJECTIVE_MIN,
     SurrogateModel,
@@ -148,13 +147,6 @@ class TestExhaustiveFront:
         front = exhaustive_front(model, found.schema)
         tail = front[len(front) - 1]
         assert tail.objectives.latency == best.objectives.latency
-
-    def test_oversized_space_refused_with_size_and_limit(self):
-        inst = synth_instance(Family.SMOOTH, 0, "large")
-        model = SurrogateModel.from_instance(inst)
-        size = inst.schema.space_size()
-        with pytest.raises(ValueError, match=f"{size}.*exceeds.*{DEFAULT_EXHAUSTIVE_LIMIT}"):
-            exhaustive_front(model, inst.schema)
 
     def test_mismatched_schema_refused(self):
         inst_a = small(Family.SMOOTH, 0)
