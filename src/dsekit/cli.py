@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import sys
 from pathlib import Path
 
@@ -24,8 +23,9 @@ from .benchmarks import Family, extract_features
 from .blas import use_one_blas_thread
 from .dataset import (
     INSTANCES_FILE,
-    LABEL_KEYS,
-    RUN_KEYS,
+    LABEL_FIELDS,
+    REPORT_FIELDS,
+    RUN_FIELDS,
     DatasetConfig,
     LabeledSample,
     _write_atomic,
@@ -37,7 +37,6 @@ from .dataset import (
     persist_results,
     read_instances,
     read_jsonl,
-    reconstruct_front,
     run_suite,
     synth_suite,
     write_jsonl,
@@ -176,11 +175,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     instances, _, records = read_instances(instances_path)
     if not records:
         raise ValueError(f"no instances in {instances_path}")
-    families: list[str] = []
-    for record in records:
-        if record["family"] not in families:
-            families.append(record["family"])
-    seeds = tuple(sorted({int(record["seed"]) for record in records}))
+    families = tuple(dict.fromkeys(record["family"] for record in records))
+    seeds = tuple(sorted({record["seed"] for record in records}))
     portfolios = run_suite(instances, args.budget, args.master_seed, args.workers)
     manifest = persist_results(
         dataset,
@@ -190,7 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         master_seed=args.master_seed,
         budget=args.budget,
         size_class=records[0]["size_class"],
-        families=tuple(families),
+        families=families,
         seeds=seeds,
         split_fraction=args.split_fraction,
     )
@@ -250,9 +246,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
             f"(checkpoint fingerprint {settings.get('fingerprint')}, dataset {fingerprint})"
         )
 
-    fronts_by_id: dict[str, list] = {}
-    for record in ds.runs:
-        fronts_by_id.setdefault(record["benchmark_id"], []).append(reconstruct_front(record))
     samples = {s.benchmark_id: s for s in ds.samples}
     instances = {inst.id: inst for inst in ds.instances}
 
@@ -271,9 +264,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
         if instance.schema.space_size() <= EXHAUSTIVE_REFERENCE_LIMIT:
             reference = exhaustive_front(model, instance.schema)
         else:
-            reference = pareto_filter(
-                [p for front in fronts_by_id[benchmark_id] for p in front.points]
-            )
+            fronts = ds.fronts[benchmark_id]
+            reference = pareto_filter([p for front in fronts for p in front.points])
         rows.append(_report_line(sample, choice, adrs(reference, fresh.front)))
 
     out = Path(args.out)
@@ -291,44 +283,31 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _same_numbers(values, want: list) -> bool:
-    """Whether a parsed JSON value is a list of numbers (not bools) equal to want."""
-    return (
-        isinstance(values, list)
-        and all(type(v) in (int, float) for v in values)
-        and values == want
-    )
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    labels_rows = read_jsonl(Path(args.labels), keys=LABEL_KEYS)
-    runs_rows = read_jsonl(Path(args.runs), keys=RUN_KEYS + ("wall_seconds",))
-    report_rows = read_jsonl(
-        Path(args.report), keys=("benchmark_id", "selected_code", "adrs_row", "selected_adrs")
-    )
-    if not labels_rows or not report_rows:
-        raise ValueError("labels and report files must be non-empty")
+    labels_rows = read_jsonl(Path(args.labels), None, LABEL_FIELDS)
+    runs_rows = read_jsonl(Path(args.runs), None, RUN_FIELDS)
+    report_rows = read_jsonl(Path(args.report), None, REPORT_FIELDS)
+    if not report_rows:  # an empty labels file leaves every reported benchmark unknown
+        raise ValueError(f"{args.report}: no records")
     check_runs_cover(runs_rows, labels_rows, Path(args.runs), Path(args.labels))
     rows = {record["benchmark_id"]: record["adrs_row"] for record in labels_rows}
     reported: set[str] = set()
     counts: dict[str, list[int]] = {"overall": [0, 0]}
     for lineno, record in enumerate(report_rows, 1):
         benchmark_id, code = record["benchmark_id"], record["selected_code"]
-        if type(benchmark_id) is not str or benchmark_id not in rows:
-            raise ValueError(f"{args.report}:{lineno}: unknown benchmark {benchmark_id}")
+        if benchmark_id not in rows:
+            raise ValueError(
+                f"{args.report}:{lineno}: unknown benchmark {benchmark_id}, not in {args.labels}"
+            )
         if benchmark_id in reported:
             raise ValueError(f"{args.report}:{lineno}: repeated report of {benchmark_id}")
-        if type(code) is not int or not 0 <= code < N_EXPLORERS:
-            raise ValueError(
-                f"{args.report}:{lineno}: selected_code must be an integer in 0..9, got {code!r}"
-            )
         reported.add(benchmark_id)
         row = rows[benchmark_id]
-        if not _same_numbers(record["adrs_row"], row):
+        if record["adrs_row"] != row:
             raise ValueError(
-                f"{args.report}:{lineno}: adrs_row of {benchmark_id} is not its labels.jsonl row"
+                f"{args.report}:{lineno}: adrs_row of {benchmark_id} differs from {args.labels}"
             )
-        if not _same_numbers([record["selected_adrs"]], [row[code]]):
+        if record["selected_adrs"] != row[code]:
             raise ValueError(
                 f"{args.report}:{lineno}: selected_adrs of {benchmark_id} is not "
                 f"adrs_row[{code}], {row[code]!r}"
@@ -340,13 +319,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             counts[scope][0] += correct
             counts[scope][1] += 1
     totals = [0.0] * N_EXPLORERS
-    for lineno, record in enumerate(runs_rows, 1):
-        seconds = record["wall_seconds"]
-        if type(seconds) not in (int, float) or not math.isfinite(seconds):
-            raise ValueError(
-                f"{args.runs}:{lineno}: wall_seconds must be a finite number, got {seconds!r}"
-            )
-        totals[record["explorer_code"]] += float(seconds)
+    for record in runs_rows:
+        totals[record["explorer_code"]] += float(record["wall_seconds"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -354,7 +328,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         (
             record["benchmark_id"],
             *(_fmt(v) for v in record["adrs_row"]),
-            EXPLORER_NAMES[int(record["label_code"])],
+            EXPLORER_NAMES[record["label_code"]],
         )
         for record in labels_rows
     ]

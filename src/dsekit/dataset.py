@@ -8,7 +8,8 @@ the configuration echo, the train/inference split, and FNV-1a content hashes
 of the other three. The manifest is written last, so a directory with a
 manifest is complete, and every float is serialized with 17 significant
 digits, so `load` reproduces the run bit-exactly. `load` also checks every
-stored front point against its benchmark's design space.
+stored front point against its benchmark's design space. Each input file has
+a field table, and every record is checked against it where the file is read.
 
 `run_suite` runs every (benchmark, explorer) cell through `explore` with the
 benchmark's one surrogate model and then scores each benchmark. The worker
@@ -20,14 +21,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .benchmarks import (
     FEATURE_DIM,
+    SIZE_CLASSES,
     BenchmarkInstance,
     Family,
     instance_from_record,
@@ -45,7 +49,7 @@ from .explorers import (
     score_results,
 )
 from .hashing import fnv1a64_hex, mix64
-from .pareto import DesignPoint, ObjectiveVector, pareto_filter
+from .pareto import DesignPoint, ObjectiveVector, ParetoFront, pareto_filter
 from .surrogate import SurrogateModel
 
 _SPLIT_TAG = 0xD5E7
@@ -56,9 +60,80 @@ LABELS_FILE = "labels.jsonl"
 MANIFEST_FILE = "manifest.json"
 DATA_FILES = (INSTANCES_FILE, RUNS_FILE, LABELS_FILE)
 
-# The keys of a runs and a labels record that `check_runs_cover` reads
-RUN_KEYS = ("benchmark_id", "explorer_code")
-LABEL_KEYS = ("benchmark_id", "label_code", "adrs_row")
+
+# -- field tables -------------------------------------------------------------------
+
+# A field table maps each key a record must hold to a test and the words for what it wants.
+Fields = dict[str, tuple[Callable[[object], bool], str]]
+
+
+def _is_finite(value) -> bool:
+    """A JSON number (not a bool) that a float holds finitely."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _list_of(test: Callable[[object], bool], count: int | None = None) -> Callable[[object], bool]:
+    """A test for a list of values that pass `test`, exactly `count` of them if given."""
+    return lambda v: isinstance(v, list) and count in (None, len(v)) and all(map(test, v))
+
+
+_STRING = (lambda v: type(v) is str, "a string")
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_NUMBER = (_is_finite, "a finite number")
+_NON_NEGATIVE = (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_STRINGS = (_list_of(_STRING[0]), "a list of strings")
+_CODE = (lambda v: type(v) is int and 0 <= v < len(ExplorerId), "an integer in 0..9")
+_ROW = (_list_of(_is_finite, len(ExplorerId)), "10 finite numbers")
+_HASHES = (lambda v: _OBJECT[0](v) and all(map(_STRING[0], v.values())), "an object of strings")
+_SIZE_CLASS = (lambda v: type(v) is str and v in SIZE_CLASSES, "one of " + ", ".join(SIZE_CLASSES))
+
+INSTANCE_FIELDS: Fields = {
+    "id": _STRING,
+    "family": _STRING,
+    "seed": _INTEGER,
+    "size_class": _SIZE_CLASS,
+    "schema": (_list_of(_OBJECT[0]), "a list of objects"),
+    "graph": _OBJECT,
+    "feature_vector": (_list_of(_is_finite, FEATURE_DIM), f"{FEATURE_DIM} finite numbers"),
+}
+RUN_FIELDS: Fields = {
+    "benchmark_id": _STRING,
+    "explorer_code": _CODE,
+    "wall_seconds": _NUMBER,
+    "front": _LIST,
+}
+FRONT_POINT_FIELDS: Fields = {"knobs": _LIST, "area": _NON_NEGATIVE, "latency": _NON_NEGATIVE}
+LABEL_FIELDS: Fields = {"benchmark_id": _STRING, "label_code": _CODE, "adrs_row": _ROW}
+REPORT_FIELDS: Fields = {
+    "benchmark_id": _STRING,
+    "adrs_row": _ROW,
+    "selected_code": _CODE,
+    "selected_adrs": _NUMBER,
+}
+MANIFEST_FIELDS: Fields = {
+    "master_seed": _INTEGER,
+    "budget": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "size_class": _SIZE_CLASS,
+    "families": _STRINGS,
+    "seeds": (_list_of(_INTEGER[0]), "a list of integers"),
+    "split_fraction": (lambda v: _is_finite(v) and 0 < v < 1, "a number between 0 and 1"),
+    "train_ids": _STRINGS,
+    "inference_ids": _STRINGS,
+    "hashes": _HASHES,
+}
+
+
+def _check_fields(record, fields: Fields) -> None:
+    """Raise, in one line, on a record that is not an object or breaks its field table."""
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    for key, (test, wanted) in fields.items():
+        if key not in record:
+            raise ValueError(f"missing key {key!r}")
+        if not test(record[key]):
+            raise ValueError(f"{key} must be {wanted}, got {reprlib.repr(record[key])}")
 
 
 # -- canonical serialization -----------------------------------------------------
@@ -154,34 +229,20 @@ class DatasetManifest:
 
     @staticmethod
     def from_record(record: dict) -> "DatasetManifest":
-        for key in ("train_ids", "inference_ids"):
-            ids = record[key]
-            bad = [i for i in ids if type(i) is not str] if isinstance(ids, list) else [ids]
-            if bad:
-                raise ValueError(f"{key} must list benchmark id strings, found {bad[0]!r}")
-        return DatasetManifest(
-            master_seed=int(record["master_seed"]),
-            budget=int(record["budget"]),
-            size_class=str(record["size_class"]),
-            families=tuple(record["families"]),
-            seeds=tuple(int(s) for s in record["seeds"]),
-            split_fraction=float(record["split_fraction"]),
-            train_ids=tuple(record["train_ids"]),
-            inference_ids=tuple(record["inference_ids"]),
-            hashes=dict(record["hashes"]),
-        )
+        """The manifest of a record that passed MANIFEST_FIELDS."""
+        values = {key: record[key] for key in MANIFEST_FIELDS}
+        return DatasetManifest(**{k: tuple(v) if type(v) is list else v for k, v in values.items()})
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Everything a training or inference stage needs, in memory.
 
-    `runs` holds the runs.jsonl records as parsed, after their hash matched
-    the manifest.
+    `fronts` holds each benchmark's stored fronts, in runs.jsonl order.
     """
 
     instances: tuple[BenchmarkInstance, ...]
-    runs: tuple[dict, ...]
+    fronts: dict[str, list[ParetoFront]]
     samples: tuple[LabeledSample, ...]
     manifest: DatasetManifest
 
@@ -337,27 +398,36 @@ def persist_instances(
     )
 
 
-def read_jsonl(path: Path, text: str | None = None, keys: Sequence[str] = ()) -> list[dict]:
-    """The JSON objects of a JSONL file, one per line; reads the file unless given its text.
+def _read_text(path: Path, expected_hash: str | None = None) -> str:
+    """A file's UTF-8 text, its bytes first matched to a manifest hash if given; errors name it."""
+    if not path.exists():
+        raise FileNotFoundError(f"input file missing: {path}")
+    data = path.read_bytes()  # hashed as stored, like `run` hashes instances.jsonl
+    actual = None if expected_hash is None else fnv1a64_hex(data)
+    if actual != expected_hash:
+        raise ValueError(
+            f"dataset corrupted/stale: {path} hash {actual} does not match manifest {expected_hash}"
+        )
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
 
-    A line that is not a JSON object, or whose object lacks one of `keys`, is
-    rejected with the path and line number.
-    """
+
+def read_jsonl(path: Path, text: str | None, fields: Fields) -> list[dict]:
+    """The JSON objects of a JSONL file, one per line; reads the file unless given its text.
+    A line that is not an object that passes `fields` is rejected with its path and number."""
     if text is None:
-        if not path.exists():
-            raise FileNotFoundError(f"input file missing: {path}")
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(path)
     records: list[dict] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}:{lineno}: {err.msg} at column {err.colno}") from None
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        for key in keys:
-            if key not in record:
-                raise ValueError(f"{path}:{lineno}: missing key {key!r}")
+            _check_fields(record, fields)
+        except ValueError as err:
+            if isinstance(err, json.JSONDecodeError):
+                err = f"{err.msg} at column {err.colno}"
+            raise ValueError(f"{path}:{lineno}: {err}") from None
         records.append(record)
     return records
 
@@ -367,12 +437,12 @@ def read_instances(
 ) -> tuple[tuple[BenchmarkInstance, ...], dict[str, tuple[float, ...]], list[dict]]:
     """Parse instances.jsonl into objects, features, and the raw records.
 
-    A suite has unique benchmark ids, one size class and FEATURE_DIM finite
-    features per benchmark; a line that breaks one is named by path and number.
+    A suite has unique benchmark ids and one size class, and every record
+    must make an instance; a line that breaks one is named by path and number.
     """
     instances: list[BenchmarkInstance] = []
     feature_map: dict[str, tuple[float, ...]] = {}
-    records = read_jsonl(path, text)
+    records = read_jsonl(path, text, INSTANCE_FIELDS)
     for lineno, record in enumerate(records, 1):
         if record["id"] in feature_map:
             raise ValueError(f"{path}:{lineno}: duplicate benchmark id {record['id']!r}")
@@ -381,50 +451,25 @@ def read_instances(
                 f"{path}:{lineno}: size class {record['size_class']!r} differs from "
                 f"{records[0]['size_class']!r} on line 1; a suite has one size class"
             )
-        instances.append(instance_from_record(record))
-        features = record["feature_vector"]
-        if not _finite_numbers(features, FEATURE_DIM):
-            raise ValueError(
-                f"{path}:{lineno}: feature_vector of {record['id']} needs {FEATURE_DIM} finite numbers"
-            )
-        feature_map[record["id"]] = tuple(float(v) for v in features)
+        try:
+            instances.append(instance_from_record(record))
+        except (LookupError, TypeError, ValueError, ArithmeticError) as err:
+            reason = f"missing key {err}" if isinstance(err, KeyError) else err
+            raise ValueError(f"{path}:{lineno}: {reason}") from None
+        feature_map[record["id"]] = tuple(float(v) for v in record["feature_vector"])
     return tuple(instances), feature_map, records
-
-
-def _finite_numbers(values, count: int) -> bool:
-    """Whether a parsed JSON value is a list of `count` finite numbers (not bools)."""
-    return (
-        isinstance(values, list)
-        and len(values) == count
-        and all(type(v) in (int, float) and math.isfinite(v) for v in values)
-    )
-
-
-def _benchmark_id(record: dict, path: Path, lineno: int) -> str:
-    benchmark_id = record["benchmark_id"]
-    if type(benchmark_id) is not str:
-        raise ValueError(f"{path}:{lineno}: benchmark_id must be a string, got {benchmark_id!r}")
-    return benchmark_id
 
 
 def check_runs_cover(
     runs: Iterable[dict], labels: Iterable[dict], runs_path: Path, labels_path: Path
 ) -> None:
     """Require one runs record of each of the ten explorers for every labelled benchmark,
-    and each label's ten finite `adrs_row` values to have their first minimum at `label_code`.
-
-    A `benchmark_id` that is not a string, an `explorer_code` that is not an
-    integer in 0..9, a label that breaks the law above, a repeated (benchmark,
-    explorer) in runs or a repeated benchmark in labels is rejected with its
-    path and line number.
+    and each label's `adrs_row` to have its first minimum at `label_code`; a
+    repeated record is rejected too. Takes records that passed their field tables.
     """
     covered: set[tuple[str, int]] = set()
     for lineno, record in enumerate(runs, 1):
-        benchmark_id, code = _benchmark_id(record, runs_path, lineno), record["explorer_code"]
-        if type(code) is not int or not 0 <= code < len(ExplorerId):
-            raise ValueError(
-                f"{runs_path}:{lineno}: explorer_code must be an integer in 0..9, got {code!r}"
-            )
+        benchmark_id, code = record["benchmark_id"], record["explorer_code"]
         if (benchmark_id, code) in covered:
             raise ValueError(
                 f"{runs_path}:{lineno}: repeated run of explorer code {code} on {benchmark_id}"
@@ -432,17 +477,12 @@ def check_runs_cover(
         covered.add((benchmark_id, code))
     labelled: set[str] = set()
     for lineno, record in enumerate(labels, 1):
-        benchmark_id = _benchmark_id(record, labels_path, lineno)
+        benchmark_id, row = record["benchmark_id"], record["adrs_row"]
         if benchmark_id in labelled:
             raise ValueError(f"{labels_path}:{lineno}: repeated label of {benchmark_id}")
         labelled.add(benchmark_id)
-        row = record["adrs_row"]
-        if not _finite_numbers(row, len(ExplorerId)):
-            raise ValueError(
-                f"{labels_path}:{lineno}: adrs_row of {benchmark_id} needs 10 finite numbers"
-            )
         best = row.index(min(row))
-        if type(record["label_code"]) is not int or record["label_code"] != best:
+        if record["label_code"] != best:
             raise ValueError(
                 f"{labels_path}:{lineno}: label_code of {benchmark_id} is not {best}, "
                 "the lowest index of the adrs_row minimum"
@@ -455,27 +495,31 @@ def check_runs_cover(
             )
 
 
-def _check_fronts_in_space(
+def _read_fronts(
     runs: Iterable[dict], instances: Sequence[BenchmarkInstance], runs_path: Path
-) -> None:
-    """Require every stored front point to lie in its benchmark's design space,
-    with finite, non-negative numbers (not bools) as its area and latency."""
+) -> dict[str, list[ParetoFront]]:
+    """Each benchmark's stored fronts in file order, every point checked against
+    FRONT_POINT_FIELDS and its benchmark's design space."""
     schemas = {inst.id: inst.schema for inst in instances}
+    fronts: dict[str, list[ParetoFront]] = {}
     for lineno, record in enumerate(runs, 1):
-        schema = schemas.get(record["benchmark_id"])
+        benchmark_id = record["benchmark_id"]
+        schema = schemas.get(benchmark_id)
         if schema is None:
-            raise ValueError(f"{runs_path}:{lineno}: unknown benchmark {record['benchmark_id']}")
+            raise ValueError(f"{runs_path}:{lineno}: unknown benchmark {benchmark_id}")
+        points = []
         for i, entry in enumerate(record["front"]):
             try:
+                _check_fields(entry, FRONT_POINT_FIELDS)
                 schema.validate_point(entry["knobs"])
-                for key in ("area", "latency"):
-                    value = entry.get(key)
-                    if type(value) not in (int, float) or not 0.0 <= value < math.inf:
-                        raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
             except ValueError as err:
                 raise ValueError(
-                    f"{runs_path}:{lineno}: front point {i} of {record['benchmark_id']}: {err}"
+                    f"{runs_path}:{lineno}: front point {i} of {benchmark_id}: {err}"
                 ) from None
+            objectives = ObjectiveVector(entry["area"], entry["latency"])
+            points.append(DesignPoint(tuple(entry["knobs"]), objectives))
+        fronts.setdefault(benchmark_id, []).append(pareto_filter(points))
+    return fronts
 
 
 def persist_results(
@@ -545,39 +589,26 @@ def dataset_fingerprint(manifest: DatasetManifest) -> str:
 # -- loading ------------------------------------------------------------------------
 
 
-def _read_verified(path: Path, expected_hash: str) -> str:
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file missing: {path}")
-    data = path.read_bytes()  # hashed as stored, like `run` hashes instances.jsonl
-    actual = fnv1a64_hex(data)
-    if actual != expected_hash:
-        raise ValueError(
-            f"dataset corrupted/stale: {path.name} hash {actual} does not match manifest {expected_hash}"
-        )
-    return data.decode("utf-8")
-
-
 def load(dataset_dir: str | Path) -> Dataset:
     """Rebuild a dataset from its directory, verifying every content hash."""
     directory = Path(dataset_dir)
     manifest_path = directory / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"dataset manifest missing: {manifest_path}")
-    text = manifest_path.read_text(encoding="utf-8")
+    text = _read_text(manifest_path)
     try:
-        manifest = DatasetManifest.from_record(json.loads(text))
-    except (KeyError, TypeError, ValueError) as err:
-        reason = f"missing key {err}" if isinstance(err, KeyError) else err
-        raise ValueError(f"{manifest_path}: {reason}") from None
+        record = json.loads(text)
+        _check_fields(record, MANIFEST_FIELDS)
+    except ValueError as err:
+        raise ValueError(f"{manifest_path}: {err}") from None
+    manifest = DatasetManifest.from_record(record)
     for name in DATA_FILES:
         if name not in manifest.hashes:
             raise ValueError(f"{manifest_path}: lists no hash for {name}")
     paths = {name: directory / name for name in DATA_FILES}
-    texts = {name: _read_verified(paths[name], manifest.hashes[name]) for name in DATA_FILES}
+    texts = {name: _read_text(paths[name], manifest.hashes[name]) for name in DATA_FILES}
 
     instances, feature_map, _ = read_instances(paths[INSTANCES_FILE], texts[INSTANCES_FILE])
-    runs = read_jsonl(paths[RUNS_FILE], texts[RUNS_FILE], RUN_KEYS + ("front",))
-    labels = read_jsonl(paths[LABELS_FILE], texts[LABELS_FILE], LABEL_KEYS)
+    runs = read_jsonl(paths[RUNS_FILE], texts[RUNS_FILE], RUN_FIELDS)
+    labels = read_jsonl(paths[LABELS_FILE], texts[LABELS_FILE], LABEL_FIELDS)
     check_runs_cover(runs, labels, paths[RUNS_FILE], paths[LABELS_FILE])
 
     samples = []
@@ -585,47 +616,31 @@ def load(dataset_dir: str | Path) -> Dataset:
         benchmark_id = record["benchmark_id"]
         if benchmark_id not in feature_map:
             raise ValueError(
-                f"{paths[LABELS_FILE]}:{lineno}: labels reference unknown benchmark {benchmark_id}"
+                f"{paths[LABELS_FILE]}:{lineno}: labels reference unknown benchmark "
+                f"{benchmark_id}, not in {paths[INSTANCES_FILE]}"
             )
-        samples.append(
-            LabeledSample(
-                benchmark_id=benchmark_id,
-                features=feature_map[benchmark_id],
-                label=int(record["label_code"]),
-                adrs_row=tuple(float(v) for v in record["adrs_row"]),
-            )
-        )
+        features, row = feature_map[benchmark_id], tuple(float(v) for v in record["adrs_row"])
+        samples.append(LabeledSample(benchmark_id, features, record["label_code"], row))
     labelled = sorted(sample.benchmark_id for sample in samples)
     if sorted(manifest.train_ids + manifest.inference_ids) != labelled:
         raise ValueError(
             f"{manifest_path}: train_ids and inference_ids must together name each "
             f"benchmark of {paths[LABELS_FILE]} once"
         )
-    _check_fronts_in_space(runs, instances, paths[RUNS_FILE])
+    fronts = _read_fronts(runs, instances, paths[RUNS_FILE])
 
-    return Dataset(instances=instances, runs=tuple(runs), samples=tuple(samples), manifest=manifest)
-
-
-def reconstruct_front(record: dict):
-    """The stored front of one runs.jsonl record, as Pareto-layer objects."""
-    points = tuple(
-        DesignPoint(
-            tuple(int(v) for v in entry["knobs"]),
-            ObjectiveVector(area=float(entry["area"]), latency=float(entry["latency"])),
-        )
-        for entry in record["front"]
-    )
-    return pareto_filter(points)
+    return Dataset(instances=instances, fronts=fronts, samples=tuple(samples), manifest=manifest)
 
 
 __all__ = [
     "DATA_FILES",
     "INSTANCES_FILE",
     "LABELS_FILE",
-    "LABEL_KEYS",
+    "LABEL_FIELDS",
     "MANIFEST_FILE",
+    "REPORT_FIELDS",
     "RUNS_FILE",
-    "RUN_KEYS",
+    "RUN_FIELDS",
     "Dataset",
     "DatasetConfig",
     "DatasetManifest",
@@ -639,7 +654,6 @@ __all__ = [
     "persist_results",
     "read_instances",
     "read_jsonl",
-    "reconstruct_front",
     "run_suite",
     "split_ids",
     "synth_suite",

@@ -1,4 +1,5 @@
-"""The package exports only what the package itself uses.
+"""The package exports only what the package itself uses, and reads every
+JSONL input through a field table.
 
 A public name (one listed in a module's `__all__`) that no code in `src/`
 reads is API kept alive only by tests; such code belongs in the tests.
@@ -7,9 +8,14 @@ reads is API kept alive only by tests; such code belongs in the tests.
 from __future__ import annotations
 
 import ast
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import dsekit
+from dsekit import cli, dataset
+from dsekit.benchmarks import Family, extract_features
+from dsekit.explorers import ExplorerId
 
 PACKAGE = Path(dsekit.__file__).parent
 
@@ -55,3 +61,55 @@ def test_every_exported_name_is_read_somewhere_in_the_package():
         if name not in loaded
     ]
     assert unread == []
+
+
+def read_jsonl_calls(tree: ast.Module) -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "read_jsonl"
+    ]
+
+
+def test_every_read_jsonl_call_passes_a_field_table():
+    modules = parsed_modules()
+    calls = {path: read_jsonl_calls(tree) for path, tree in modules.items()}
+    assert sum(len(found) for found in calls.values()) >= 6  # read_instances, load and report
+    for path, found in calls.items():
+        for call in found:
+            tables = call.args[2:3] + [kw.value for kw in call.keywords if kw.arg == "fields"]
+            assert len(tables) == 1, f"{path.name}:{call.lineno}"
+            assert isinstance(tables[0], ast.Name) and tables[0].id.endswith("_FIELDS"), (
+                f"{path.name}:{call.lineno}"
+            )
+
+
+def test_every_table_key_is_a_key_its_writer_emits(tmp_path):
+    """On a real one-benchmark round, each table's keys are among those of the
+    record its writer emits, and that record, as written, passes the table."""
+    config = dataset.DatasetConfig(families=(Family.SMOOTH,), seeds=(0,), size_class="small")
+    (instance,) = dataset.synth_suite(config)
+    features = tuple(float(v) for v in extract_features(instance))
+    (portfolio,) = dataset.run_suite([instance], 20, master_seed=0)
+    manifest = dataset.persist_results(
+        tmp_path, [instance], [portfolio], instances_hash="0" * 16, master_seed=0, budget=20,
+        size_class="small", families=("smooth",), seeds=(0,), split_fraction=0.5,
+    )
+    label = portfolio.argmin.value
+    sample = dataset.LabeledSample(instance.id, features, label, portfolio.adrs_values)
+    run = dataset._run_line(instance.id, portfolio.results[0], portfolio.adrs_values[0])
+    written = {
+        "INSTANCE_FIELDS": dataset._instance_line(instance, "small", features),
+        "RUN_FIELDS": run,
+        "FRONT_POINT_FIELDS": run["front"][0],
+        "LABEL_FIELDS": dataset._label_line(instance.id, label, portfolio.adrs_values),
+        "REPORT_FIELDS": cli._report_line(sample, ExplorerId(label), 0.0),
+        "MANIFEST_FIELDS": asdict(manifest),
+    }
+    tables = {name for name in vars(dataset) if name.endswith("_FIELDS")}
+    assert tables == set(written)
+    for name, record in written.items():
+        fields = getattr(dataset, name)
+        assert set(fields) <= set(record), name
+        dataset._check_fields(json.loads(dataset.canonical_json(record)), fields)

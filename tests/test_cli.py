@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 import shutil
 from pathlib import Path
 
@@ -354,6 +355,16 @@ class TestRuntimeErrors:
         assert err.count("\n") == 1 and f"{runs}:3: {key} must be" in err
         assert not (tmp_path / "r").exists()
 
+    def test_report_names_a_report_file_that_is_not_utf8(self, pipeline, tmp_path, capsys):
+        data = (pipeline["i"] / REPORT_FILE).read_bytes()
+        report = tmp_path / REPORT_FILE
+        report.write_bytes(data[:40] + b"\xff" + data[40:])
+        d = pipeline["d"]
+        assert run_report(d / "runs.jsonl", d / "labels.jsonl", report, tmp_path / "r") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
     def test_report_names_the_line_of_a_truncated_runs_file(self, pipeline, tmp_path, capsys):
         text = (pipeline["d"] / "runs.jsonl").read_bytes()
         text = text[: len(text) // 2]
@@ -409,8 +420,8 @@ class TestInputChecks:
         "edit,message",
         [
             (lambda m: m.update(train_ids=["nope"]), "must together name each benchmark of"),
-            (lambda m: m.update(inference_ids=[1]), "inference_ids must list benchmark id strings, found 1"),
-            (lambda m: m.update(train_ids="smooth-small-0000"), "train_ids must list benchmark id strings"),
+            (lambda m: m.update(inference_ids=[1]), "inference_ids must be a list of strings, got [1]"),
+            (lambda m: m.update(train_ids="smooth-small-0000"), "train_ids must be a list of strings"),
             (lambda m: m["train_ids"].pop(0), "must together name each"),
             (lambda m: m["train_ids"].append(m["train_ids"][0]), "must together name each"),
             (lambda m: m["inference_ids"].append(m["train_ids"][0]), "must together name each"),
@@ -454,10 +465,56 @@ class TestInputChecks:
             records[lineno - 1]["feature_vector"] = features
 
         d = rehashed_copy(pipeline, tmp_path, "instances.jsonl", edit)
-        want = f"error: {d / 'instances.jsonl'}:{lineno}: feature_vector of {target} needs 24 finite numbers\n"
+        want = (
+            f"error: {d / 'instances.jsonl'}:{lineno}: feature_vector must be 24 finite numbers, "
+            f"got {reprlib.repr(features)}\n"
+        )
         assert train_and_infer_fail(pipeline, d, tmp_path, capsys) == [want, want]
         assert main(["run", "--dataset", str(d), "--budget", "5"]) == 1
         assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r.pop("schema"), "missing key 'schema'"),
+            (lambda r: r.update(family="nope"), "unknown family: 'nope'"),
+            (lambda r: r.update(seed="x"), "seed must be an integer, got 'x'"),
+            (lambda r: r.update(graph={"nodes": [], "edges": []}), "graph needs 8..512 nodes, got 0"),
+            (lambda r: r["schema"][0].pop("levels"), "missing key 'levels'"),
+            (lambda r: r["graph"]["edges"][0].__setitem__(0, "x"), "invalid literal for int()"),
+        ],
+        ids=["no_schema", "unknown_family", "string_seed", "empty_graph", "knob_without_levels", "string_edge"],
+    )
+    def test_run_names_the_line_of_a_bad_instance_record(self, pipeline, tmp_path, capsys, edit, message):
+        records = read_jsonl(pipeline["d"] / "instances.jsonl")
+        edit(records[1])
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "instances.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert main(["run", "--dataset", str(d), "--budget", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {d / 'instances.jsonl'}:2: {message}") and err.count("\n") == 1
+        assert not (d / "manifest.json").exists()
+
+    def test_a_manifest_that_is_not_an_object_is_named(self, pipeline, tmp_path, capsys):
+        d = tmp_path / "d"
+        shutil.copytree(pipeline["d"], d)
+        (d / "manifest.json").write_text("5\n")
+        want = f"error: {d / 'manifest.json'}: expected a JSON object\n"
+        assert train_and_infer_fail(pipeline, d, tmp_path, capsys) == [want, want]
+
+    def test_train_names_a_labels_file_that_is_not_utf8(self, pipeline, tmp_path, capsys):
+        d = tmp_path / "d"
+        shutil.copytree(pipeline["d"], d)
+        data = (d / "labels.jsonl").read_bytes()
+        data = data[:40] + b"\xff" + data[40:]
+        (d / "labels.jsonl").write_bytes(data)
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["hashes"]["labels.jsonl"] = fnv1a64_hex(data)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        for err in train_and_infer_fail(pipeline, d, tmp_path, capsys):
+            assert err.startswith(f"error: {d / 'labels.jsonl'}: 'utf-8' codec can't decode byte 0xff")
+            assert err.count("\n") == 1
 
     def test_train_refuses_to_write_a_checkpoint_infer_would_refuse(self, pipeline, tmp_path, capsys):
         target = json.loads((pipeline["d"] / "manifest.json").read_text())["train_ids"][0]
@@ -630,7 +687,7 @@ class TestReport:
         out = tmp_path / "r"
         assert run_report(pipeline["d"] / "runs.jsonl", labels, pipeline["i"] / REPORT_FILE, out) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {labels}:2: adrs_row of {cut['benchmark_id']} needs 10 finite")
+        assert err.startswith(f"error: {labels}:2: adrs_row must be 10 finite numbers, got [")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -649,13 +706,13 @@ class TestReport:
         "key,edit,message",
         [
             ("adrs_row", lambda r: r["adrs_row"].__setitem__(3, r["adrs_row"][3] + 0.25),
-             "adrs_row of {id} is not its labels.jsonl row"),
+             "adrs_row of {id} differs from {labels}"),
             ("adrs_row", lambda r: r["adrs_row"].__setitem__(0, True),
-             "adrs_row of {id} is not its labels.jsonl row"),
+             "adrs_row must be 10 finite numbers, got [True, "),
             ("selected_adrs", lambda r: r.__setitem__("selected_adrs", r["selected_adrs"] + 0.25),
              "selected_adrs of {id} is not adrs_row["),
             ("selected_adrs", lambda r: r.__setitem__("selected_adrs", str(r["selected_adrs"])),
-             "selected_adrs of {id} is not adrs_row["),
+             "selected_adrs must be a finite number, got '"),
         ],
         ids=["row_entry", "row_bool", "selected_moved", "selected_str"],
     )
@@ -671,7 +728,7 @@ class TestReport:
         labels = pipeline["d"] / "labels.jsonl"
         assert run_report(pipeline["d"] / "runs.jsonl", labels, report, out) == 1
         err = capsys.readouterr().err
-        expected = message.format(id=record["benchmark_id"])
+        expected = message.format(id=record["benchmark_id"], labels=labels)
         assert err.startswith(f"error: {report}:{len(lines)}: {expected}") and err.count("\n") == 1
         assert not out.exists()
 

@@ -14,8 +14,10 @@ from dsekit.benchmarks import Family, extract_features
 from dsekit.dataset import (
     DATA_FILES,
     INSTANCES_FILE,
+    LABEL_FIELDS,
     LABELS_FILE,
     MANIFEST_FILE,
+    RUN_FIELDS,
     RUNS_FILE,
     DatasetConfig,
     canonical_json,
@@ -25,12 +27,12 @@ from dsekit.dataset import (
     persist_instances,
     persist_results,
     read_jsonl,
-    reconstruct_front,
     run_suite,
     split_ids,
     synth_suite,
 )
 from dsekit.hashing import fnv1a64_hex
+from dsekit.pareto import DesignPoint, ObjectiveVector, pareto_filter
 
 TINY = DatasetConfig(families=(Family.SMOOTH, Family.CLUSTERED), seeds=(0, 1), size_class="small")
 TINY_SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
@@ -126,26 +128,45 @@ class TestReadJsonl:
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n{"a": \n')
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
-            read_jsonl(path)
+            read_jsonl(path, None, {})
 
     def test_line_that_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected a JSON object"):
-            read_jsonl(path, '{"a": 1}\n[1, 2]\n')
+            read_jsonl(path, '{"a": 1}\n[1, 2]\n', {})
+
+
+def jsonl(records) -> str:
+    return "".join(json.dumps(record) + "\n" for record in records)
 
 
 class TestSamples:
-    @staticmethod
-    def check_label(label_code, adrs_row):
-        runs = [{"benchmark_id": "b", "explorer_code": code} for code in range(10)]
-        labels = [{"benchmark_id": "b", "label_code": label_code, "adrs_row": adrs_row}]
-        check_runs_cover(runs, labels, "runs.jsonl", "labels.jsonl")
+    """Runs and labels records as `load` and `report` take them: through
+    `read_jsonl` with the file's field table, then `check_runs_cover`."""
+
+    RUNS = [{"benchmark_id": "b", "explorer_code": code, "wall_seconds": 0.5, "front": []} for code in range(10)]
+
+    @classmethod
+    def check(cls, runs, labels):
+        check_runs_cover(
+            read_jsonl("runs.jsonl", jsonl(runs), RUN_FIELDS),
+            read_jsonl("labels.jsonl", jsonl(labels), LABEL_FIELDS),
+            "runs.jsonl",
+            "labels.jsonl",
+        )
+
+    @classmethod
+    def check_label(cls, label_code, adrs_row):
+        cls.check(cls.RUNS, [{"benchmark_id": "b", "label_code": label_code, "adrs_row": adrs_row}])
 
     def test_label_law_enforced(self):
         row = [0.5, 0.1, 0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
         self.check_label(1, row)  # lowest-code minimizer is fine
-        for mistyped in (2, True, 1.0):
-            with pytest.raises(ValueError, match="^labels.jsonl:1: label_code of b is not 1, the lowest index"):
+        with pytest.raises(ValueError, match="^labels.jsonl:1: label_code of b is not 1, the lowest index"):
+            self.check_label(2, row)
+        for mistyped in (True, 1.0):
+            message = f"^labels.jsonl:1: label_code must be an integer in 0..9, got {mistyped}$"
+            with pytest.raises(ValueError, match=message):
                 self.check_label(mistyped, row)
 
     @pytest.mark.parametrize(
@@ -154,9 +175,8 @@ class TestSamples:
         ids=["nine", "eleven", "inf", "string", "bool", "number"],
     )
     def test_adrs_row_needs_ten_finite_values(self, row):
-        with pytest.raises(ValueError, match="^labels.jsonl:1: adrs_row of b needs 10 finite numbers"):
+        with pytest.raises(ValueError, match="^labels.jsonl:1: adrs_row must be 10 finite numbers, got "):
             self.check_label(0, row)
-
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -169,17 +189,16 @@ class TestSamples:
         ],
     )
     def test_runs_name_an_explorer_of_a_named_benchmark(self, key, value, message):
-        runs = [{"benchmark_id": "b", "explorer_code": code} for code in range(10)]
+        runs = [dict(record) for record in self.RUNS]
         runs[3][key] = value
         labels = [{"benchmark_id": "b", "label_code": 0, "adrs_row": [0.5] * 10}]
-        with pytest.raises(ValueError, match=f"^runs.jsonl:4: {message}"):
-            check_runs_cover(runs, labels, "runs.jsonl", "labels.jsonl")
+        with pytest.raises(ValueError, match=f"^runs.jsonl:4: {message}$"):
+            self.check(runs, labels)
 
     def test_labels_name_a_benchmark_by_string(self):
-        runs = [{"benchmark_id": "b", "explorer_code": code} for code in range(10)]
         labels = [{"benchmark_id": 7, "label_code": 0, "adrs_row": [0.5] * 10}]
-        with pytest.raises(ValueError, match="^labels.jsonl:1: benchmark_id must be a string, got 7"):
-            check_runs_cover(runs, labels, "runs.jsonl", "labels.jsonl")
+        with pytest.raises(ValueError, match="^labels.jsonl:1: benchmark_id must be a string, got 7$"):
+            self.check(self.RUNS, labels)
 
 
 class TestPersistAndLoad:
@@ -196,11 +215,16 @@ class TestPersistAndLoad:
             assert sample.features == feature_map[sample.benchmark_id]
             assert sample.label == portfolio.argmin.value
             assert sample.adrs_row == portfolio.adrs_values
-        assert [(r["benchmark_id"], r["explorer_code"], r["adrs"]) for r in loaded.runs] == [
+        runs = read_jsonl(tmp_path / RUNS_FILE, None, RUN_FIELDS)
+        assert [(r["benchmark_id"], r["explorer_code"], r["adrs"]) for r in runs] == [
             (inst.id, result.explorer.value, value)
             for inst, portfolio in zip(instances, portfolios)
             for result, value in zip(portfolio.results, portfolio.adrs_values)
         ]
+        assert loaded.fronts == {
+            inst.id: [result.front for result in portfolio.results]
+            for inst, portfolio in zip(instances, portfolios)
+        }
 
     def test_split_sizes_and_disjointness(self, tiny_dataset):
         dataset, _ = tiny_dataset
@@ -230,9 +254,12 @@ class TestPersistAndLoad:
     def test_fronts_round_trip(self, tiny_dataset):
         dataset, out = tiny_dataset
         first = json.loads((out / RUNS_FILE).read_text().splitlines()[0])
-        front = reconstruct_front(first)
+        front = dataset.fronts[first["benchmark_id"]][0]
         assert len(front.points) >= 1
         assert first["explorer_code"] == 0
+        assert front == pareto_filter(
+            DesignPoint(tuple(p["knobs"]), ObjectiveVector(p["area"], p["latency"])) for p in first["front"]
+        )
 
     def test_failure_leaves_no_files(self, tmp_path, monkeypatch):
         import dsekit.dataset as ds
@@ -302,7 +329,7 @@ class TestLoadIntegrity:
         cut = json.loads(lines[2])
         cut["adrs_row"] = cut["adrs_row"][:9]
         self.rewrite_with_matching_hash(copy, LABELS_FILE, lines[:2] + [json.dumps(cut) + "\n"])
-        pattern = f"{re.escape(str(copy / LABELS_FILE))}:3: adrs_row of {cut['benchmark_id']} needs 10"
+        pattern = f"{re.escape(str(copy / LABELS_FILE))}:3: adrs_row must be 10 finite numbers, got "
         with pytest.raises(ValueError, match=pattern):
             load(copy)
         del cut["adrs_row"]
