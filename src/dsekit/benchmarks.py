@@ -81,16 +81,15 @@ class Knob:
     def __post_init__(self) -> None:
         if self.kind not in KNOB_KINDS:
             raise ValueError(f"unknown knob kind: {self.kind!r}")
-        if self.cardinality < 2:
-            raise ValueError(f"knob {self.name!r} needs cardinality >= 2, got {self.cardinality}")
-        levels = tuple(int(v) for v in self.levels)
-        if len(levels) != self.cardinality:
-            raise ValueError(
-                f"knob {self.name!r} has {len(levels)} levels for cardinality {self.cardinality}"
-            )
+        name, card, levels = self.name, self.cardinality, self.levels
+        if type(card) is not int or card < 2:
+            raise ValueError(f"knob {name!r} needs an integer cardinality >= 2, got {card!r}")
+        if len(levels) != card:
+            raise ValueError(f"knob {name!r} has {len(levels)} levels for cardinality {card}")
+        if any(type(v) is not int for v in levels):
+            raise ValueError(f"knob {name!r} levels must be integers, got {levels}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError(f"knob {self.name!r} levels must be strictly increasing")
-        object.__setattr__(self, "levels", levels)
+            raise ValueError(f"knob {name!r} levels must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,9 @@ class KnobSchema:
     knobs: tuple[Knob, ...]
 
     def __post_init__(self) -> None:
-        knobs = tuple(self.knobs)
-        object.__setattr__(self, "knobs", knobs)
-        if not (2 <= len(knobs) <= _MAX_KNOBS):
-            raise ValueError(f"schema needs 2..{_MAX_KNOBS} knobs, got {len(knobs)}")
-        size = math.prod(k.cardinality for k in knobs)
+        if not (2 <= len(self.knobs) <= _MAX_KNOBS):
+            raise ValueError(f"schema needs 2..{_MAX_KNOBS} knobs, got {len(self.knobs)}")
+        size = math.prod(k.cardinality for k in self.knobs)
         if not (_SPACE_MIN <= size <= _SPACE_MAX):
             raise ValueError(f"design space size {size} outside [{_SPACE_MIN}, {_SPACE_MAX}]")
 
@@ -114,20 +111,6 @@ class KnobSchema:
 
     def space_size(self) -> int:
         return math.prod(self.cardinalities)
-
-    def validate_point(self, knobs: Sequence[int]) -> None:
-        """Raise with the offending knob index when a point leaves the space."""
-        if len(knobs) != len(self.knobs):
-            raise ValueError(
-                f"point has {len(knobs)} knob settings, schema defines {len(self.knobs)}"
-            )
-        for i, (setting, card) in enumerate(zip(knobs, self.cardinalities)):
-            if isinstance(setting, bool) or not isinstance(setting, (int, np.integer)):
-                raise ValueError(f"knob index {i} setting {setting!r} is not an integer")
-            if not (0 <= setting < card):
-                raise ValueError(
-                    f"knob index {i} setting {setting} outside [0, {card - 1}]"
-                )
 
     def iter_points(self) -> Iterator[tuple[int, ...]]:
         """All knob-index vectors in lexicographic order."""
@@ -156,19 +139,15 @@ class OperationGraph:
     edges: tuple[tuple[int, int, str], ...]
 
     def __post_init__(self) -> None:
-        types = tuple(self.node_types)
-        edges = tuple((int(s), int(d), k) for s, d, k in self.edges)
-        object.__setattr__(self, "node_types", types)
-        object.__setattr__(self, "edges", edges)
-        n = len(types)
+        n = len(self.node_types)
         if not (8 <= n <= 512):
             raise ValueError(f"graph needs 8..512 nodes, got {n}")
-        for t in types:
+        for t in self.node_types:
             if t not in NODE_TYPES:
                 raise ValueError(f"unknown node type: {t!r}")
-        for s, d, kind in edges:
-            if not (0 <= s < n and 0 <= d < n):
-                raise ValueError(f"edge ({s}, {d}) references a missing node")
+        for s, d, kind in self.edges:
+            if not (type(s) is type(d) is int and 0 <= s < n and 0 <= d < n):
+                raise ValueError(f"edge ({s!r}, {d!r}) references a missing node")
             if kind not in ("control", "data"):
                 raise ValueError(f"unknown edge kind: {kind!r}")
 
@@ -522,13 +501,13 @@ def _neighbor_readout(graph: OperationGraph, type_index: np.ndarray) -> list[flo
 # --- serialization ----------------------------------------------------------
 
 
-def instance_to_record(instance: BenchmarkInstance, size_class: str | None = None) -> dict:
+def instance_to_record(instance: BenchmarkInstance, size_class: str) -> dict:
     """Plain-data form of an instance for JSONL persistence."""
     return {
         "id": instance.id,
         "family": instance.family.name.lower(),
         "seed": instance.seed,
-        "size_class": size_class if size_class is not None else instance.id.split("-")[1],
+        "size_class": size_class,
         "schema": [
             {"name": k.name, "kind": k.kind, "cardinality": k.cardinality, "levels": list(k.levels)}
             for k in instance.schema.knobs
@@ -541,16 +520,18 @@ def instance_to_record(instance: BenchmarkInstance, size_class: str | None = Non
 
 
 def instance_from_record(record: dict) -> BenchmarkInstance:
-    """Rebuild an instance from its JSONL record."""
+    """Rebuild an instance from its JSONL record, as `instance_to_record` writes it."""
     knobs = tuple(
-        Knob(name=k["name"], kind=k["kind"], cardinality=int(k["cardinality"]),
-             levels=tuple(int(v) for v in k["levels"]))
+        Knob(name=k["name"], kind=k["kind"], cardinality=k["cardinality"],
+             levels=tuple(k["levels"]))
         for k in record["schema"]
     )
-    nodes = sorted(record["graph"]["nodes"], key=lambda pair: pair[0])
+    nodes = record["graph"]["nodes"]
+    if not all(type(index) is int and index == i for i, (index, _) in enumerate(nodes)):
+        raise ValueError("each node must be [its position, type], in order")
     graph = OperationGraph(
         node_types=tuple(t for _, t in nodes),
-        edges=tuple((int(s), int(d), kind) for s, d, kind in record["graph"]["edges"]),
+        edges=tuple((s, d, kind) for s, d, kind in record["graph"]["edges"]),
     )
     validate_graph(graph)
     return BenchmarkInstance(
@@ -558,5 +539,5 @@ def instance_from_record(record: dict) -> BenchmarkInstance:
         schema=KnobSchema(knobs),
         graph=graph,
         family=Family.from_name(record["family"]),
-        seed=int(record["seed"]),
+        seed=record["seed"],
     )

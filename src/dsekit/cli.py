@@ -24,6 +24,7 @@ from .blas import use_one_blas_thread
 from .dataset import (
     INSTANCES_FILE,
     LABEL_FIELDS,
+    MAX_WORKERS,
     REPORT_FIELDS,
     RUN_FIELDS,
     DatasetConfig,
@@ -105,13 +106,15 @@ def _seeds_arg(text: str) -> tuple[int, ...]:
     return tuple(seeds)
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, most: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
     return value
 
 
@@ -201,7 +204,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     ds = load(args.dataset)
     features, labels, scores = ds.matrices("train")
-    head, supervised_curve = pretrain_supervised(features, labels, seed=args.seed)
+    try:
+        head, supervised_curve = pretrain_supervised(features, labels, seed=args.seed)
+    except OverflowError as err:  # from the feature scaler, before any training
+        raise ValueError(f"{Path(args.dataset) / INSTANCES_FILE}: train split {err}") from None
     agent = PpoAgent.init(head, seed=args.seed)
     agent, reward_curve = train_rl(agent, features, scores, seed=args.seed)
     out = Path(args.out)
@@ -395,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, metavar="DIR", help="directory with instances.jsonl")
     p.add_argument("--budget", type=_positive_int, default=500, help="evaluations per explorer")
     p.add_argument("--master-seed", type=int, default=0, help="seed all run seeds derive from")
-    p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=lambda text: _positive_int(text, MAX_WORKERS), default=1,
+                   help=f"parallel worker processes, at most {MAX_WORKERS}")
     p.add_argument(
         "--split-fraction",
         type=_fraction_arg,

@@ -60,6 +60,9 @@ LABELS_FILE = "labels.jsonl"
 MANIFEST_FILE = "manifest.json"
 DATA_FILES = (INSTANCES_FILE, RUNS_FILE, LABELS_FILE)
 
+# The most worker processes `run_suite` takes: its pool starts them all at once.
+MAX_WORKERS = 128
+
 
 # -- field tables -------------------------------------------------------------------
 
@@ -84,6 +87,7 @@ _NON_NEGATIVE = (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 _STRINGS = (_list_of(_STRING[0]), "a list of strings")
+_INTEGERS = (_list_of(_INTEGER[0]), "a list of integers")
 _CODE = (lambda v: type(v) is int and 0 <= v < len(ExplorerId), "an integer in 0..9")
 _ROW = (_list_of(_is_finite, len(ExplorerId)), "10 finite numbers")
 _HASHES = (lambda v: _OBJECT[0](v) and all(map(_STRING[0], v.values())), "an object of strings")
@@ -104,7 +108,7 @@ RUN_FIELDS: Fields = {
     "wall_seconds": _NUMBER,
     "front": _LIST,
 }
-FRONT_POINT_FIELDS: Fields = {"knobs": _LIST, "area": _NON_NEGATIVE, "latency": _NON_NEGATIVE}
+FRONT_POINT_FIELDS: Fields = {"knobs": _INTEGERS, "area": _NON_NEGATIVE, "latency": _NON_NEGATIVE}
 LABEL_FIELDS: Fields = {"benchmark_id": _STRING, "label_code": _CODE, "adrs_row": _ROW}
 REPORT_FIELDS: Fields = {
     "benchmark_id": _STRING,
@@ -117,7 +121,7 @@ MANIFEST_FIELDS: Fields = {
     "budget": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "size_class": _SIZE_CLASS,
     "families": _STRINGS,
-    "seeds": (_list_of(_INTEGER[0]), "a list of integers"),
+    "seeds": _INTEGERS,
     "split_fraction": (lambda v: _is_finite(v) and 0 < v < 1, "a number between 0 and 1"),
     "train_ids": _STRINGS,
     "inference_ids": _STRINGS,
@@ -296,11 +300,11 @@ def run_suite(
     """Portfolio results per instance, identical for any worker count.
 
     All cells run before any scoring: in process at one worker, in a pool of
-    `workers` processes otherwise. Each benchmark's one model goes with its
-    cells and is used again to score them.
+    `workers` processes, but no more than cells, otherwise. Each benchmark's
+    one model goes with its cells and is used again to score them.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     models = [SurrogateModel.from_instance(instance) for instance in instances]
     seeds = [instance_master_seed(master_seed, instance) for instance in instances]
     tasks = [
@@ -314,7 +318,8 @@ def run_suite(
         # imported here: one-worker runs and the other commands never need it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=use_one_blas_thread) as pool:
+        processes = min(workers, len(tasks))
+        with ProcessPoolExecutor(max_workers=processes, initializer=use_one_blas_thread) as pool:
             results = list(pool.map(_explore_cell, tasks))
     n = len(ExplorerId)
     return [
@@ -499,25 +504,33 @@ def _read_fronts(
     runs: Iterable[dict], instances: Sequence[BenchmarkInstance], runs_path: Path
 ) -> dict[str, list[ParetoFront]]:
     """Each benchmark's stored fronts in file order, every point checked against
-    FRONT_POINT_FIELDS and its benchmark's design space."""
-    schemas = {inst.id: inst.schema for inst in instances}
+    FRONT_POINT_FIELDS and its benchmark's design space: the one check it gets."""
+    cardinalities = {inst.id: inst.schema.cardinalities for inst in instances}
     fronts: dict[str, list[ParetoFront]] = {}
     for lineno, record in enumerate(runs, 1):
         benchmark_id = record["benchmark_id"]
-        schema = schemas.get(benchmark_id)
-        if schema is None:
+        cards = cardinalities.get(benchmark_id)
+        if cards is None:
             raise ValueError(f"{runs_path}:{lineno}: unknown benchmark {benchmark_id}")
         points = []
         for i, entry in enumerate(record["front"]):
             try:
                 _check_fields(entry, FRONT_POINT_FIELDS)
-                schema.validate_point(entry["knobs"])
+                knobs = tuple(entry["knobs"])
+                if len(knobs) != len(cards):
+                    raise ValueError(
+                        f"point has {len(knobs)} knob settings, schema defines {len(cards)}"
+                    )
+                for k, (setting, card) in enumerate(zip(knobs, cards)):
+                    if not 0 <= setting < card:
+                        raise ValueError(f"knob index {k} setting {setting} outside [0, {card - 1}]")
             except ValueError as err:
                 raise ValueError(
                     f"{runs_path}:{lineno}: front point {i} of {benchmark_id}: {err}"
                 ) from None
-            objectives = ObjectiveVector(entry["area"], entry["latency"])
-            points.append(DesignPoint(tuple(entry["knobs"]), objectives))
+            # an integral float, such as the clamp value 100.0, is stored as an integer
+            objectives = ObjectiveVector(float(entry["area"]), float(entry["latency"]))
+            points.append(DesignPoint(knobs, objectives))
         fronts.setdefault(benchmark_id, []).append(pareto_filter(points))
     return fronts
 
@@ -638,6 +651,7 @@ __all__ = [
     "LABELS_FILE",
     "LABEL_FIELDS",
     "MANIFEST_FILE",
+    "MAX_WORKERS",
     "REPORT_FIELDS",
     "RUNS_FILE",
     "RUN_FIELDS",

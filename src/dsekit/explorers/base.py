@@ -114,11 +114,11 @@ class ExplorationResult:
 @dataclass(frozen=True)
 class PortfolioResult:
     """All ten explorers on one benchmark: `adrs_values[i]` scores `results[i]`'s
-    front against `reference`, and `argmin` has the lowest (the lowest code on ties)."""
+    front against the benchmark's reference front, and `argmin` has the lowest
+    (the lowest code on ties)."""
 
     results: tuple[ExplorationResult, ...]
     adrs_values: tuple[float, ...]
-    reference: ParetoFront
     argmin: ExplorerId
 
 
@@ -412,4 +412,4 @@ def score_results(
         reference = pareto_filter(p for r in results for p in r.front.points)
     adrs_values = tuple(adrs(reference, r.front) for r in results)
     _, argmin = min(zip(adrs_values, (r.explorer for r in results)))
-    return PortfolioResult(results, adrs_values, reference, argmin)
+    return PortfolioResult(results, adrs_values, argmin)

@@ -86,15 +86,12 @@ def forward(net: Mlp, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def backward(
-    net: Mlp, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray, out: Mlp | None = None
+    net: Mlp, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray, out: Mlp
 ) -> np.ndarray:
     """Exact parameter gradient, in net.params' layout, given the logit gradient.
 
-    The four blocks are written into `out`'s views (a fresh buffer when out is
-    None), and `out.params` is returned.
+    The four blocks are written into `out`'s views, and `out.params` is returned.
     """
-    if out is None:
-        out = Mlp(net.dims, np.empty_like(net.params))
     np.matmul(dlogits.T, hidden, out=out.w2)
     np.add.reduce(dlogits, axis=0, out=out.b2)
     dhidden = dlogits @ net.w2
@@ -139,11 +136,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 
 
 def mean_entropy(
-    logits: np.ndarray, *, parts: tuple[np.ndarray, np.ndarray] | None = None
+    logits: np.ndarray, *, parts: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, np.ndarray]:
     """Mean per-row entropy of the softmax and its exact logit gradient."""
     n = logits.shape[0]
-    logp = (softmax_parts(logits) if parts is None else parts)[0]
+    logp = parts[0]
     p = np.exp(logp)
     row_entropy = -np.add.reduce(p * logp, axis=1)
     dlogits = logp + row_entropy[:, None]

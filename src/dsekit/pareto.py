@@ -1,7 +1,9 @@
 """Two-objective Pareto primitives: dominance, filtering, ADRS.
 
 All functions are pure and value-based. Fronts are immutable once constructed
-and safe to share across worker processes.
+and safe to share across worker processes. Nothing here checks its input: the
+surrogate clamps the objectives it computes to finite values >= 0, and
+`dataset.load` checks the ones it reads.
 """
 
 from __future__ import annotations
@@ -22,19 +24,6 @@ class ObjectiveVector:
 
     area: float
     latency: float
-
-    def __post_init__(self) -> None:
-        for name in ("area", "latency"):
-            raw = getattr(self, name)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError) as exc:
-                raise TypeError(f"{name} must be a real number, got {raw!r}") from exc
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {raw!r}")
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {raw!r}")
-            object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.area, self.latency)
@@ -61,25 +50,12 @@ def dominates(p: ObjectiveVector, q: ObjectiveVector) -> bool:
 class ParetoFront:
     """Mutually non-dominated points with distinct objectives, sorted by (area, latency).
 
-    Construct through :func:`pareto_filter`; the constructor re-validates the
-    ordering invariant, which for two objectives reduces to strictly
-    increasing area alongside strictly decreasing latency.
+    That is strictly increasing area alongside strictly decreasing latency, an
+    order kept by the two constructors, `pareto_filter` and the staircase
+    front of the evaluator in `explore`, and not checked again here.
     """
 
     points: tuple[DesignPoint, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        prev: ObjectiveVector | None = None
-        for point in pts:
-            obj = point.objectives
-            if prev is not None and not (obj.area > prev.area and obj.latency < prev.latency):
-                raise ValueError(
-                    "Pareto front must be strictly increasing in area and "
-                    "strictly decreasing in latency"
-                )
-            prev = obj
 
     def __len__(self) -> int:
         return len(self.points)

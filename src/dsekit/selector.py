@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import FEATURE_DIM
+from .benchmarks import FEATURE_DIM, FEATURE_NAMES
 from .explorers import ExplorerId
 from .hashing import mix64
 from .nn import (
@@ -80,9 +80,14 @@ class FeatureScaler:
 
     @staticmethod
     def fit(features: np.ndarray) -> "FeatureScaler":
+        """Raises OverflowError, naming the feature, where a mean or spread is not finite."""
         features = np.atleast_2d(features)
-        std = features.std(axis=0)
-        return FeatureScaler(mean=features.mean(axis=0), std=np.where(std < 1e-9, 1.0, std))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = features.mean(axis=0), features.std(axis=0)
+        for name, m, s in zip(FEATURE_NAMES, mean, std):
+            if not (math.isfinite(m) and math.isfinite(s)):
+                raise OverflowError(f"feature {name} overflows the scaler: mean {m}, std {s}")
+        return FeatureScaler(mean=mean, std=np.where(std < 1e-9, 1.0, std))
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(features) - self.mean) / self.std
@@ -206,19 +211,16 @@ def ppo_policy_loss(
     advantages: np.ndarray,
     *,
     clip: float = CLIP_RATIO,
-    parts: tuple[np.ndarray, np.ndarray] | None = None,
-    onehot: np.ndarray | None = None,
+    parts: tuple[np.ndarray, np.ndarray],
+    onehot: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Clipped-ratio surrogate loss and its exact gradient on the logits.
 
-    A caller that already has `softmax_parts(logits)` or the actions' one-hot
-    rows passes them as `parts` and `onehot`; neither is modified.
+    The caller passes `softmax_parts(logits)` as `parts` and the actions'
+    one-hot rows as `onehot`; neither is modified.
     """
     n = logits.shape[0]
-    logp, p = softmax_parts(logits) if parts is None else parts
-    if onehot is None:
-        onehot = np.zeros_like(p)
-        onehot[np.arange(n), actions] = 1.0
+    logp, p = parts
     ratio = np.exp(logp[np.arange(n), actions] - old_logp)
     clipped = np.minimum(np.maximum(ratio, 1.0 - clip), 1.0 + clip)
     surr_plain = ratio * advantages

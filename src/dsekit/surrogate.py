@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -120,8 +119,8 @@ class SurrogateModel:
     def evaluate_knobs(self, knobs: tuple[int, ...]) -> ObjectiveVector:
         """Objectives for one knob-index tuple; pure and bit-reproducible.
 
-        The tuple is not validated; check a point of unknown origin with
-        `KnobSchema.validate_point` first.
+        The tuple is not checked: callers pass points of the model's own
+        design space, and `dataset.load` checks every point it reads.
         """
         lat_log = 0.0
         area_log = 0.0
@@ -301,14 +300,6 @@ def _separated_centers(rng: np.random.Generator, count: int, width: float) -> tu
     return tuple(float(c) for c in np.linspace(0.16, 0.66, count))
 
 
-def enumerate_points(model: SurrogateModel, schema: KnobSchema) -> Iterable[DesignPoint]:
-    """Evaluated design points for the whole space, in lexicographic order."""
-    if schema.cardinalities != model.cardinalities:
-        raise ValueError("schema does not match the model's design space")
-    for knobs in schema.iter_points():
-        yield DesignPoint(knobs, model.evaluate_knobs(knobs))
-
-
 def exhaustive_front(model: SurrogateModel, schema: KnobSchema) -> ParetoFront:
-    """True Pareto front by full enumeration of the design space."""
-    return pareto_filter(enumerate_points(model, schema))
+    """True Pareto front by full enumeration of the design space; `schema` is the model's own."""
+    return pareto_filter(DesignPoint(k, model.evaluate_knobs(k)) for k in schema.iter_points())

@@ -42,6 +42,21 @@ def brute_force_pareto_indices(objs: np.ndarray, knobs: list[tuple[int, ...]]) -
     return sorted(best_by_objs.values(), key=lambda i: (objs[i, 0], objs[i, 1]))
 
 
+def assert_staircase(points) -> None:
+    """A front's order, which `ParetoFront` leaves to its constructors: area
+    strictly rising and latency strictly falling from each point to the next."""
+    objs = [(p.objectives.area, p.objectives.latency) for p in points]
+    for (a0, l0), (a1, l1) in zip(objs, objs[1:]):
+        assert a1 > a0 and l1 < l0, f"({a0}, {l0}) then ({a1}, {l1})"
+
+
+def enumerate_points(model, schema) -> list:
+    """Evaluated design points for the whole space, in lexicographic order."""
+    from dsekit.pareto import DesignPoint
+
+    return [DesignPoint(knobs, model.evaluate_knobs(knobs)) for knobs in schema.iter_points()]
+
+
 def naive_adrs(reference: list[tuple[float, float]], approx: list[tuple[float, float]]) -> float:
     """Plain-loop ADRS: mean over reference points of min worst-coordinate shortfall."""
     assert reference and approx
@@ -238,6 +253,35 @@ def grad_check(
         denom = max(abs(analytic[i]), abs(numeric), 1e-2)
         worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst
+
+
+# -- package heads called as the selector calls them --------------------------
+
+
+def fresh_backward(net, x: np.ndarray, hidden: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+    """`nn.backward` into a new gradient buffer."""
+    from dsekit.nn import Mlp, backward
+
+    return backward(net, x, hidden, dlogits, out=Mlp(net.dims, np.empty_like(net.params)))
+
+
+def entropy_of(logits: np.ndarray) -> tuple[float, np.ndarray]:
+    """`nn.mean_entropy` given the logits' own softmax parts."""
+    from dsekit.nn import mean_entropy, softmax_parts
+
+    return mean_entropy(logits, parts=softmax_parts(logits))
+
+
+def policy_loss_of(logits, actions, old_logp, advantages, **kwargs) -> tuple[float, np.ndarray]:
+    """`selector.ppo_policy_loss` given the logits' softmax parts and the actions' one-hot rows."""
+    from dsekit.nn import softmax_parts
+    from dsekit.selector import ppo_policy_loss
+
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(len(actions)), actions] = 1.0
+    return ppo_policy_loss(
+        logits, actions, old_logp, advantages, parts=softmax_parts(logits), onehot=onehot, **kwargs
+    )
 
 
 # -- selector training as first written: a new Mlp per step ------------------

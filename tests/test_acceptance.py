@@ -24,24 +24,19 @@ from dsekit.benchmarks import Family, synth_instance
 from dsekit.cli import CHECKPOINT_FILE, RL_CURVE_FILE, SUPERVISED_CURVE_FILE, main
 from dsekit.dataset import load, run_suite
 from dsekit.explorers import Budget, ExplorerId, explore
-from dsekit.nn import (
-    Mlp,
-    backward,
-    cross_entropy,
-    forward,
-    log_softmax,
-    mean_entropy,
-    mean_squared_error,
-)
+from dsekit.nn import Mlp, cross_entropy, forward, log_softmax, mean_squared_error
 from dsekit.pareto import DesignPoint, ObjectiveVector, adrs, pareto_filter
-from dsekit.selector import N_EXPLORERS, gae, load_selector, ppo_policy_loss
+from dsekit.selector import N_EXPLORERS, gae, load_selector
 from dsekit.surrogate import SurrogateModel
 
 from oracles import (
     brute_force_pareto_indices,
+    entropy_of,
+    fresh_backward,
     grad_check,
     naive_adrs,
     naive_discounted_advantages,
+    policy_loss_of,
 )
 from test_explorers import CountingModel
 from test_nn import kink_free_case
@@ -123,7 +118,7 @@ def _loss_closure(template, x, head):
         net = Mlp(template.dims, vec)
         logits, hidden = forward(net, x)
         loss, dlogits = head(logits)
-        return loss, backward(net, x, hidden, dlogits)
+        return loss, fresh_backward(net, x, hidden, dlogits)
 
     return fn
 
@@ -159,7 +154,7 @@ def test_training_loss_gradients_match_finite_differences(capsys):
 
         net, x, actions, old_logp, advantages = _policy_case(rng)
         fn = _loss_closure(
-            net, x, lambda z: ppo_policy_loss(z, actions, old_logp, advantages)
+            net, x, lambda z: policy_loss_of(z, actions, old_logp, advantages)
         )
         worst["policy"] = max(worst["policy"], grad_check(fn, net.params))
 
@@ -169,7 +164,7 @@ def test_training_loss_gradients_match_finite_differences(capsys):
         worst["value"] = max(worst["value"], grad_check(fn, net.params))
 
         net, x = kink_free_case(rng, (5, 8, 4))
-        fn = _loss_closure(net, x, mean_entropy)
+        fn = _loss_closure(net, x, entropy_of)
         worst["entropy"] = max(worst["entropy"], grad_check(fn, net.params))
     elapsed = time.perf_counter() - start
     ok = max(worst.values()) <= 1e-4 and elapsed < 30.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 import shutil
 from pathlib import Path
@@ -21,7 +22,7 @@ from dsekit.cli import (
     SUPERVISED_CURVE_FILE,
     main,
 )
-from dsekit.dataset import dataset_fingerprint, load
+from dsekit.dataset import MAX_WORKERS, dataset_fingerprint, load
 from dsekit.explorers import ExplorerId
 from dsekit.hashing import fnv1a64_hex
 
@@ -70,6 +71,13 @@ class TestUsageErrors:
 
     def test_bad_split_fraction_exits_2(self, tmp_path):
         assert main(["run", "--dataset", str(tmp_path), "--split-fraction", "1.5"]) == 2
+
+    def test_workers_above_the_ceiling_exits_2(self, tmp_path, capsys):
+        """Refused while parsing, before any pool could start."""
+        argv = ["run", "--dataset", str(tmp_path), "--workers", str(MAX_WORKERS + 1)]
+        assert main(argv) == 2
+        assert f"--workers: must be <= {MAX_WORKERS}, got {MAX_WORKERS + 1}" in capsys.readouterr().err
+        assert cli.build_parser().parse_args(argv[:-1] + [str(MAX_WORKERS)]).workers == MAX_WORKERS
 
     def test_help_exits_0_and_lists_defaults(self, capsys):
         assert main(["run", "--help"]) == 0
@@ -253,23 +261,37 @@ class TestRuntimeErrors:
         assert not (tmp_path / "i" / REPORT_FILE).exists()
 
     @pytest.mark.parametrize(
-        "key,value,shown",
+        "edit,message",
         [
-            ("area", "0.5", "'0.5'"),
-            ("latency", True, "True"),
-            ("area", float("nan"), "nan"),
-            ("latency", -1.0, "-1.0"),
+            (lambda p, cards: p.update(area="0.5"), "area must be a finite number >= 0, got '0.5'"),
+            (lambda p, cards: p.update(latency=True), "latency must be a finite number >= 0, got True"),
+            (lambda p, cards: p.update(area=math.nan), "area must be a finite number >= 0, got nan"),
+            (lambda p, cards: p.update(latency=-1.0), "latency must be a finite number >= 0, got -1.0"),
+            (lambda p, cards: p.update(area=math.inf), "area must be a finite number >= 0, got inf"),
+            (lambda p, cards: p["knobs"].__setitem__(0, True), "knobs must be a list of integers, got {knobs}"),
+            (lambda p, cards: p["knobs"].__setitem__(0, 1.0), "knobs must be a list of integers, got {knobs}"),
+            (lambda p, cards: p["knobs"].__setitem__(0, cards[0]), "knob index 0 setting {c} outside [0, {top}]"),
+            (lambda p, cards: p["knobs"].__setitem__(0, -1), "knob index 0 setting -1 outside [0, {top}]"),
+            (lambda p, cards: p["knobs"].pop(), "point has {short} knob settings, schema defines {n}"),
         ],
-        ids=["area_str", "latency_bool", "area_nan", "latency_negative"],
+        ids=["area_str", "latency_bool", "area_nan", "latency_negative", "area_inf",
+             "knob_bool", "knob_float", "knob_past_the_top", "knob_negative", "knobs_short"],
     )
-    def test_train_names_the_line_of_a_mistyped_front_objective(
-        self, pipeline, tmp_path, capsys, key, value, shown
+    def test_train_names_the_line_of_a_mistyped_front_point(
+        self, pipeline, tmp_path, capsys, edit, message
     ):
+        """`load` is the one check of a stored point: its field table, then its design space."""
         d = tmp_path / "d"
         shutil.copytree(pipeline["d"], d)
         lines = (d / "runs.jsonl").read_text().splitlines(keepends=True)
         record = json.loads(lines[3])
-        record["front"][1][key] = value
+        cards = next(
+            [knob["cardinality"] for knob in instance["schema"]]
+            for instance in read_jsonl(d / "instances.jsonl")
+            if instance["id"] == record["benchmark_id"]
+        )
+        point = record["front"][1]
+        edit(point, cards)
         lines[3] = json.dumps(record) + "\n"
         text = "".join(lines)
         (d / "runs.jsonl").write_text(text)
@@ -279,9 +301,12 @@ class TestRuntimeErrors:
         capsys.readouterr()
         assert main(["train", "--dataset", str(d), "--out", str(tmp_path / "t")]) == 1
         err = capsys.readouterr().err
+        reason = message.format(
+            knobs=reprlib.repr(point["knobs"]), c=cards[0], top=cards[0] - 1,
+            n=len(cards), short=len(cards) - 1,
+        )
         assert err == (
-            f"error: {d / 'runs.jsonl'}:4: front point 1 of {record['benchmark_id']}: "
-            f"{key} must be a finite number >= 0, got {shown}\n"
+            f"error: {d / 'runs.jsonl'}:4: front point 1 of {record['benchmark_id']}: {reason}\n"
         )
         assert not (tmp_path / "t").exists()
 
@@ -481,7 +506,7 @@ class TestInputChecks:
             (lambda r: r.update(seed="x"), "seed must be an integer, got 'x'"),
             (lambda r: r.update(graph={"nodes": [], "edges": []}), "graph needs 8..512 nodes, got 0"),
             (lambda r: r["schema"][0].pop("levels"), "missing key 'levels'"),
-            (lambda r: r["graph"]["edges"][0].__setitem__(0, "x"), "invalid literal for int()"),
+            (lambda r: r["graph"]["edges"][0].__setitem__(0, "x"), "edge ('x', "),
         ],
         ids=["no_schema", "unknown_family", "string_seed", "empty_graph", "knob_without_levels", "string_edge"],
     )
@@ -494,6 +519,40 @@ class TestInputChecks:
         assert main(["run", "--dataset", str(d), "--budget", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {d / 'instances.jsonl'}:2: {message}") and err.count("\n") == 1
+        assert not (d / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r["schema"][0].update(cardinality=str(r["schema"][0]["cardinality"])),
+             "needs an integer cardinality >= 2, got '"),
+            (lambda r: r["schema"][0].update(cardinality=float(r["schema"][0]["cardinality"])),
+             "needs an integer cardinality >= 2, got "),
+            (lambda r: r["schema"][0]["levels"].__setitem__(-1, r["schema"][0]["levels"][-1] + 0.5),
+             "levels must be integers, got ("),
+            (lambda r: r["schema"][0]["levels"].__setitem__(1, bool(r["schema"][0]["levels"][1])),
+             "levels must be integers, got ("),
+            (lambda r: r["graph"]["edges"][0].__setitem__(1, r["graph"]["edges"][0][1] + 0.7),
+             "references a missing node"),
+            (lambda r: r["graph"]["nodes"].reverse(), "each node must be [its position, type]"),
+            (lambda r: r["graph"]["nodes"][1].__setitem__(0, 1.0), "each node must be [its position, type]"),
+        ],
+        ids=["string_cardinality", "float_cardinality", "float_level", "bool_level",
+             "float_edge_end", "nodes_out_of_order", "float_node_index"],
+    )
+    def test_run_refuses_an_instance_value_it_would_have_coerced(
+        self, pipeline, tmp_path, capsys, edit, message
+    ):
+        """Each edit used to be coerced by int() or a sort into the clean record's instance."""
+        records = read_jsonl(pipeline["d"] / "instances.jsonl")
+        edit(records[0])
+        d = tmp_path / "d"
+        d.mkdir()
+        (d / "instances.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert main(["run", "--dataset", str(d), "--budget", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {d / 'instances.jsonl'}:1: ") and err.count("\n") == 1
+        assert message in err
         assert not (d / "manifest.json").exists()
 
     def test_a_manifest_that_is_not_an_object_is_named(self, pipeline, tmp_path, capsys):
@@ -527,7 +586,8 @@ class TestInputChecks:
         capsys.readouterr()
         assert main(["train", "--dataset", str(d), "--out", str(tmp_path / "t")]) == 1
         assert capsys.readouterr().err == (
-            "error: section 'scaler_std' row 0 column 3 is inf, not finite\n"
+            f"error: {d / 'instances.jsonl'}: train split feature max_cardinality overflows "
+            "the scaler: mean 5e+307, std inf\n"
         )
         assert not (tmp_path / "t" / CHECKPOINT_FILE).exists()
 

@@ -17,6 +17,7 @@ from dsekit.dataset import (
     LABEL_FIELDS,
     LABELS_FILE,
     MANIFEST_FILE,
+    MAX_WORKERS,
     RUN_FIELDS,
     RUNS_FILE,
     DatasetConfig,
@@ -31,6 +32,7 @@ from dsekit.dataset import (
     split_ids,
     synth_suite,
 )
+from dsekit.explorers import ExplorerId
 from dsekit.hashing import fnv1a64_hex
 from dsekit.pareto import DesignPoint, ObjectiveVector, pareto_filter
 
@@ -369,6 +371,44 @@ class TestLoadIntegrity:
         pattern = f"{re.escape(str(copy / RUNS_FILE))}:{len(runs) + 1}: unknown benchmark ghost-small-0000"
         with pytest.raises(ValueError, match=pattern):
             load(copy)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """The `max_workers` of every pool `run_suite` asks for; its cells then run in process."""
+    import concurrent.futures
+
+    sizes: list[int] = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+class TestWorkerCount:
+    def test_the_pool_has_no_more_processes_than_cells(self, pool_sizes):
+        suite = synth_suite(TINY)[:1]
+        pooled = run_suite(suite, 5, MASTER_SEED, workers=MAX_WORKERS)
+        assert pool_sizes == [len(ExplorerId)]
+        assert pooled == run_suite(suite, 5, MASTER_SEED)
+
+    @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
+    def test_a_count_outside_the_bounds_is_refused(self, pool_sizes, workers):
+        with pytest.raises(ValueError, match=f"workers must be in 1..{MAX_WORKERS}, got {workers}"):
+            run_suite(synth_suite(TINY)[:1], 5, MASTER_SEED, workers=workers)
+        assert pool_sizes == []
 
 
 class TestSeedDerivation:

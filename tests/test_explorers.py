@@ -36,11 +36,19 @@ from dsekit.explorers.base import (
     Stalled,
     portfolio_seed,
 )
-from dsekit.pareto import ZERO_REFERENCE_EPS, DesignPoint, ObjectiveVector, ParetoFront, pareto_filter
+from dsekit.pareto import (
+    ZERO_REFERENCE_EPS,
+    DesignPoint,
+    ObjectiveVector,
+    ParetoFront,
+    adrs,
+    pareto_filter,
+)
 from dsekit.surrogate import SurrogateModel, exhaustive_front
 
 from oracles import (
     _loop_sample_categorical,
+    assert_staircase,
     dominance_matrix,
     reference_admit_to_front,
     reference_crowding,
@@ -388,7 +396,8 @@ class TestPortfolio:
         size = instance.schema.space_size()
         assert size <= EXHAUSTIVE_REFERENCE_LIMIT
         portfolio = scored_portfolio(instance, model, Budget(20), master_seed=0)
-        assert portfolio.reference == exhaustive_front(model, instance.schema)
+        reference = exhaustive_front(model, instance.schema)
+        assert portfolio.adrs_values == tuple(adrs(reference, r.front) for r in portfolio.results)
 
     def test_large_space_reference_is_the_front_of_everything_evaluated(self, medium_case):
         instance, model = medium_case
@@ -396,7 +405,8 @@ class TestPortfolio:
         recording = RecordingModel(model)
         portfolio = scored_portfolio(instance, recording, Budget(60), master_seed=4)
         assert recording.calls == sum(r.evaluations_used for r in portfolio.results)
-        assert portfolio.reference == pareto_filter(recording.evaluated)
+        reference = pareto_filter(recording.evaluated)
+        assert portfolio.adrs_values == tuple(adrs(reference, r.front) for r in portfolio.results)
 
     def test_scores_are_nonnegative_and_argmin_wins(self, medium_case):
         instance, model = medium_case
@@ -545,10 +555,11 @@ class TestArchiveFront:
         for ev, point in self.admitting(small_case, admissions):
             front = reference_admit_to_front(front, point)
             assert ev.front_points() == tuple(front)
+            assert_staircase(front)
             objs, denom = ev.front_arrays()
             assert objs.tolist() == [[p.objectives.area, p.objectives.latency] for p in front]
             assert np.array_equal(denom, np.where(objs > 0.0, objs, ZERO_REFERENCE_EPS))
-        assert ParetoFront(front) == pareto_filter(ev.evaluated)
+        assert ParetoFront(tuple(front)) == pareto_filter(ev.evaluated)
 
     @settings(max_examples=200, deadline=None)
     @given(admissions=ADMISSIONS, asked_after=st.integers(0, 60))

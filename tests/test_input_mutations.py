@@ -5,7 +5,8 @@ a value for one of another type, puts NaN, infinity or 1e308 in a number,
 drops the line, or cuts the file inside it. `load` (with the manifest
 re-hashed for an edited data file) and `report` must then succeed, or raise a
 ValueError or FileNotFoundError whose message is one line naming the edited
-file. Any other exception fails the test.
+file. Any other exception fails the test. A knob setting of a stored front
+point that leaves the design space must make `train` fail in one line too.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsekit import cli
-from dsekit.cli import REPORT_FILE, main
+from dsekit.cli import CHECKPOINT_FILE, REPORT_FILE, main
 from dsekit.dataset import DATA_FILES, LABELS_FILE, MANIFEST_FILE, RUNS_FILE, load
 from dsekit.hashing import fnv1a64_hex
 
 SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
 MUTATIONS = ("delete_key", "swap_type", "bad_number", "drop_line", "cut_line")
 OTHER_TYPES = ("x", 7, 0.5, True, None, [], {})
+BAD_SETTINGS = (-1, 99, True, 1.0, "1", None)
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +137,31 @@ def test_report_on_a_mutated_file(round_dir, data):
             code = main(argv)
         printed = (0, "") if message is None else (1, f"error: {message}\n")
         assert (code, stderr.getvalue()) == printed
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_train_rejects_a_front_point_outside_its_design_space(round_dir, data):
+    lines = (round_dir / RUNS_FILE).read_text().splitlines(keepends=True)
+    n = data.draw(st.integers(0, len(lines) - 1), label="line")
+    record = json.loads(lines[n])
+    point = data.draw(st.sampled_from(record["front"]), label="point")
+    axis = data.draw(st.integers(0, len(point["knobs"]) - 1), label="knob")
+    point["knobs"][axis] = data.draw(st.sampled_from(BAD_SETTINGS), label="setting")
+    lines[n] = json.dumps(record) + "\n"
+    text = "".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for each in DATA_FILES + (MANIFEST_FILE,):
+            shutil.copy(round_dir / each, d / each)
+        (d / RUNS_FILE).write_text(text)
+        manifest = json.loads((d / MANIFEST_FILE).read_text())
+        manifest["hashes"][RUNS_FILE] = fnv1a64_hex(text.encode("utf-8"))
+        (d / MANIFEST_FILE).write_text(json.dumps(manifest))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["train", "--dataset", str(d), "--out", str(d / "t")])
+        err = stderr.getvalue()
+        assert code == 1 and err.count("\n") == 1, err
+        assert err.startswith(f"error: {d / RUNS_FILE}:{n + 1}: front point "), err
+        assert not (d / "t" / CHECKPOINT_FILE).exists()

@@ -12,13 +12,18 @@ from hypothesis import example, given, settings, strategies as st
 from dsekit.pareto import (
     DesignPoint,
     ObjectiveVector,
-    ParetoFront,
     adrs,
     dominates,
     pareto_filter,
 )
 
-from oracles import brute_force_pareto_indices, coverage_distance, naive_adrs, reference_adrs
+from oracles import (
+    assert_staircase,
+    brute_force_pareto_indices,
+    coverage_distance,
+    naive_adrs,
+    reference_adrs,
+)
 
 
 def pt(area, latency, knobs=(0,)):
@@ -36,22 +41,10 @@ edge_values = st.one_of(
 
 
 class TestObjectiveVector:
-    def test_accepts_finite_nonnegative(self):
-        """Plain construction stores floats."""
-        v = ObjectiveVector(area=1, latency=2.5)
-        assert v.area == 1.0 and v.latency == 2.5
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_rejects_non_finite_and_negative(self, bad):
-        """NaN, infinity, and negatives are construction errors."""
-        with pytest.raises(ValueError):
-            ObjectiveVector(area=bad, latency=1.0)
-        with pytest.raises(ValueError):
-            ObjectiveVector(area=1.0, latency=bad)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(TypeError):
-            ObjectiveVector(area="wide", latency=1.0)
+    def test_stores_its_two_values(self):
+        """A plain pair: `load` checks stored values, and the surrogate clamps its own."""
+        v = ObjectiveVector(area=1.0, latency=2.5)
+        assert v.as_tuple() == (1.0, 2.5)
 
 
 class TestDominates:
@@ -112,10 +105,6 @@ class TestParetoFilter:
         with pytest.raises(TypeError, match="objectives"):
             DesignPoint((0,))
 
-    def test_front_constructor_rejects_dominated_order(self):
-        with pytest.raises(ValueError, match="strictly"):
-            ParetoFront((pt(1, 4), pt(2, 5)))
-
     @given(
         st.lists(
             st.tuples(
@@ -132,6 +121,7 @@ class TestParetoFilter:
         """Sweep-based filter equals the O(n^2) pairwise-dominance oracle."""
         points = [pt(float(a), float(l), (k,)) for a, l, k in raw]
         front = pareto_filter(points)
+        assert_staircase(front)
         objs = np.array([[a, l] for a, l, _ in raw], dtype=float).reshape(len(raw), 2)
         expect = brute_force_pareto_indices(objs, [p.knobs for p in points])
         assert [p.knobs for p in front] == [points[i].knobs for i in expect]
@@ -150,6 +140,7 @@ class TestParetoFilter:
     def test_filter_is_idempotent_and_mutually_nondominated(self, raw):
         points = [pt(a, l, (i,)) for i, (a, l) in enumerate(raw)]
         front = pareto_filter(points)
+        assert_staircase(front)
         again = pareto_filter(list(front))
         assert [p.knobs for p in front] == [p.knobs for p in again]
         for p in front:
@@ -275,4 +266,5 @@ class TestReferenceFront:
         points = [[pt(a, l, (k,)) for a, l, k in part] for part in parts]
         fronts = [pareto_filter(part) for part in points]
         union = pareto_filter(p for part in points for p in part)
+        assert_staircase(union)
         assert pareto_filter(p for front in fronts for p in front.points) == union

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from dsekit.explorers import ExplorerId
 from dsekit.nn import (
     Mlp,
-    backward,
     cross_entropy,
     forward,
     log_softmax,
@@ -46,8 +45,11 @@ from dsekit.selector import (
     train_rl,
 )
 from oracles import (
+    entropy_of,
+    fresh_backward,
     grad_check,
     naive_discounted_advantages,
+    policy_loss_of,
     reference_cross_entropy,
     reference_mean_entropy,
     reference_mean_squared_error,
@@ -164,7 +166,7 @@ class TestPolicyLoss:
 
             def fn(vec):
                 z = vec.reshape(logits.shape)
-                loss, dlogits = ppo_policy_loss(z, actions, old_logp, adv)
+                loss, dlogits = policy_loss_of(z, actions, old_logp, adv)
                 return loss, dlogits.ravel()
 
             assert grad_check(fn, logits.ravel().copy()) <= 1e-4
@@ -175,7 +177,7 @@ class TestPolicyLoss:
         actions = rng.integers(N_EXPLORERS, size=8)
         old_logp = log_softmax(logits)[np.arange(8), actions]
         adv = rng.normal(size=8)
-        loss, _ = ppo_policy_loss(logits, actions, old_logp, adv)
+        loss, _ = policy_loss_of(logits, actions, old_logp, adv)
         assert loss == pytest.approx(-adv.mean(), abs=1e-12)
 
     def test_clip_flattens_faraway_ratios(self):
@@ -183,7 +185,7 @@ class TestPolicyLoss:
         logits = np.zeros((1, N_EXPLORERS))
         logits[0, 0] = 4.0
         old_logp = np.array([np.log(1e-3)])
-        loss, dlogits = ppo_policy_loss(logits, np.array([0]), old_logp, np.array([1.0]))
+        loss, dlogits = policy_loss_of(logits, np.array([0]), old_logp, np.array([1.0]))
         assert loss == pytest.approx(-1.2)
         assert np.abs(dlogits).max() == 0.0
 
@@ -191,7 +193,7 @@ class TestPolicyLoss:
         rng = np.random.default_rng(5)
         for _ in range(100):
             logits, actions, old_logp, adv = self.safe_config(rng, n=1)
-            loss, _ = ppo_policy_loss(logits, actions, old_logp, adv)
+            loss, _ = policy_loss_of(logits, actions, old_logp, adv)
             assert -loss >= -(1.2) * abs(adv[0]) - 1e-12
 
 
@@ -330,12 +332,10 @@ class TestPpoUpdate:
         def fn(vec):
             net = Mlp(actor.dims, vec)
             logits, hidden = forward(net, states)
-            p_loss, d_policy = ppo_policy_loss(logits, actions, old_logp, advs)
-            from dsekit.nn import mean_entropy
-
-            entropy, d_entropy = mean_entropy(logits)
+            p_loss, d_policy = policy_loss_of(logits, actions, old_logp, advs)
+            entropy, d_entropy = entropy_of(logits)
             dlogits = d_policy - 0.01 * d_entropy
-            return p_loss - 0.01 * entropy, backward(net, states, hidden, dlogits)
+            return p_loss - 0.01 * entropy, fresh_backward(net, states, hidden, dlogits)
 
         assert grad_check(fn, actor.params, sample=200, rng=rng) <= 1e-4
 
@@ -417,14 +417,10 @@ class TestInPlaceTraining:
         onehot = np.zeros_like(logits)
         onehot[np.arange(len(actions)), actions] = 1.0
         want = reference_ppo_policy_loss(logits, actions, old_logp, advantages, CLIP_RATIO)
-        for got in (
-            ppo_policy_loss(logits, actions, old_logp, advantages),
-            ppo_policy_loss(logits, actions, old_logp, advantages, parts=parts, onehot=onehot),
-        ):
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-        want = reference_mean_entropy(logits)
-        for got in (mean_entropy(logits), mean_entropy(logits, parts=parts)):
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        got = ppo_policy_loss(logits, actions, old_logp, advantages, parts=parts, onehot=onehot)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        got, want = mean_entropy(logits, parts=parts), reference_mean_entropy(logits)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         got, want = cross_entropy(logits, actions), reference_cross_entropy(logits, actions)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         pred, _ = forward(agent.critic, states[:, :FEATURE_DIM])
@@ -641,7 +637,7 @@ class TestRecommend:
             net = Mlp(agent.critic.dims, vec)
             pred, hidden = forward(net, z)
             loss, dpred = mean_squared_error(pred, target)
-            return loss, backward(net, z, hidden, dpred)
+            return loss, fresh_backward(net, z, hidden, dpred)
 
         assert grad_check(fn, agent.critic.params, sample=300, rng=rng) <= 1e-4
 
