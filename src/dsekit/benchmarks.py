@@ -79,6 +79,8 @@ class Knob:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"knob name must be a non-empty string, got {self.name!r}")
         if self.kind not in KNOB_KINDS:
             raise ValueError(f"unknown knob kind: {self.kind!r}")
         name, card, levels = self.name, self.cardinality, self.levels

@@ -5,9 +5,10 @@ Five subcommands cover the whole workflow. `synth` writes a benchmark suite,
 `train` fits the two-stage selector on the train split, `infer` recommends an
 explorer per held-out benchmark and re-executes the pick with a fresh seed,
 and `report` turns the data files into three CSV tables. Exit codes follow
-the usual convention: 0 success, 1 runtime failure, 2 usage error. Every
-command is deterministic: identical flags and inputs give byte-identical
-outputs.
+the usual convention: 0 success, 1 runtime failure, 2 usage error, and 130
+after an interrupt (SIGINT); an error or an interrupt prints one line on
+stderr. Every command is deterministic: identical flags and inputs give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .dataset import (
     read_instances,
     read_jsonl,
     run_suite,
+    split_ids,
     synth_suite,
     write_jsonl,
 )
@@ -178,6 +180,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     instances, _, records = read_instances(instances_path)
     if not records:
         raise ValueError(f"no instances in {instances_path}")
+    train_ids, inference_ids = split_ids(
+        [inst.id for inst in instances], args.split_fraction, args.master_seed
+    )
+    if not train_ids or not inference_ids:
+        raise ValueError(
+            f"--split-fraction {args.split_fraction} splits {len(instances)} benchmarks into "
+            f"{len(train_ids)} train / {len(inference_ids)} inference; each side needs at least one"
+        )
     families = tuple(dict.fromkeys(record["family"] for record in records))
     seeds = tuple(sorted({record["seed"] for record in records}))
     portfolios = run_suite(instances, args.budget, args.master_seed, args.workers)
@@ -444,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

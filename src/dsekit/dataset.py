@@ -22,6 +22,7 @@ import json
 import math
 import os
 import reprlib
+import signal
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -291,6 +292,13 @@ def _explore_cell(task: tuple) -> ExplorationResult:
     return explore(*task)
 
 
+def _init_worker() -> None:
+    """Pool worker set-up: one BLAS thread, and SIGINT left to the parent,
+    which cancels the pending cells and waits for the running ones."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    use_one_blas_thread()
+
+
 def run_suite(
     instances: Sequence[BenchmarkInstance],
     budget: int,
@@ -301,7 +309,9 @@ def run_suite(
 
     All cells run before any scoring: in process at one worker, in a pool of
     `workers` processes, but no more than cells, otherwise. Each benchmark's
-    one model goes with its cells and is used again to score them.
+    one model goes with its cells and is used again to score them. When the
+    pool's wait is interrupted, or a cell fails, the cells not yet started are
+    cancelled.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
@@ -319,8 +329,12 @@ def run_suite(
         from concurrent.futures import ProcessPoolExecutor
 
         processes = min(workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=processes, initializer=use_one_blas_thread) as pool:
-            results = list(pool.map(_explore_cell, tasks))
+        with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker) as pool:
+            try:
+                results = list(pool.map(_explore_cell, tasks))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     n = len(ExplorerId)
     return [
         score_results(instance, model, tuple(results[i * n : (i + 1) * n]))

@@ -5,33 +5,38 @@ exception is the uniform stop signal, so none of the loops below carry their
 own termination logic beyond it. A runner that re-proposes evaluated points
 4096 times in a row (or makes max(2000, 250 x budget) proposals in all) is
 stopped by its subclass Stalled, and `explore` fills the rest of the budget
-with unseen uniform points from a generator of its own. All randomness of the
-search flows through the passed-in generator, which is what makes a run
-reproducible from its seed.
+with unseen uniform points from a stream of its own. All randomness of the
+search flows through the passed-in `Draws` stream, which is what makes a run
+reproducible from its seed. Its scalar draws equal the seeded generator's
+`random()`, `integers(n)` and `permutation(k)` calls; SBO and PSO, whose
+draws are mostly vectors, take the generator itself from it.
 
 The runners read the evaluator's shared front state rather than rebuilding
 it: AC, PG and ACO take the cached front objective arrays, SBO the cached
 front tuple, and lattice and SBO the sorted list of the front's unseen
 neighbours.
 
-Every categorical draw is one `rng.random()` placed by binary search in the
-distribution's left-to-right running sums, which gives the index a linear scan
-for the first sum above the draw would. A distribution that serves several
-draws (ACO's ants, EDA's samples, PSO's leaders, a policy row between updates)
-has its sums built once.
+Every categorical draw is one uniform `random()` draw placed by binary search
+in the distribution's left-to-right running sums, which gives the index a
+linear scan for the first sum above the draw would. A distribution that
+serves several draws (ACO's ants, EDA's samples, PSO's leaders, a policy row
+between updates) has its sums built once.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import accumulate, chain
+from typing import Callable
 
 import numpy as np
 
 from ..benchmarks import random_knobs
 from ..pareto import DesignPoint, dominates
 from .base import BudgetedEvaluator, ExplorerId, register
+from .draws import Draws
 
 _POP = 40
 
@@ -40,23 +45,24 @@ _POP = 40
 
 
 def _unseen_random(
-    ev: BudgetedEvaluator, rng: np.random.Generator, cards: tuple[int, ...], tries: int = 64
+    ev: BudgetedEvaluator, draw: Callable[[], tuple[int, ...]], tries: int = 64
 ) -> tuple[int, ...]:
-    knobs = random_knobs(rng, cards)
+    """The first unseen of up to 1 + tries uniform points from draw(), or the last."""
+    knobs = draw()
     for _ in range(tries):
         if not ev.seen(knobs):
             break
-        knobs = random_knobs(rng, cards)
+        knobs = draw()
     return knobs
 
 
-def _sample_cumulative(rng: np.random.Generator, cum: list[float]) -> int:
+def _sample_cumulative(uniform: Callable[[], float], cum: list[float]) -> int:
     """Draw from the distribution whose running sums are cum, list(accumulate(probs)).
 
-    The first index whose sum exceeds the uniform draw, or the last index
-    when rounding leaves every sum at or below it.
+    The first index whose sum exceeds the draw uniform() in [0, 1), or the
+    last index when rounding leaves every sum at or below it.
     """
-    return min(bisect_right(cum, rng.random()), len(cum) - 1)
+    return min(bisect_right(cum, uniform()), len(cum) - 1)
 
 
 def _log_objectives(point: DesignPoint) -> tuple[float, float]:
@@ -112,17 +118,18 @@ def _crowding(objs: list[tuple[float, float]], ranks: list[int]) -> list[float]:
     return dist
 
 
-def _tournament(rng: np.random.Generator, ranks: list[int], crowd: list[float]) -> int:
-    i, j = int(rng.integers(len(ranks))), int(rng.integers(len(ranks)))
+def _tournament(draws: Draws, ranks: list[int], crowd: list[float]) -> int:
+    i, j = draws.integers(len(ranks)), draws.integers(len(ranks))
     if (ranks[i], -crowd[i]) <= (ranks[j], -crowd[j]):
         return i
     return j
 
 
 def _seed_population(
-    ev: BudgetedEvaluator, rng: np.random.Generator, cards: tuple[int, ...], size: int
+    ev: BudgetedEvaluator, draws: Draws, cards: tuple[int, ...], size: int
 ) -> list[DesignPoint]:
-    return [ev.evaluate(_unseen_random(ev, rng, cards)) for _ in range(size)]
+    draw = partial(draws.knobs, cards)
+    return [ev.evaluate(_unseen_random(ev, draw)) for _ in range(size)]
 
 
 def _survivors(pop: list[DesignPoint], size: int) -> list[DesignPoint]:
@@ -137,27 +144,27 @@ def _survivors(pop: list[DesignPoint], size: int) -> list[DesignPoint]:
 
 
 @register(ExplorerId.NSGA2)
-def run_nsga2(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
+def run_nsga2(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     cards = schema.cardinalities
     k = len(cards)
-    pop = _seed_population(ev, rng, cards, _POP)
+    pop = _seed_population(ev, draws, cards, _POP)
     while True:
         objs = [(p.objectives.area, p.objectives.latency) for p in pop]
         ranks = _nondominated_ranks(objs)
         crowd = _crowding(objs, ranks)
         kids: list[DesignPoint] = []
         while len(kids) < _POP:
-            pa = pop[_tournament(rng, ranks, crowd)].knobs
-            pb = pop[_tournament(rng, ranks, crowd)].knobs
-            if rng.random() < 0.9:
-                mask = rng.random(k) < 0.5
+            pa = pop[_tournament(draws, ranks, crowd)].knobs
+            pb = pop[_tournament(draws, ranks, crowd)].knobs
+            if draws.random() < 0.9:
+                mask = [draws.random() < 0.5 for _ in range(k)]
                 ca = tuple(pa[i] if mask[i] else pb[i] for i in range(k))
                 cb = tuple(pb[i] if mask[i] else pa[i] for i in range(k))
             else:
                 ca, cb = pa, pb
             for child in (ca, cb):
                 mutated = tuple(
-                    int(rng.integers(0, cards[i])) if rng.random() < 1.0 / k else child[i]
+                    draws.integers(cards[i]) if draws.random() < 1.0 / k else child[i]
                     for i in range(k)
                 )
                 kids.append(ev.evaluate(mutated))
@@ -167,12 +174,12 @@ def run_nsga2(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 
 
 @register(ExplorerId.QLMOEA)
-def run_qlmoea(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
+def run_qlmoea(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     """NSGA2 skeleton with a Q-learned choice of variation operator."""
     cards = schema.cardinalities
     k = len(cards)
     q: dict[tuple[int, int], np.ndarray] = {}
-    pop = _seed_population(ev, rng, cards, _POP)
+    pop = _seed_population(ev, draws, cards, _POP)
     prev_front = len(ev.front_points())
     growth_sign = 1
 
@@ -188,8 +195,8 @@ def run_qlmoea(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
     while True:
         s = state()
         row = q_row(s)
-        if rng.random() < 0.1:
-            op = int(rng.integers(4))
+        if draws.random() < 0.1:
+            op = draws.integers(4)
         else:
             op = int(np.argmax(row))
         objs = [(p.objectives.area, p.objectives.latency) for p in pop]
@@ -199,18 +206,17 @@ def run_qlmoea(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         try:
             while len(kids) < _POP:
                 if op == 0:
-                    pa = pop[_tournament(rng, ranks, crowd)].knobs
-                    pb = pop[_tournament(rng, ranks, crowd)].knobs
-                    mask = rng.random(k) < 0.5
+                    pa = pop[_tournament(draws, ranks, crowd)].knobs
+                    pb = pop[_tournament(draws, ranks, crowd)].knobs
+                    mask = [draws.random() < 0.5 for _ in range(k)]
                     child = tuple(pa[i] if mask[i] else pb[i] for i in range(k))
                 elif op in (1, 2):
-                    child = list(pop[_tournament(rng, ranks, crowd)].knobs)
-                    axes = rng.permutation(k)[: min(op, k)]
-                    for axis in axes:
-                        child[axis] = int(rng.integers(0, cards[axis]))
+                    child = list(pop[_tournament(draws, ranks, crowd)].knobs)
+                    for axis in draws.permutation(k)[: min(op, k)]:
+                        child[axis] = draws.integers(cards[axis])
                     child = tuple(child)
                 else:
-                    child = random_knobs(rng, cards)
+                    child = draws.knobs(cards)
                 kids.append(ev.evaluate(child))
         finally:
             # learn from the partial generation too, then let saturation rise
@@ -226,18 +232,18 @@ def run_qlmoea(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 
 
 @register(ExplorerId.SA)
-def run_sa(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
+def run_sa(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     cards = schema.cardinalities
     k = len(cards)
-    current = ev.evaluate(random_knobs(rng, cards))
+    current = ev.evaluate(draws.knobs(cards))
     temperature = 1.0
-    weight = float(rng.random())
+    weight = draws.random()
     step = 0
     while True:
         if step and step % 50 == 0:
-            weight = float(rng.random())
-        axis = int(rng.integers(k))
-        move = 1 if rng.random() < 0.5 else -1
+            weight = draws.random()
+        axis = draws.integers(k)
+        move = 1 if draws.random() < 0.5 else -1
         level = current.knobs[axis] + move
         if not 0 <= level < cards[axis]:
             level = current.knobs[axis] - move
@@ -246,38 +252,40 @@ def run_sa(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         lat_c, area_c = _log_objectives(current)
         lat_n, area_n = _log_objectives(candidate)
         delta = weight * (lat_n - lat_c) + (1.0 - weight) * (area_n - area_c)
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+        if delta <= 0 or draws.random() < math.exp(-delta / temperature):
             current = candidate
         temperature *= 0.995
         step += 1
 
 
 @register(ExplorerId.LATTICE)
-def run_lattice(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
+def run_lattice(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     cards = schema.cardinalities
-    ev.evaluate(random_knobs(rng, cards))
+    draw = partial(draws.knobs, cards)
+    ev.evaluate(draw())
     while True:
-        if rng.random() < 0.15:
-            ev.evaluate(_unseen_random(ev, rng, cards))
+        if draws.random() < 0.15:
+            ev.evaluate(_unseen_random(ev, draw))
             continue
         fresh = ev.unseen_neighbours()
         if fresh:
-            ev.evaluate(fresh[int(rng.integers(len(fresh)))])
+            ev.evaluate(fresh[draws.integers(len(fresh))])
         else:
-            ev.evaluate(_unseen_random(ev, rng, cards))
+            ev.evaluate(_unseen_random(ev, draw))
 
 
 # -- swarm explorers ----------------------------------------------------------
 
 
 @register(ExplorerId.ACO)
-def run_aco(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
+def run_aco(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     cards = schema.cardinalities
     pheromone = [np.ones(c) for c in cards]
+    random = draws.random
     while True:
         cums = [list(accumulate((tau / tau.sum()).tolist())) for tau in pheromone]
         batch = [
-            ev.evaluate(tuple(_sample_cumulative(rng, cum) for cum in cums)) for _ in range(20)
+            ev.evaluate(tuple([_sample_cumulative(random, cum) for cum in cums])) for _ in range(20)
         ]
         front, _ = ev.front_arrays()
         objs = np.array([p.objectives.as_tuple() for p in batch])
@@ -296,10 +304,11 @@ def run_aco(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 
 
 @register(ExplorerId.PSO)
-def run_pso(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
+def run_pso(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     cards = schema.cardinalities
     k = len(cards)
     n = 30
+    rng = draws.generator()
     hi = np.array(cards, dtype=float) - 1.0
     pos = rng.uniform(0.0, 1.0, size=(n, k)) * hi
     vel = np.zeros((n, k))
@@ -313,7 +322,7 @@ def run_pso(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
         weights = np.where(np.isfinite(crowd), crowd, cap) + 1e-9
         cum = list(accumulate((weights / weights.sum()).tolist()))
         for i in range(n):
-            leader = front[_sample_cumulative(rng, cum)]
+            leader = front[_sample_cumulative(rng.random, cum)]
             target = np.array(leader.knobs, dtype=float)
             own = np.array(best[i].knobs, dtype=float)
             r1, r2 = rng.random(k), rng.random(k)
@@ -371,12 +380,14 @@ def _dominated(front_logs: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
 
 @register(ExplorerId.SBO)
-def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
+def run_sbo(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     """Quadratic regression surrogate with dominance-improvement acquisition."""
     cards = schema.cardinalities
     k = len(cards)
+    rng = draws.generator()
+    draw = partial(random_knobs, rng, cards)
     for _ in range(10):
-        ev.evaluate(_unseen_random(ev, rng, cards))
+        ev.evaluate(_unseen_random(ev, draw))
     coef = None
     sigma = np.ones(2)
     fitted_at = -1
@@ -395,23 +406,23 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
             resid = y - x @ coef
             sigma = np.maximum(resid.std(axis=0), 1e-3)
             fitted_at = ev.evaluations_used
-        draws = set(map(tuple, rng.integers(0, cards, size=(256, k)).tolist()))
-        # the unseen draws and the front's unseen neighbours, sorted
+        picks = set(map(tuple, rng.integers(0, cards, size=(256, k)).tolist()))
+        # the unseen picks and the front's unseen neighbours, sorted
         cands = ev.unseen_neighbours() + [
-            d for d in draws if not ev.seen(d) and not ev.near_front(d)
+            d for d in picks if not ev.seen(d) and not ev.near_front(d)
         ]
         cands.sort()
         if not cands:
-            ev.evaluate(_unseen_random(ev, rng, cards))
+            ev.evaluate(_unseen_random(ev, draw))
             continue
         mu = _design_matrix(_level_array(cands, k), cards) @ coef
-        draws = mu[:, None, :] + rng.standard_normal((len(cands), 8, 2)) * sigma
+        samples = mu[:, None, :] + rng.standard_normal((len(cands), 8, 2)) * sigma
         front = ev.front_points()
         if front is not logs_of:
             logs_of = front
             front_logs = np.array([_log_objectives(p) for p in front])
         # a draw is an improvement when no front point weakly dominates it
-        scores = 1.0 - _dominated(front_logs, draws).mean(axis=1)
+        scores = 1.0 - _dominated(front_logs, samples).mean(axis=1)
         # by falling score, ties in candidate order since cands is sorted
         order = np.argsort(-scores, kind="stable")
         # coverage-greedy batch: among candidates likely to improve the front,
@@ -441,18 +452,19 @@ def run_sbo(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
 
 
 @register(ExplorerId.EDA)
-def run_eda(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
+def run_eda(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     """Tchebycheff decomposition into 8 subproblems with univariate marginals."""
     cards = schema.cardinalities
     weights = [(i / 7.0, 1.0 - i / 7.0) for i in range(8)]
     marginals = [[np.full(c, 1.0 / c) for c in cards] for _ in range(8)]
     ideal = [math.inf, math.inf]
+    random = draws.random
     while True:
         for m, (w_lat, w_area) in enumerate(weights):
             samples = []
             cums = [list(accumulate(dist.tolist())) for dist in marginals[m]]
             for _ in range(8):
-                point = ev.evaluate(tuple(_sample_cumulative(rng, cum) for cum in cums))
+                point = ev.evaluate(tuple([_sample_cumulative(random, cum) for cum in cums]))
                 lat, area = _log_objectives(point)
                 ideal[0] = min(ideal[0], lat)
                 ideal[1] = min(ideal[1], area)
@@ -495,7 +507,7 @@ def _softmax_runs(tables: np.ndarray, runs: list[tuple[int, int, int]]) -> np.nd
     return probs
 
 
-def _run_policy(ev: BudgetedEvaluator, schema, rng: np.random.Generator, with_baseline: bool) -> None:
+def _run_policy(ev: BudgetedEvaluator, schema, draws: Draws, with_baseline: bool) -> None:
     """A softmax table per knob, trained by REINFORCE on the negated coverage
     shortfall of each proposal against the front; AC subtracts a running
     baseline from the reward, PG does not.
@@ -518,14 +530,17 @@ def _run_policy(ev: BudgetedEvaluator, schema, rng: np.random.Generator, with_ba
     arrays = None
     rewards: dict[tuple[int, ...], float] = {}
     probs = None
+    random, integers = draws.random, draws.integers
     while True:
         if probs is None:
             probs = _softmax_runs(tables, runs)
             listed = probs.tolist()
             cums = [list(accumulate(listed[row][:card])) for row, card in zip(rows, cards)]
         actions = tuple(
-            int(rng.integers(card)) if rng.random() < 0.1 else _sample_cumulative(rng, cum)
-            for card, cum in zip(cards, cums)
+            [
+                integers(card) if random() < 0.1 else _sample_cumulative(random, cum)
+                for card, cum in zip(cards, cums)
+            ]
         )
         point = ev.evaluate(actions)
         if ev.front_arrays() is not arrays:
@@ -554,10 +569,10 @@ def _run_policy(ev: BudgetedEvaluator, schema, rng: np.random.Generator, with_ba
 
 
 @register(ExplorerId.PG)
-def run_pg(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
-    _run_policy(ev, schema, rng, with_baseline=False)
+def run_pg(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+    _run_policy(ev, schema, draws, with_baseline=False)
 
 
 @register(ExplorerId.AC)
-def run_ac(ev: BudgetedEvaluator, schema, rng: np.random.Generator) -> None:
-    _run_policy(ev, schema, rng, with_baseline=True)
+def run_ac(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+    _run_policy(ev, schema, draws, with_baseline=True)

@@ -29,10 +29,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..benchmarks import BenchmarkInstance, KnobSchema, random_knobs
+from ..benchmarks import BenchmarkInstance, KnobSchema
 from ..hashing import mix64
 from ..pareto import ZERO_REFERENCE_EPS, DesignPoint, ParetoFront, adrs, pareto_filter
 from ..surrogate import SurrogateModel, exhaustive_front
+from .draws import Draws
 
 
 class ExplorerId(IntEnum):
@@ -206,7 +207,7 @@ class BudgetedEvaluator:
             raise Stalled
         return self._admit(knobs)
 
-    def fill_unseen(self, rng: np.random.Generator) -> int:
+    def fill_unseen(self, draws: Draws) -> int:
         """Spend the rest of the budget on unseen points; returns how many.
 
         Each point is the first of up to 64 uniform draws that is unseen, or,
@@ -217,7 +218,7 @@ class BudgetedEvaluator:
         filled = 0
         while not self.saturated():
             for _ in range(_FILL_DRAWS):
-                knobs = random_knobs(rng, cards)
+                knobs = draws.knobs(cards)
                 if knobs not in self._memo:
                     break
             else:
@@ -321,7 +322,7 @@ class BudgetedEvaluator:
                     del unseen[bisect_left(unseen, nbr)]
 
 
-Runner = Callable[[BudgetedEvaluator, KnobSchema, np.random.Generator], None]
+Runner = Callable[[BudgetedEvaluator, KnobSchema, Draws], None]
 _RUNNERS: dict[ExplorerId, Runner] = {}
 
 
@@ -348,11 +349,14 @@ def explore(
     """Run one explorer on one benchmark under a budget, deterministically.
 
     When the whole design space fits inside the evaluation budget, the space
-    is simply enumerated; any search would be wasted motion there. When the
-    explorer stalls, the rest of its budget goes to unseen uniform points from
-    a generator of their own, so the explorer's generator is left as the
-    search left it. A failure of the search is raised as a RuntimeError that
-    names the explorer and the benchmark.
+    is simply enumerated; any search would be wasted motion there. Otherwise
+    the explorer draws from a `Draws` stream over its seeded generator, which
+    is closed when the search ends, leaving the generator where the same
+    scalar calls on it would have. When the explorer stalls, the rest of its
+    budget goes to unseen uniform points from a stream and generator of their
+    own, so the explorer's generator is left as the search left it. A failure of the
+    search is raised as a RuntimeError that names the explorer and the
+    benchmark.
     """
     _ensure_runners()
     explorer = ExplorerId(explorer)
@@ -366,15 +370,20 @@ def explore(
             for knobs in instance.schema.iter_points():
                 evaluator.evaluate(knobs)
         else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([_EXPLORE_TAG, explorer.value, seed & _SEED_MASK])
+            draws = Draws(
+                np.random.default_rng(
+                    np.random.SeedSequence([_EXPLORE_TAG, explorer.value, seed & _SEED_MASK])
+                )
             )
-            _RUNNERS[explorer](evaluator, instance.schema, rng)
+            try:
+                _RUNNERS[explorer](evaluator, instance.schema, draws)
+            finally:
+                draws.close()
     except Stalled:
-        fill_rng = np.random.default_rng(
-            np.random.SeedSequence([_FILL_TAG, explorer.value, seed & _SEED_MASK])
+        fill = Draws(
+            np.random.default_rng(np.random.SeedSequence([_FILL_TAG, explorer.value, seed & _SEED_MASK]))
         )
-        if evaluator.fill_unseen(fill_rng):
+        if evaluator.fill_unseen(fill):
             stop_reason = "stalled"
     except BudgetSaturated:
         pass

@@ -759,3 +759,127 @@ def reference_run_pso(ev, schema, rng: np.random.Generator) -> None:
                 best[i] = point
             elif not _dominates(best[i].objectives, point.objectives) and rng.random() < 0.5:
                 best[i] = point
+
+
+# -- the explorers' scalar draws made on the generator itself -------------------
+
+
+def _reference_tournament(rng: np.random.Generator, ranks: list[int], crowd) -> int:
+    i, j = int(rng.integers(len(ranks))), int(rng.integers(len(ranks)))
+    if (ranks[i], -crowd[i]) <= (ranks[j], -crowd[j]):
+        return i
+    return j
+
+
+def _reference_survivors(pop: list, size: int) -> list:
+    objs = [(p.objectives.area, p.objectives.latency) for p in pop]
+    ranks = reference_nondominated_ranks(objs)
+    crowd = reference_crowding(objs, ranks)
+    order = sorted(range(len(pop)), key=lambda i: (ranks[i], -crowd[i]))
+    return [pop[i] for i in order[:size]]
+
+
+def _reference_parents(pop: list) -> tuple[list[int], np.ndarray]:
+    objs = [(p.objectives.area, p.objectives.latency) for p in pop]
+    ranks = reference_nondominated_ranks(objs)
+    return ranks, reference_crowding(objs, ranks)
+
+
+def reference_run_nsga2(ev, schema, rng: np.random.Generator) -> None:
+    """NSGA2 with every draw made on the generator: scalar tournaments and
+    mutations, a vector crossover mask, and the O(n^2) reference ranks."""
+    cards = schema.cardinalities
+    k = len(cards)
+    pop = [ev.evaluate(_scalar_unseen_random(ev, rng, cards)) for _ in range(40)]
+    while True:
+        ranks, crowd = _reference_parents(pop)
+        kids: list = []
+        while len(kids) < 40:
+            pa = pop[_reference_tournament(rng, ranks, crowd)].knobs
+            pb = pop[_reference_tournament(rng, ranks, crowd)].knobs
+            if rng.random() < 0.9:
+                mask = rng.random(k) < 0.5
+                ca = tuple(pa[i] if mask[i] else pb[i] for i in range(k))
+                cb = tuple(pb[i] if mask[i] else pa[i] for i in range(k))
+            else:
+                ca, cb = pa, pb
+            for child in (ca, cb):
+                mutated = tuple(
+                    int(rng.integers(0, cards[i])) if rng.random() < 1.0 / k else child[i]
+                    for i in range(k)
+                )
+                kids.append(ev.evaluate(mutated))
+                if len(kids) == 40:
+                    break
+        pop = _reference_survivors(pop + kids, 40)
+
+
+def reference_run_qlmoea(ev, schema, rng: np.random.Generator) -> None:
+    """QLMOEA with every draw made on the generator, `rng.permutation` for
+    the mutated axes and the O(n^2) reference ranks."""
+    cards = schema.cardinalities
+    k = len(cards)
+    q: dict[tuple[int, int], np.ndarray] = {}
+    pop = [ev.evaluate(_scalar_unseen_random(ev, rng, cards)) for _ in range(40)]
+    prev_front = len(ev.front_points())
+    growth_sign = 1
+
+    def state() -> tuple[int, int]:
+        return (min(9, 10 * ev.evaluations_used // ev.max_evaluations), growth_sign)
+
+    def q_row(s: tuple[int, int]) -> np.ndarray:
+        return q.setdefault(s, np.zeros(4))
+
+    while True:
+        row = q_row(state())
+        op = int(rng.integers(4)) if rng.random() < 0.1 else int(np.argmax(row))
+        ranks, crowd = _reference_parents(pop)
+        kids: list = []
+        try:
+            while len(kids) < 40:
+                if op == 0:
+                    pa = pop[_reference_tournament(rng, ranks, crowd)].knobs
+                    pb = pop[_reference_tournament(rng, ranks, crowd)].knobs
+                    mask = rng.random(k) < 0.5
+                    child = tuple(pa[i] if mask[i] else pb[i] for i in range(k))
+                elif op in (1, 2):
+                    child = list(pop[_reference_tournament(rng, ranks, crowd)].knobs)
+                    for axis in rng.permutation(k)[: min(op, k)]:
+                        child[axis] = int(rng.integers(0, cards[axis]))
+                    child = tuple(child)
+                else:
+                    child = _scalar_random_knobs(rng, cards)
+                kids.append(ev.evaluate(child))
+        finally:
+            now_front = len(ev.front_points())
+            reward = max(-1.0, min(1.0, (now_front - prev_front) / max(1, prev_front)))
+            growth_sign = 1 + (now_front > prev_front) - (now_front < prev_front)
+            prev_front = now_front
+            row[op] += 0.1 * (reward + 0.9 * float(q_row(state()).max()) - row[op])
+        pop = _reference_survivors(pop + kids, 40)
+
+
+def reference_run_sa(ev, schema, rng: np.random.Generator) -> None:
+    """Simulated annealing with every draw made on the generator."""
+    cards = schema.cardinalities
+    k = len(cards)
+    current = ev.evaluate(_scalar_random_knobs(rng, cards))
+    temperature = 1.0
+    weight = float(rng.random())
+    step = 0
+    while True:
+        if step and step % 50 == 0:
+            weight = float(rng.random())
+        axis = int(rng.integers(k))
+        move = 1 if rng.random() < 0.5 else -1
+        level = current.knobs[axis] + move
+        if not 0 <= level < cards[axis]:
+            level = current.knobs[axis] - move
+        candidate = ev.evaluate(current.knobs[:axis] + (level,) + current.knobs[axis + 1 :])
+        lat_c, area_c = _log_objectives(current)
+        lat_n, area_n = _log_objectives(candidate)
+        delta = weight * (lat_n - lat_c) + (1.0 - weight) * (area_n - area_c)
+        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+            current = candidate
+        temperature *= 0.995
+        step += 1

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,6 +32,7 @@ from dsekit.explorers import ExplorerId
 from dsekit.hashing import fnv1a64_hex
 
 SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -161,6 +167,23 @@ class TestRuntimeErrors:
         assert err.count("\n") == 1 and CHECKPOINT_FILE in err
         assert "header says hidden=128, the head network has 256 hidden units" in err
         assert not (tmp_path / "i" / REPORT_FILE).exists()
+
+    @pytest.mark.parametrize("seeds,fraction,sides", [("0", "0.69", "0 train / 1"), ("0..3", "0.2", "0 train / 4")])
+    def test_run_refuses_a_split_with_an_empty_side_before_exploring(
+        self, tmp_path, capsys, monkeypatch, seeds, fraction, sides
+    ):
+        d = tmp_path / "d"
+        assert main(["synth", "--families", "plateau", "--seeds", seeds, "--size", "small", "--out", str(d)]) == 0
+        capsys.readouterr()
+        explored = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args: explored.append(args))
+        assert main(["run", "--dataset", str(d), "--budget", "5", "--split-fraction", fraction]) == 1
+        assert not explored
+        err = capsys.readouterr().err
+        count = len(read_jsonl(d / "instances.jsonl"))
+        assert err.startswith(f"error: --split-fraction {fraction} splits {count} benchmarks into {sides} ")
+        assert err.count("\n") == 1
+        assert [p.name for p in d.iterdir()] == ["instances.jsonl"]
 
     def test_run_rejects_a_suite_mixing_size_classes(self, tmp_path, capsys):
         small, medium, mixed = tmp_path / "s", tmp_path / "m", tmp_path / "mixed"
@@ -536,9 +559,13 @@ class TestInputChecks:
              "references a missing node"),
             (lambda r: r["graph"]["nodes"].reverse(), "each node must be [its position, type]"),
             (lambda r: r["graph"]["nodes"][1].__setitem__(0, 1.0), "each node must be [its position, type]"),
+            (lambda r: r["schema"][0].update(name=5), "knob name must be a non-empty string, got 5"),
+            (lambda r: r["schema"][0].update(name=""), "knob name must be a non-empty string, got ''"),
+            (lambda r: r["schema"][1].update(name=["x"]), "knob name must be a non-empty string, got ['x']"),
         ],
         ids=["string_cardinality", "float_cardinality", "float_level", "bool_level",
-             "float_edge_end", "nodes_out_of_order", "float_node_index"],
+             "float_edge_end", "nodes_out_of_order", "float_node_index", "int_name", "empty_name",
+             "list_name"],
     )
     def test_run_refuses_an_instance_value_it_would_have_coerced(
         self, pipeline, tmp_path, capsys, edit, message
@@ -590,6 +617,36 @@ class TestInputChecks:
             "the scaler: mean 5e+307, std inf\n"
         )
         assert not (tmp_path / "t" / CHECKPOINT_FILE).exists()
+
+
+# imports everything, says so, then runs the command line on its arguments
+_READY_THEN_MAIN = "import sys; from dsekit import cli; print('ready', flush=True); sys.exit(cli.main(sys.argv[1:]))"
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sigint_ends_run_with_one_line_no_files_and_no_processes(self, tmp_path, workers):
+        d = tmp_path / "d"
+        assert main(["synth", "--families", "deceptive,plateau", "--seeds", "0..7", "--size", "small",
+                     "--out", str(d)]) == 0
+        run = subprocess.Popen(
+            [sys.executable, "-c", _READY_THEN_MAIN, "run", "--dataset", str(d), "--workers", str(workers)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            start_new_session=True,  # its own process group, which the signal goes to
+        )
+        try:
+            assert run.stdout.readline() == b"ready\n"
+            time.sleep(0.5)  # well inside the portfolio runs, which take several seconds
+            os.killpg(run.pid, signal.SIGINT)
+            out, err = run.communicate(timeout=120)
+        finally:
+            run.kill()
+        assert (run.returncode, err, out) == (130, b"interrupted\n", b"")
+        assert [p.name for p in d.iterdir()] == ["instances.jsonl"]
+        with pytest.raises(ProcessLookupError):  # no process is left in its group
+            os.killpg(run.pid, 0)
 
 
 class TestSynth:

@@ -411,6 +411,33 @@ class TestWorkerCount:
         assert pool_sizes == []
 
 
+    def test_an_interrupted_pool_cancels_the_cells_not_yet_started(self, monkeypatch):
+        import concurrent.futures
+
+        shutdowns = []
+
+        class InterruptedPool:
+            def __init__(self, max_workers, initializer):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                raise KeyboardInterrupt
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InterruptedPool)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(synth_suite(TINY)[:1], 5, MASTER_SEED, workers=2)
+        assert shutdowns == [True]
+
+
 class TestSeedDerivation:
     def test_per_instance_seed_ignores_suite_composition(self):
         suite = synth_suite(TINY)

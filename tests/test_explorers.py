@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dsekit.explorers import (
     score_results,
 )
 from dsekit.dataset import run_suite
-from dsekit.explorers import algorithms, base
+from dsekit.explorers import algorithms, base, draws as draws_module
 from dsekit.explorers.algorithms import (
     _crowding,
     _dominated,
@@ -36,6 +37,7 @@ from dsekit.explorers.base import (
     Stalled,
     portfolio_seed,
 )
+from dsekit.explorers.draws import Draws
 from dsekit.pareto import (
     ZERO_REFERENCE_EPS,
     DesignPoint,
@@ -56,8 +58,11 @@ from oracles import (
     reference_run_aco,
     reference_run_eda,
     reference_run_lattice,
+    reference_run_nsga2,
     reference_run_policy,
     reference_run_pso,
+    reference_run_qlmoea,
+    reference_run_sa,
     reference_run_sbo,
     softmax,
 )
@@ -99,6 +104,20 @@ class RecordingModel(CountingModel):
         objectives = super().evaluate_knobs(knobs)
         self.evaluated.append(DesignPoint(knobs, objectives))
         return objectives
+
+
+def streamed(runner):
+    """A stream runner called with a generator, as `explore` calls it: through
+    a `Draws` over the generator, closed when the run ends."""
+
+    def run(ev, schema, rng):
+        draws = Draws(rng)
+        try:
+            runner(ev, schema, draws)
+        finally:
+            draws.close()
+
+    return run
 
 
 def recorded_explore(explorer, instance, model, budget, seed):
@@ -259,10 +278,10 @@ class TestKnobTypes:
 
 
 class AlwaysZero:
-    """Generator stand-in whose every uniform draw is the all-zero point."""
+    """Stream stand-in whose every uniform point is the all-zero point."""
 
-    def integers(self, low, high):
-        return np.zeros(len(high), dtype=np.int64)
+    def knobs(self, cards):
+        return tuple(0 for _ in cards)
 
 
 class TestStall:
@@ -287,8 +306,8 @@ class TestStall:
     ):
         proposed = []
 
-        def one_point_forever(ev, schema, rng):
-            knobs = random_knobs(rng, schema.cardinalities)
+        def one_point_forever(ev, schema, draws):
+            knobs = draws.knobs(schema.cardinalities)
             while True:
                 proposed.append(knobs)
                 ev.evaluate(knobs)
@@ -310,11 +329,11 @@ class TestStall:
         seed = portfolio_seed(0, ExplorerId.EDA)
         base._ensure_runners()
         run_eda = base._RUNNERS[ExplorerId.EDA]
-        generators = []
+        streams = []
 
-        def recording(ev, schema, rng):
-            generators.append(rng)
-            run_eda(ev, schema, rng)
+        def recording(ev, schema, draws):
+            streams.append(draws)
+            run_eda(ev, schema, draws)
 
         monkeypatch.setitem(base._RUNNERS, ExplorerId.EDA, recording)
         result, evaluated = recorded_explore(ExplorerId.EDA, instance, model, Budget(500), seed)
@@ -325,8 +344,8 @@ class TestStall:
             np.random.SeedSequence([base._EXPLORE_TAG, ExplorerId.EDA.value, seed])
         )
         with pytest.raises(Stalled):
-            run_eda(alone, instance.schema, rng)
-        assert generators[0].bit_generator.state == rng.bit_generator.state
+            streamed(run_eda)(alone, instance.schema, rng)
+        assert streams[0].generator().bit_generator.state == rng.bit_generator.state
         assert result.proposals == alone.proposals
         searched = len(alone.evaluated)
         assert searched < 500
@@ -346,7 +365,7 @@ class TestStall:
         instance, model = small_case
         ev = BudgetedEvaluator(model, instance.schema, Budget(1))
         ev.evaluate(next(instance.schema.iter_points()))
-        assert ev.fill_unseen(np.random.default_rng(0)) == 0
+        assert ev.fill_unseen(Draws(np.random.default_rng(0))) == 0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -456,7 +475,7 @@ class TestSurrogateExplorer:
     def test_evaluates_the_reference_sequence(self, family, budget):
         instance = synth_instance(family, 0, "medium")
         expected, expected_state = self.trajectory(reference_run_sbo, instance, budget)
-        evaluated, state = self.trajectory(run_sbo, instance, budget)
+        evaluated, state = self.trajectory(streamed(run_sbo), instance, budget)
         assert len(evaluated) == budget
         assert evaluated == expected
         assert state == expected_state
@@ -702,7 +721,7 @@ class TestSampler:
         # a draw equal to a running sum, and a free one that may reach past
         # every sum: ten 0.1s sum to 0.9999999999999999, not 1
         for draw in (cum[pick % len(cum)], u):
-            assert _sample_cumulative(FixedDraw(draw), cum) == _loop_sample_categorical(
+            assert _sample_cumulative(FixedDraw(draw).random, cum) == _loop_sample_categorical(
                 FixedDraw(draw), probs
             )
 
@@ -711,29 +730,94 @@ class TestSampler:
     def test_takes_one_uniform_draw(self, probs, seed):
         rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
         cum = list(accumulate(probs))
-        assert [_sample_cumulative(rng, cum) for _ in range(20)] == [
+        assert [_sample_cumulative(rng.random, cum) for _ in range(20)] == [
             _loop_sample_categorical(loop, probs) for _ in range(20)
         ]
         assert rng.bit_generator.state == loop.bit_generator.state
 
 
-def _with_reference_ranks(runner):
-    """The runner with the O(n^2) reference ranks and the numpy-array
-    crowding distances in place of the library's."""
-
-    def run(ev, schema, rng):
-        originals = algorithms._nondominated_ranks, algorithms._crowding
-        algorithms._nondominated_ranks = reference_nondominated_ranks
-        algorithms._crowding = reference_crowding
-        try:
-            runner(ev, schema, rng)
-        finally:
-            algorithms._nondominated_ranks, algorithms._crowding = originals
-
-    return run
+# bounds for integers(n): no draw at 1, powers of two, the explorers' population
+# and knob sizes, and bounds near 2**32 where Lemire's rejection is frequent
+BOUNDS = [1, 2, 3, 7, 40, 80, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+DRAW_CALLS = st.lists(
+    st.one_of(
+        st.just(("random", None)),
+        st.tuples(st.just("integers"), st.sampled_from(BOUNDS)),
+        st.tuples(st.just("permutation"), st.integers(0, 13)),
+        st.tuples(st.just("knobs"), st.lists(st.integers(1, 16), min_size=1, max_size=8).map(tuple)),
+    ),
+    max_size=60,
+)
 
 
-# explorer -> (library runner, the routine it replaced)
+def generator_call(rng, name, arg):
+    """What the stream's call is exact for, made on the generator."""
+    if name == "random":
+        return rng.random()
+    if name == "integers":
+        return int(rng.integers(arg))
+    if name == "permutation":
+        return rng.permutation(arg).tolist()
+    return random_knobs(rng, arg)
+
+
+class TestDraws:
+    """The stream against the same scalar calls on a seeded generator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        calls=DRAW_CALLS,
+        block=st.sampled_from([1, 2, 3, 37, 512]),
+        buffered=st.booleans(),
+    )
+    @example(seed=0, calls=[("integers", 3 * 2**30)] * 40, block=3, buffered=True)
+    @example(seed=1, calls=[("integers", 2**31 + 1), ("random", None)] * 20, block=2, buffered=False)
+    @example(seed=2, calls=[("integers", 1), ("integers", 2**32), ("permutation", 1)], block=1, buffered=True)
+    def test_values_and_final_state_equal_the_generator_calls(self, seed, calls, block, buffered):
+        expected, streamed_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # start with half of a word in PCG64's 32-bit buffer
+            expected.integers(5)
+            streamed_rng.integers(5)
+        with mock.patch.object(draws_module, "_BLOCK", block):
+            draws = Draws(streamed_rng)
+            for name, arg in calls:
+                assert getattr(draws, name)(*(() if arg is None else (arg,))) == generator_call(
+                    expected, name, arg
+                )
+            draws.close()
+        assert streamed_rng.bit_generator.state == expected.bit_generator.state
+
+    def test_lemire_rejection_is_reached(self):
+        """At n = 3 * 2**30 a quarter of the 32-bit draws are rejected, so 200
+        draws take more than 200 of them."""
+        with mock.patch.object(Draws, "_uint32", autospec=True, side_effect=Draws._uint32) as uint32:
+            draws = Draws(np.random.default_rng(5))
+            for _ in range(200):
+                draws.integers(3 * 2**30)
+        assert uint32.call_count > 220
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**40])
+    def test_integers_refuses_a_bound_outside_one_to_two_to_the_32(self, n):
+        with pytest.raises(ValueError, match="1 <= n <= 2"):
+            Draws(np.random.default_rng(0)).integers(n)
+
+    def test_generator_is_synced_and_the_stream_then_refuses_to_draw(self):
+        expected, rng = np.random.default_rng(9), np.random.default_rng(9)
+        draws = Draws(rng)
+        assert [draws.integers(40), draws.random()] == [int(expected.integers(40)), expected.random()]
+        handed = draws.generator()
+        assert handed is rng and rng.bit_generator.state == expected.bit_generator.state
+        assert handed.integers(0, 9, size=4).tolist() == expected.integers(0, 9, size=4).tolist()
+        with pytest.raises(RuntimeError, match="handed over"):
+            draws.integers(40)
+        with pytest.raises(RuntimeError, match="handed over"):
+            draws.random()
+        draws.close()  # no effect once handed over
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+# explorer -> (library runner on the stream, the generator routine it replaced)
 REPLACED = {
     "lattice": (algorithms.run_lattice, reference_run_lattice),
     "ac": (algorithms.run_ac, lambda ev, schema, rng: reference_run_policy(ev, schema, rng, True)),
@@ -741,13 +825,16 @@ REPLACED = {
     "aco": (algorithms.run_aco, reference_run_aco),
     "eda": (algorithms.run_eda, reference_run_eda),
     "pso": (algorithms.run_pso, reference_run_pso),
-    "nsga2": (algorithms.run_nsga2, _with_reference_ranks(algorithms.run_nsga2)),
-    "qlmoea": (algorithms.run_qlmoea, _with_reference_ranks(algorithms.run_qlmoea)),
+    "nsga2": (algorithms.run_nsga2, reference_run_nsga2),
+    "qlmoea": (algorithms.run_qlmoea, reference_run_qlmoea),
+    "sa": (algorithms.run_sa, reference_run_sa),
 }
 
 
 class TestSharedFrontRunners:
-    """Runners on the shared front state against the routines they replaced.
+    """Runners on the shared front state and the draw stream against the
+    routines they replaced: the same evaluated sequence, and the generator
+    left in the same state.
 
     Plateau small at budget 500 saturates the memo: AC and PG stall there,
     and ACO and QLMOEA make tens of thousands of repeat proposals. Deceptive
@@ -771,4 +858,4 @@ class TestSharedFrontRunners:
         instance = synth_instance(family, 0, size)
         runner, reference = REPLACED[explorer]
         expected = TestSurrogateExplorer.trajectory(reference, instance, budget)
-        assert TestSurrogateExplorer.trajectory(runner, instance, budget) == expected
+        assert TestSurrogateExplorer.trajectory(streamed(runner), instance, budget) == expected

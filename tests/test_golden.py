@@ -2,12 +2,11 @@
 
 One in-process synth -> run -> train -> infer -> report round on the small
 suite (smooth, deceptive and plateau, instance seed 0), and synth -> run on
-the medium smooth benchmark of seed 0, both at budget 500 with master and
-training seed 0. The small suite covers the exhaustive fallback and a stalled
-run's fill (plateau-small-0000), the medium one a large SBO and lattice front.
-Its single benchmark leaves no training split, so it stops after `run`. The
-medium round runs again at `--workers 2`, through the process pool, and must
-give the same digests.
+the medium smooth and rugged benchmarks of seed 0, both at budget 500 with
+master and training seed 0. The small suite covers the exhaustive fallback
+and a stalled run's fill (plateau-small-0000), the medium one large SBO and
+lattice fronts; it stops after `run`. The medium round runs again at
+`--workers 2`, through the process pool, and must give the same digests.
 
 The constants hold for numpy 2.4.6 with its bundled OpenBLAS, pinned to one
 thread as the CLI pins it. A change that alters an output on purpose updates
@@ -41,10 +40,10 @@ GOLDEN = {
         "r/runtime.csv": "8b206881aee69de993aa2c0a85fa103e9a8ccccf4c452d4c1c1fc95a27c61c28",
     },
     "medium": {
-        "d/instances.jsonl": "75f0740364611801852e7bef0596f7b525fa7f8ad41caea36aeda7b6b9f71163",
-        "d/runs.jsonl": "45cda8d97df24be00cb291e6ae77f3432f20770727a8f36ba1fa6e6477c569c7",
-        "d/labels.jsonl": "28e49173147dee25a89e7798c84db824d025252be66705fb3b6894165b1c957c",
-        "d/manifest.json": "d8c4c82230ac52e21119747b84b778f9ceb4278ea79314488f6961f1952b88be",
+        "d/instances.jsonl": "640bb9e0f6cd8dbca2d2ea8860bb315b39e6db75a3cba1bfaa37005e9d15fd6a",
+        "d/runs.jsonl": "1838198c7878f4c9ebb6b1ef5c3c13d80683e5be0fee92a19d38b77c1ce77d92",
+        "d/labels.jsonl": "89c97f0b02b1108d9add98bc2cf5534d8ef41fd63a92c1defd530e09f1640bfe",
+        "d/manifest.json": "bdc55e09aa4b6224f63e8780c88ec3924c55f90d21e990f4f8e1814cda313ece",
     },
 }
 
@@ -73,8 +72,8 @@ def _round(root: Path, families: str, size: str, full: bool, workers: int = 1) -
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory) -> dict[str, dict[str, str]]:
     small = _round(tmp_path_factory.mktemp("small"), "smooth,deceptive,plateau", "small", True)
-    medium = _round(tmp_path_factory.mktemp("medium"), "smooth", "medium", False)
-    medium_w2 = _round(tmp_path_factory.mktemp("medium-w2"), "smooth", "medium", False, workers=2)
+    medium = _round(tmp_path_factory.mktemp("medium"), "smooth,rugged", "medium", False)
+    medium_w2 = _round(tmp_path_factory.mktemp("medium-w2"), "smooth,rugged", "medium", False, workers=2)
     return {"small": small, "medium": medium, "medium-w2": medium_w2}
 
 
