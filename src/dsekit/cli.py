@@ -35,6 +35,7 @@ from .dataset import (
     dataset_fingerprint,
     instance_master_seed,
     load,
+    manifest_checked_texts,
     persist_instances,
     persist_results,
     read_instances,
@@ -300,12 +301,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    labels_rows = read_jsonl(Path(args.labels), None, LABEL_FIELDS)
-    runs_rows = read_jsonl(Path(args.runs), None, RUN_FIELDS)
+    runs_path, labels_path = Path(args.runs), Path(args.labels)
+    # a manifest beside the runs file must vouch for it, and for the labels beside it
+    texts = manifest_checked_texts(runs_path, labels_path)
+    labels_rows = read_jsonl(labels_path, texts.get(labels_path), LABEL_FIELDS)
+    runs_rows = read_jsonl(runs_path, texts.get(runs_path), RUN_FIELDS)
     report_rows = read_jsonl(Path(args.report), None, REPORT_FIELDS)
     if not report_rows:  # an empty labels file leaves every reported benchmark unknown
         raise ValueError(f"{args.report}: no records")
-    check_runs_cover(runs_rows, labels_rows, Path(args.runs), Path(args.labels))
+    check_runs_cover(runs_rows, labels_rows, runs_path, labels_path)
     rows = {record["benchmark_id"]: record["adrs_row"] for record in labels_rows}
     reported: set[str] = set()
     counts: dict[str, list[int]] = {"overall": [0, 0]}

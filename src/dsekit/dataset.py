@@ -616,10 +616,8 @@ def dataset_fingerprint(manifest: DatasetManifest) -> str:
 # -- loading ------------------------------------------------------------------------
 
 
-def load(dataset_dir: str | Path) -> Dataset:
-    """Rebuild a dataset from its directory, verifying every content hash."""
-    directory = Path(dataset_dir)
-    manifest_path = directory / MANIFEST_FILE
+def _read_manifest(manifest_path: Path) -> DatasetManifest:
+    """A manifest.json that is an object passing MANIFEST_FIELDS and hashes each data file."""
     text = _read_text(manifest_path)
     try:
         record = json.loads(text)
@@ -630,6 +628,28 @@ def load(dataset_dir: str | Path) -> Dataset:
     for name in DATA_FILES:
         if name not in manifest.hashes:
             raise ValueError(f"{manifest_path}: lists no hash for {name}")
+    return manifest
+
+
+def manifest_checked_texts(runs_path: Path, labels_path: Path) -> dict[Path, str]:
+    """The texts of a runs file and, when it sits in the same directory, of a
+    labels file, each matched to its hash in the manifest of that directory.
+    Empty when the runs file's directory holds no manifest."""
+    directory = runs_path.parent
+    if not (directory / MANIFEST_FILE).exists():
+        return {}
+    hashes = _read_manifest(directory / MANIFEST_FILE).hashes
+    texts = {runs_path: _read_text(runs_path, hashes[RUNS_FILE])}
+    if labels_path.parent.resolve() == directory.resolve():
+        texts[labels_path] = _read_text(labels_path, hashes[LABELS_FILE])
+    return texts
+
+
+def load(dataset_dir: str | Path) -> Dataset:
+    """Rebuild a dataset from its directory, verifying every content hash."""
+    directory = Path(dataset_dir)
+    manifest_path = directory / MANIFEST_FILE
+    manifest = _read_manifest(manifest_path)
     paths = {name: directory / name for name in DATA_FILES}
     texts = {name: _read_text(paths[name], manifest.hashes[name]) for name in DATA_FILES}
 
@@ -678,6 +698,7 @@ __all__ = [
     "dataset_fingerprint",
     "instance_master_seed",
     "load",
+    "manifest_checked_texts",
     "persist_instances",
     "persist_results",
     "read_instances",

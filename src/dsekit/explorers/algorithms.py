@@ -8,12 +8,12 @@ stopped by its subclass Stalled, and `explore` fills the rest of the budget
 with unseen uniform points from a stream of its own. All randomness of the
 search flows through the passed-in `Draws` stream, which is what makes a run
 reproducible from its seed. Its scalar draws equal the seeded generator's
-`random()`, `integers(n)` and `permutation(k)` calls; SBO and PSO, whose
-draws are mostly vectors, take the generator itself from it.
+`random()`, `integers(n)` and `permutation(k)` calls; SBO, whose draws are
+mostly vectors, takes the generator itself from it.
 
 The runners read the evaluator's shared front state rather than rebuilding
-it: AC, PG and ACO take the cached front objective arrays, SBO the cached
-front tuple, and lattice and SBO the sorted list of the front's unseen
+it: AC, PG and ACO take the cached front objective arrays, SBO and PSO the
+cached front tuple, and lattice the sorted list of the front's unseen
 neighbours.
 
 Every categorical draw is one uniform `random()` draw placed by binary search
@@ -305,14 +305,22 @@ def run_aco(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
 
 @register(ExplorerId.PSO)
 def run_pso(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+    """Discrete particle swarm (Kennedy & Eberhart 1995) over rounded positions.
+
+    A particle's k coordinates are Python floats updated with the operations,
+    in the order, that numpy made on the k-element rows, so every value is
+    bit-equal to the array form. The clips take the bound first,
+    `min(hi, max(lo, x))`, which is numpy's clip down to the sign of a zero,
+    and `round` is half-to-even in both.
+    """
     cards = schema.cardinalities
-    k = len(cards)
     n = 30
-    rng = draws.generator()
-    hi = np.array(cards, dtype=float) - 1.0
-    pos = rng.uniform(0.0, 1.0, size=(n, k)) * hi
-    vel = np.zeros((n, k))
-    best = [ev.evaluate(tuple(int(round(v)) for v in row)) for row in pos]
+    random = draws.random
+    hi = [c - 1.0 for c in cards]
+    # uniform(0, 1) is 0.0 + 1.0 * random(), that is random() itself
+    pos = [[random() * h for h in hi] for _ in range(n)]
+    vel = [[0.0] * len(cards) for _ in range(n)]
+    best = [ev.evaluate(tuple([round(x) for x in row])) for row in pos]
     while True:
         front = ev.front_points()
         objs = [(p.objectives.area, p.objectives.latency) for p in front]
@@ -322,39 +330,47 @@ def run_pso(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
         weights = np.where(np.isfinite(crowd), crowd, cap) + 1e-9
         cum = list(accumulate((weights / weights.sum()).tolist()))
         for i in range(n):
-            leader = front[_sample_cumulative(rng.random, cum)]
-            target = np.array(leader.knobs, dtype=float)
-            own = np.array(best[i].knobs, dtype=float)
-            r1, r2 = rng.random(k), rng.random(k)
-            vel[i] = 0.7 * vel[i] + 1.5 * r1 * (own - pos[i]) + 1.5 * r2 * (target - pos[i])
-            np.clip(vel[i], -hi, hi, out=vel[i])
-            pos[i] = np.clip(pos[i] + vel[i], 0.0, hi)
-            point = ev.evaluate(tuple(int(round(v)) for v in pos[i]))
+            target = front[_sample_cumulative(random, cum)].knobs
+            r1 = [random() for _ in hi]
+            r2 = [random() for _ in hi]
+            vel[i] = [
+                min(h, max(-h, 0.7 * v + 1.5 * a * (own - x) + 1.5 * b * (t - x)))
+                for v, a, b, own, t, x, h in zip(vel[i], r1, r2, best[i].knobs, target, pos[i], hi)
+            ]
+            pos[i] = [min(h, max(0.0, x + v)) for x, v, h in zip(pos[i], vel[i], hi)]
+            point = ev.evaluate(tuple([round(x) for x in pos[i]]))
             if dominates(point.objectives, best[i].objectives):
                 best[i] = point
-            elif not dominates(best[i].objectives, point.objectives) and rng.random() < 0.5:
+            elif not dominates(best[i].objectives, point.objectives) and random() < 0.5:
                 best[i] = point
 
 
 # -- model-guided explorers ---------------------------------------------------
 
 
-def _design_matrix(levels: np.ndarray, cards: tuple[int, ...]) -> np.ndarray:
-    """Quadratic-surrogate rows for an (n, k) level array.
+def _design(cards: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The quadratic-surrogate row builder for one space, its constants built once.
 
-    Each row is a one-hot block per knob, the pairwise products of the
-    levels scaled to [0, 1], and a trailing 1 for the intercept.
+    A row of an (n, k) level array is a one-hot block per knob, the pairwise
+    products of the levels scaled to [0, 1], and a trailing 1 for the
+    intercept.
     """
-    n, k = levels.shape
     offsets = np.cumsum((0,) + cards[:-1])
-    a, b = np.triu_indices(k, 1)
-    onehot_dim = sum(cards)
-    x = np.zeros((n, onehot_dim + len(a) + 1))
-    x[np.arange(n)[:, None], offsets + levels] = 1.0
-    t = levels / (np.array(cards) - 1)
-    x[:, onehot_dim:-1] = t[:, a] * t[:, b]
-    x[:, -1] = 1.0
-    return x
+    a, b = np.triu_indices(len(cards), 1)
+    onehot = sum(cards)
+    width = onehot + len(a) + 1
+    denom = np.array(cards) - 1
+
+    def rows(levels: np.ndarray) -> np.ndarray:
+        n = len(levels)
+        x = np.zeros((n, width))
+        x.reshape(-1)[np.arange(0, n * width, width)[:, None] + offsets + levels] = 1.0
+        t = levels / denom
+        x[:, onehot:-1] = t[:, a] * t[:, b]
+        x[:, -1] = 1.0
+        return x
+
+    return rows
 
 
 def _level_array(rows: list[tuple[int, ...]], k: int) -> np.ndarray:
@@ -363,67 +379,97 @@ def _level_array(rows: list[tuple[int, ...]], k: int) -> np.ndarray:
 
 
 def _dominated(front_logs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Mask of the draws (..., 2) that some front point dominates.
+    """Mask of the draws (..., 2) that some point of a staircase front dominates.
 
-    Exact 2-D staircase test (Kung, Luccio & Preparata 1975): with the front
-    sorted by area and prefix minima of latency, a draw (l, a) is dominated
-    iff a point with area < a has latency <= l, or a point with area <= a
-    has latency < l. Columns are (log-latency, log-area) throughout.
+    Columns are (log-latency, log-area) throughout, and the front's rows run
+    by non-decreasing log-area and non-increasing log-latency, as the logs of
+    `front_points()` do. Exact 2-D staircase test (Kung, Luccio & Preparata
+    1975): the last front point with area <= a draw's area has the least
+    latency among them, its bound. A draw (l, a) is dominated iff the bound is
+    below l, or the bound equals l and some point with area < a has latency
+    <= l, which on a staircase is latency == l; only those ties take a second
+    search.
     """
-    order = np.argsort(front_logs[:, 1], kind="stable")
-    area = front_logs[order, 1]
-    best_lat = np.minimum.accumulate(front_logs[order, 0])
-    lat, a = draws[..., 0], draws[..., 1]
-    below = np.searchsorted(area, a, side="left")
-    upto = np.searchsorted(area, a, side="right")
-    return ((below > 0) & (best_lat[below - 1] <= lat)) | ((upto > 0) & (best_lat[upto - 1] < lat))
+    area = front_logs[:, 1]
+    lat = np.concatenate(([np.inf], front_logs[:, 0]))  # lat[i]: latency of point i - 1
+    a, l = draws[..., 1], draws[..., 0]
+    bound = lat[np.searchsorted(area, a, side="right")]
+    dominated = bound < l
+    tie = bound == l
+    if tie.any():
+        below = np.searchsorted(area, a[tie], side="left")
+        dominated[tie] = (below > 0) & (lat[below] <= l[tie])
+    return dominated
 
 
 @register(ExplorerId.SBO)
 def run_sbo(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
-    """Quadratic regression surrogate with dominance-improvement acquisition."""
+    """Quadratic regression surrogate with dominance-improvement acquisition.
+
+    Points are held as mixed-radix integer codes, `levels @ strides`, whose
+    order is the knob tuples' order; int64 is exact since a space has at most
+    10 000 000 points. Each step's candidates are the sorted codes of 256
+    uniform picks and the front's neighbours, less the evaluated points.
+    """
     cards = schema.cardinalities
     k = len(cards)
     rng = draws.generator()
     draw = partial(random_knobs, rng, cards)
     for _ in range(10):
         ev.evaluate(_unseen_random(ev, draw))
+    design = _design(cards)
+    radix = np.array(cards, dtype=np.int64)
+    strides = np.cumprod((1,) + cards[:0:-1], dtype=np.int64)[::-1]
     coef = None
     sigma = np.ones(2)
     fitted_at = -1
     # ev.evaluated only ever grows, so the design matrix is extended with the
-    # points evaluated since the last refit instead of rebuilt
-    x = _design_matrix(np.zeros((0, k), dtype=np.int64), cards)
+    # points evaluated since the last refit instead of rebuilt, and the sorted
+    # codes of the evaluated points with those since the last step
+    x = design(np.zeros((0, k), dtype=np.int64))
     y = np.zeros((0, 2))
-    # the front's log objectives, rebuilt only when the front tuple changes
-    logs_of = front_logs = None
+    seen = np.zeros(0, dtype=np.int64)
+    # the front's log objectives and neighbour codes, rebuilt when the front tuple changes
+    logs_of = None
     while True:
         if coef is None or ev.evaluations_used - fitted_at >= 25:
             fresh = ev.evaluated[len(x) :]
-            x = np.concatenate((x, _design_matrix(_level_array([p.knobs for p in fresh], k), cards)))
+            x = np.concatenate((x, design(_level_array([p.knobs for p in fresh], k))))
             y = np.concatenate((y, [_log_objectives(p) for p in fresh]))
             coef, *_ = np.linalg.lstsq(x, y, rcond=None)
             resid = y - x @ coef
             sigma = np.maximum(resid.std(axis=0), 1e-3)
             fitted_at = ev.evaluations_used
-        picks = set(map(tuple, rng.integers(0, cards, size=(256, k)).tolist()))
-        # the unseen picks and the front's unseen neighbours, sorted
-        cands = ev.unseen_neighbours() + [
-            d for d in picks if not ev.seen(d) and not ev.near_front(d)
-        ]
-        cands.sort()
-        if not cands:
-            ev.evaluate(_unseen_random(ev, draw))
-            continue
-        mu = _design_matrix(_level_array(cands, k), cards) @ coef
-        samples = mu[:, None, :] + rng.standard_normal((len(cands), 8, 2)) * sigma
+        fresh = ev.evaluated[len(seen) :]
+        seen = np.sort(np.concatenate((seen, _level_array([p.knobs for p in fresh], k) @ strides)))
         front = ev.front_points()
         if front is not logs_of:
             logs_of = front
-            front_logs = np.array([_log_objectives(p) for p in front])
+            # column-major, so that each column is contiguous
+            front_logs = np.array(list(zip(*map(_log_objectives, front)))).T
+            levels = _level_array([p.knobs for p in front], k)
+            codes = levels @ strides
+            # one level down or up on one knob, within the knob's range
+            neighbours = np.concatenate(
+                ((codes[:, None] - strides)[levels > 0], (codes[:, None] + strides)[levels < radix - 1])
+            )
+        codes = np.sort(np.concatenate((rng.integers(0, cards, size=(256, k)) @ strides, neighbours)))
+        # the first of each run of equal codes, if it is not evaluated
+        keep = seen[np.searchsorted(seen, codes).clip(max=len(seen) - 1)] != codes
+        keep[1:] &= codes[1:] != codes[:-1]
+        codes = codes[keep]
+        if not len(codes):
+            ev.evaluate(_unseen_random(ev, draw))
+            continue
+        levels = codes[:, None] // strides % radix
+        mu = design(levels) @ coef
+        # the noise plus mu, bit-equal to mu plus the noise
+        samples = rng.standard_normal((len(codes), 8, 2))
+        samples *= sigma
+        samples += mu[:, None, :]
         # a draw is an improvement when no front point weakly dominates it
         scores = 1.0 - _dominated(front_logs, samples).mean(axis=1)
-        # by falling score, ties in candidate order since cands is sorted
+        # by falling score, ties in candidate order since the codes are sorted
         order = np.argsort(-scores, kind="stable")
         # coverage-greedy batch: among candidates likely to improve the front,
         # pick predictions farthest from what is already evaluated so the batch
@@ -433,14 +479,18 @@ def run_sbo(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
             eligible = order[scores[order] >= 0.25 * top]
         else:
             eligible = order[:32]
-        pts = mu[eligible]
-        # sqrt is monotone and correctly rounded, so it commutes with min
-        gap = np.sqrt(((pts[:, None, :] - front_logs[None, :, :]) ** 2).sum(axis=2).min(axis=1))
+        px, py = mu[eligible, 0], mu[eligible, 1]
+        # dx*dx + dy*dy is bit-equal to the sum of the two squares; sqrt is
+        # monotone and correctly rounded, so it commutes with min
+        dx = px[:, None] - front_logs[:, 0]
+        dy = py[:, None] - front_logs[:, 1]
+        gap = np.sqrt((dx * dx + dy * dy).min(axis=1))
         batch: list[int] = []
         while len(batch) < 5 and len(batch) < len(eligible):
             j = int(np.argmax(gap))
             batch.append(int(eligible[j]))
-            gap = np.minimum(gap, np.sqrt(((pts - pts[j]) ** 2).sum(axis=1)))
+            dx, dy = px - px[j], py - py[j]
+            gap = np.minimum(gap, np.sqrt(dx * dx + dy * dy))
             gap[j] = -1.0
         for i in order.tolist():
             if len(batch) == 5:
@@ -448,7 +498,7 @@ def run_sbo(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
             if i not in batch:
                 batch.append(i)
         for i in batch:
-            ev.evaluate(cands[i])
+            ev.evaluate(tuple(levels[i].tolist()))
 
 
 @register(ExplorerId.EDA)

@@ -8,7 +8,7 @@ slice assignment per admitted point. Its points tuple and its objective and
 ADRS-denominator arrays are cached until it next changes. Once an explorer
 first asks, the evaluator also keeps the sorted list of unevaluated points one
 level from a front point on one knob, with a reference count per neighbour,
-so that lattice and SBO read it instead of rebuilding it.
+so that lattice reads it instead of rebuilding it.
 
 An explorer that keeps re-proposing evaluated points is stopped as stalled,
 and `explore` spends the rest of its budget on unseen uniform points, so every
@@ -294,11 +294,6 @@ class BudgetedEvaluator:
             for point in self._front:
                 self._track(point.knobs, 1)
         return self._unseen
-
-    def near_front(self, knobs: tuple[int, ...]) -> bool:
-        """Whether knobs is one level from a front point on one knob; needs
-        `unseen_neighbours` to have been called."""
-        return knobs in self._refs
 
     def _track(self, knobs: tuple[int, ...], delta: int) -> None:
         """Add (1) or drop (-1) one front point's neighbours from the counts."""

@@ -18,7 +18,8 @@ numpy's `next_double`, `next_uint32` and bounded integers after Lemire 2019):
 
 `close()` gives back the block's unused words, so the generator ends where
 the same calls on it would have left it. `generator()` does the same and
-hands the generator over for vector draws; the stream draws nothing after.
+hands the generator over for vector draws, which only SBO makes; the stream
+draws nothing after.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ class Draws:
         self._bits.state = state
 
     def generator(self) -> np.random.Generator:
-        """The generator, synced to the stream, for vector draws; the stream
-        draws nothing after it."""
+        """The generator, synced to the stream, for an explorer whose draws are
+        mostly vectors (SBO's candidate picks and noise); the stream draws
+        nothing after it."""
         self.close()
         self._handed_over = True
         self._has32 = False

@@ -218,6 +218,23 @@ def reference_run_sbo(ev, schema, rng: np.random.Generator) -> None:
             ev.evaluate(cands[i])
 
 
+def reference_dominated(front_logs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Mask of the draws (..., 2) that some point of any front dominates.
+
+    The general 2-D staircase test: the front sorted by area with prefix
+    minima of latency, a draw (l, a) is dominated iff a point with area < a
+    has latency <= l, or a point with area <= a has latency < l. Columns are
+    (log-latency, log-area).
+    """
+    order = np.argsort(front_logs[:, 1], kind="stable")
+    area = front_logs[order, 1]
+    best_lat = np.minimum.accumulate(front_logs[order, 0])
+    lat, a = draws[..., 0], draws[..., 1]
+    below = np.searchsorted(area, a, side="left")
+    upto = np.searchsorted(area, a, side="right")
+    return ((below > 0) & (best_lat[below - 1] <= lat)) | ((upto > 0) & (best_lat[upto - 1] < lat))
+
+
 # -- finite differences against the analytic gradients ----------------------
 
 

@@ -432,6 +432,37 @@ class TestRuntimeErrors:
         assert f"{runs}:{last_line}:" in capsys.readouterr().err
         assert not (tmp_path / "r" / RUNTIME_FILE).exists()
 
+    @pytest.mark.parametrize("name", ["runs.jsonl", "labels.jsonl"])
+    def test_report_refuses_a_file_its_manifest_disowns(self, pipeline, tmp_path, capsys, name):
+        """A data file edited beside its manifest fails `report` as it fails `load`."""
+        d = tmp_path / "d"
+        shutil.copytree(pipeline["d"], d)
+        lines = (d / name).read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        if name == "runs.jsonl":
+            record["evaluations_used"] -= 1
+        else:
+            record["adrs_row"][0] += 0.25
+        (d / name).write_text("".join([json.dumps(record) + "\n", *lines[1:]]))
+        out = tmp_path / "r"
+        assert run_report(d / "runs.jsonl", d / "labels.jsonl", pipeline["i"] / REPORT_FILE, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset corrupted/stale: {d / name} hash ") and err.count("\n") == 1
+        assert not out.exists()
+        with pytest.raises(ValueError, match="corrupted/stale"):
+            load(d)
+
+    def test_report_reads_a_labels_file_outside_the_manifests_directory_unchecked(self, pipeline, tmp_path):
+        """Only the files in the manifest's directory are vouched for: the same
+        labels, copied elsewhere, give the same tables."""
+        labels = tmp_path / "elsewhere" / "labels.jsonl"
+        labels.parent.mkdir()
+        shutil.copy(pipeline["d"] / "labels.jsonl", labels)
+        out = tmp_path / "r"
+        assert run_report(pipeline["d"] / "runs.jsonl", labels, pipeline["i"] / REPORT_FILE, out) == 0
+        for name in (ADRS_MATRIX_FILE, ACCURACY_FILE, RUNTIME_FILE):
+            assert (out / name).read_bytes() == (pipeline["r"] / name).read_bytes()
+
 
 def rehashed_copy(pipeline, root: Path, name: str, edit) -> Path:
     """A copy of the pipeline's dataset with edit(records) applied to one data file,

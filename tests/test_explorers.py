@@ -54,6 +54,7 @@ from oracles import (
     dominance_matrix,
     reference_admit_to_front,
     reference_crowding,
+    reference_dominated,
     reference_nondominated_ranks,
     reference_run_aco,
     reference_run_eda,
@@ -463,20 +464,38 @@ class TestSurrogateExplorer:
         return [p.knobs for p in ev.evaluated], rng.bit_generator.state
 
     @pytest.mark.parametrize(
-        "family,budget",
+        "family,size,budget",
         [
-            (Family.SMOOTH, 60),
-            (Family.DECEPTIVE, 60),
-            (Family.CLUSTERED, 60),
-            (Family.DECEPTIVE, 500),
-            (Family.CLUSTERED, 500),
+            pytest.param(Family.SMOOTH, "medium", 60, id="Family.SMOOTH-60"),
+            pytest.param(Family.DECEPTIVE, "medium", 60, id="Family.DECEPTIVE-60"),
+            pytest.param(Family.CLUSTERED, "medium", 60, id="Family.CLUSTERED-60"),
+            pytest.param(Family.DECEPTIVE, "medium", 500, id="Family.DECEPTIVE-500"),
+            pytest.param(Family.CLUSTERED, "medium", 500, id="Family.CLUSTERED-500"),
+            pytest.param(Family.RUGGED, "medium", 500, id="Family.RUGGED-500"),
+            # quantized objectives, so the front's logs tie
+            pytest.param(Family.PLATEAU, "medium", 500, id="Family.PLATEAU-500"),
+            # 9 447 840 points, codes near the 10 000 000 cap
+            pytest.param(Family.RUGGED, "large", 60, id="Family.RUGGED-large-60"),
         ],
     )
-    def test_evaluates_the_reference_sequence(self, family, budget):
-        instance = synth_instance(family, 0, "medium")
+    def test_evaluates_the_reference_sequence(self, family, size, budget):
+        instance = synth_instance(family, 0, size)
         expected, expected_state = self.trajectory(reference_run_sbo, instance, budget)
         evaluated, state = self.trajectory(streamed(run_sbo), instance, budget)
         assert len(evaluated) == budget
+        assert evaluated == expected
+        assert state == expected_state
+
+    def test_runs_out_of_candidates_like_the_reference(self):
+        """On a 100-point space at budget 100 every pick and neighbour gets
+        evaluated, and the empty-candidate branch draws the next point."""
+        instance = synth_instance(Family.PLATEAU, 3, "small")
+        assert instance.schema.space_size() == 100
+        expected, expected_state = self.trajectory(reference_run_sbo, instance, 100)
+        with mock.patch.object(algorithms, "_unseen_random", wraps=algorithms._unseen_random) as fallback:
+            evaluated, state = self.trajectory(streamed(run_sbo), instance, 100)
+        assert fallback.call_count > 10  # the first ten are the initial points
+        assert len(evaluated) == 100
         assert evaluated == expected
         assert state == expected_state
 
@@ -486,21 +505,43 @@ class TestSurrogateExplorer:
         dom = dominance_matrix(np.concatenate([front, flat]))
         return dom[: len(front), len(front) :].any(axis=0).reshape(draws.shape[:-1])
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        front=st.lists(GRID_POINTS, min_size=1, max_size=8),
-        draws=st.integers(1, 4).flatmap(
-            lambda width: st.lists(st.lists(GRID_POINTS, min_size=width, max_size=width), min_size=1, max_size=5)
-        ),
-    )
-    @example(front=[(1.0, 1.0)], draws=[[(1.0, 1.0), (1.0, 1.5), (0.5, 1.0), (1.5, 1.5)]])
-    @example(front=[(1.0, 0.5), (1.0, 0.5), (0.5, 1.0)], draws=[[(1.0, 0.5), (1.0, 1.0)]])
-    @example(front=[(2.0, 1.0), (1.0, 1.0), (0.5, 2.0)], draws=[[(1.5, 1.0), (1.0, 1.0), (0.5, 1.0)]])
-    def test_staircase_matches_pairwise_dominance(self, front, draws):
-        front_logs, draw_logs = np.array(front), np.array(draws)
-        assert np.array_equal(
-            _dominated(front_logs, draw_logs), self.brute_force_dominated(front_logs, draw_logs)
+        case=st.lists(GRID_POINTS, min_size=1, max_size=8).flatmap(
+            lambda points: st.tuples(
+                # the logs of a front: area non-decreasing, latency non-increasing,
+                # with ties in either column and repeated points
+                st.just(list(zip(sorted((l for l, _ in points), reverse=True), sorted(a for _, a in points)))),
+                st.integers(1, 4).flatmap(
+                    lambda width: st.lists(
+                        st.lists(
+                            # coordinates on the front's own, so that latencies tie
+                            st.tuples(
+                                st.sampled_from([l for l, _ in points] + [0.25, 2.5]),
+                                st.sampled_from([a for _, a in points] + [0.25, 2.5]),
+                            ),
+                            min_size=width,
+                            max_size=width,
+                        ),
+                        min_size=1,
+                        max_size=5,
+                    )
+                ),
+            )
         )
+    )
+    @example(case=([(1.0, 1.0)], [[(1.0, 1.0), (1.0, 1.5), (0.5, 1.0), (1.5, 1.5)]]))
+    @example(case=([(1.0, 0.5), (1.0, 0.5), (0.5, 1.0)], [[(1.0, 0.5), (1.0, 1.0)]]))
+    @example(case=([(2.0, 1.0), (1.0, 1.0), (0.5, 2.0)], [[(1.5, 1.0), (1.0, 1.0), (0.5, 1.0)]]))
+    # an infinite latency ties the +inf pad in front of the latency column
+    @example(case=([(1.0, 1.0)], [[(np.inf, 0.5), (np.inf, 1.0)]]))
+    def test_staircase_matches_pairwise_dominance(self, case):
+        front, draws = case
+        assert all(l0 >= l1 and a0 <= a1 for (l0, a0), (l1, a1) in zip(front, front[1:]))
+        front_logs, draw_logs = np.array(front), np.array(draws)
+        expected = self.brute_force_dominated(front_logs, draw_logs)
+        assert np.array_equal(_dominated(front_logs, draw_logs), expected)
+        assert np.array_equal(reference_dominated(front_logs, draw_logs), expected)
 
     @pytest.mark.parametrize(
         "cards",
@@ -584,14 +625,12 @@ class TestArchiveFront:
     @given(admissions=ADMISSIONS, asked_after=st.integers(0, 60))
     @example(admissions=[(0, 1, 1), (1, 1, 1), (2, 1, 1)], asked_after=0)
     def test_unseen_neighbours_match_the_brute_force_set(self, small_case, admissions, asked_after):
-        schema = small_case[0].schema
-        cards = schema.cardinalities
+        cards = small_case[0].schema.cardinalities
         for n, (ev, _) in enumerate(self.admitting(small_case, admissions)):
             if n < asked_after:
                 continue
             near = {nbr for p in ev.front_points() for nbr in neighbours(p.knobs, cards)}
             assert ev.unseen_neighbours() == sorted(near - {p.knobs for p in ev.evaluated})
-            assert all(ev.near_front(knobs) == (knobs in near) for knobs in schema.iter_points())
 
     @settings(max_examples=300, deadline=None)
     @given(objs=st.lists(GRID_POINTS, max_size=40))
