@@ -12,7 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -297,7 +298,8 @@ _KNOB_KIND_WIDE = ("unroll", "partition")
 
 
 def _weighted_choice(rng: np.random.Generator, weights: Sequence[float]) -> int:
-    u = rng.random() * sum(weights)
+    # a left fold from int 0, as builtin sum was before Python 3.12 compensated it
+    u = rng.random() * reduce(add, weights, 0)
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w

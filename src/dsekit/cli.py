@@ -279,9 +279,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
         )
         fresh = explore(choice, instance, model, Budget(args.budget), fresh_seed)
         if instance.schema.space_size() <= EXHAUSTIVE_REFERENCE_LIMIT:
-            reference = exhaustive_front(model, instance.schema)
+            reference = exhaustive_front(model)
         else:
-            fronts = ds.fronts[benchmark_id]
+            fronts = ds.fronts(benchmark_id)
             reference = pareto_filter([p for front in fronts for p in front.points])
         rows.append(_report_line(sample, choice, adrs(reference, fresh.front)))
 

@@ -243,13 +243,26 @@ class DatasetManifest:
 class Dataset:
     """Everything a training or inference stage needs, in memory.
 
-    `fronts` holds each benchmark's stored fronts, in runs.jsonl order.
+    `front_entries` holds each benchmark's stored front points as read, in
+    runs.jsonl order, every one of them already checked; `fronts` builds one
+    benchmark's fronts from them for the caller that asks.
     """
 
     instances: tuple[BenchmarkInstance, ...]
-    fronts: dict[str, list[ParetoFront]]
+    front_entries: dict[str, list[list[dict]]]
     samples: tuple[LabeledSample, ...]
     manifest: DatasetManifest
+
+    def fronts(self, benchmark_id: str) -> list[ParetoFront]:
+        """The benchmark's stored fronts, in runs.jsonl order."""
+        # an integral float, such as the clamp value 100.0, is stored as an integer
+        return [
+            pareto_filter(
+                DesignPoint(tuple(e["knobs"]), ObjectiveVector(float(e["area"]), float(e["latency"])))
+                for e in entries
+            )
+            for entries in self.front_entries[benchmark_id]
+        ]
 
     def split(self, which: str) -> tuple[LabeledSample, ...]:
         ids = {"train": self.manifest.train_ids, "inference": self.manifest.inference_ids}[which]
@@ -514,23 +527,23 @@ def check_runs_cover(
             )
 
 
-def _read_fronts(
+def _check_fronts(
     runs: Iterable[dict], instances: Sequence[BenchmarkInstance], runs_path: Path
-) -> dict[str, list[ParetoFront]]:
-    """Each benchmark's stored fronts in file order, every point checked against
-    FRONT_POINT_FIELDS and its benchmark's design space: the one check it gets."""
+) -> dict[str, list[list[dict]]]:
+    """Each benchmark's stored front entries in file order, every point checked
+    against FRONT_POINT_FIELDS and its benchmark's design space: the one check
+    it gets. `Dataset.fronts` builds the fronts of the benchmarks asked for."""
     cardinalities = {inst.id: inst.schema.cardinalities for inst in instances}
-    fronts: dict[str, list[ParetoFront]] = {}
+    entries: dict[str, list[list[dict]]] = {}
     for lineno, record in enumerate(runs, 1):
         benchmark_id = record["benchmark_id"]
         cards = cardinalities.get(benchmark_id)
         if cards is None:
             raise ValueError(f"{runs_path}:{lineno}: unknown benchmark {benchmark_id}")
-        points = []
         for i, entry in enumerate(record["front"]):
             try:
                 _check_fields(entry, FRONT_POINT_FIELDS)
-                knobs = tuple(entry["knobs"])
+                knobs = entry["knobs"]
                 if len(knobs) != len(cards):
                     raise ValueError(
                         f"point has {len(knobs)} knob settings, schema defines {len(cards)}"
@@ -542,11 +555,8 @@ def _read_fronts(
                 raise ValueError(
                     f"{runs_path}:{lineno}: front point {i} of {benchmark_id}: {err}"
                 ) from None
-            # an integral float, such as the clamp value 100.0, is stored as an integer
-            objectives = ObjectiveVector(float(entry["area"]), float(entry["latency"]))
-            points.append(DesignPoint(knobs, objectives))
-        fronts.setdefault(benchmark_id, []).append(pareto_filter(points))
-    return fronts
+        entries.setdefault(benchmark_id, []).append(record["front"])
+    return entries
 
 
 def persist_results(
@@ -674,9 +684,11 @@ def load(dataset_dir: str | Path) -> Dataset:
             f"{manifest_path}: train_ids and inference_ids must together name each "
             f"benchmark of {paths[LABELS_FILE]} once"
         )
-    fronts = _read_fronts(runs, instances, paths[RUNS_FILE])
+    front_entries = _check_fronts(runs, instances, paths[RUNS_FILE])
 
-    return Dataset(instances=instances, fronts=fronts, samples=tuple(samples), manifest=manifest)
+    return Dataset(
+        instances=instances, front_entries=front_entries, samples=tuple(samples), manifest=manifest
+    )
 
 
 __all__ = [

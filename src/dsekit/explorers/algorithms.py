@@ -12,9 +12,17 @@ reproducible from its seed. Its scalar draws equal the seeded generator's
 mostly vectors, takes the generator itself from it.
 
 The runners read the evaluator's shared front state rather than rebuilding
-it: AC, PG and ACO take the cached front objective arrays, SBO and PSO the
-cached front tuple, and lattice the sorted list of the front's unseen
-neighbours.
+it: AC and PG take the cached front objective arrays for their rewards, ACO
+the count of each point's dominators from two binary searches on the
+staircase, SBO and PSO the cached front tuple, and lattice the sorted list of
+the front's unseen neighbours.
+
+AC, PG, ACO, NSGA2 and QLMOEA keep their state in Python floats, updated
+with the IEEE operations numpy made on the arrays they replaced, in the same
+order, so every run is bit-equal to the array form. `_row_sum` is numpy's
+pairwise row sum; the policy softmax keeps numpy's `exp`, one call per step,
+and AC and PG score a new point against the front arrays. Builtin `sum` is
+not used on floats: Python 3.12 made it compensated.
 
 Every categorical draw is one uniform `random()` draw placed by binary search
 in the distribution's left-to-right running sums, which gives the index a
@@ -27,8 +35,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, chain
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -54,6 +63,36 @@ def _unseen_random(
             break
         knobs = draw()
     return knobs
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    """numpy's pairwise summation of at least 8 floats, operation for operation.
+
+    Up to 128 values: eight running sums, one per position mod 8, over the
+    longest prefix whose length is a multiple of 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then a left fold of
+    the rest. Longer lists are split near the middle, at a multiple of 8.
+    """
+    n = len(xs)
+    if n <= 128:
+        m = n - n % 8
+        r = xs[:8]
+        for i in range(8, m, 8):
+            r = [a + b for a, b in zip(r, xs[i : i + 8])]
+        r0, r1, r2, r3, r4, r5, r6, r7 = r
+        return reduce(add, xs[m:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def _row_sum(xs: list[float]) -> float:
+    """`np.add.reduce` of the floats, bit for bit: 0.0 plus their pairwise sum,
+    which below 8 values is a left fold. Builtin `sum` is not this: from
+    Python 3.12 on it compensates its rounding."""
+    if len(xs) < 8:
+        return reduce(add, xs, 0.0)
+    return 0.0 + _pairwise_sum(xs)
 
 
 def _sample_cumulative(uniform: Callable[[], float], cum: list[float]) -> int:
@@ -95,32 +134,43 @@ def _crowding(objs: list[tuple[float, float]], ranks: list[int]) -> list[float]:
     """Each point's crowding distance within its rank, as Python floats.
 
     The ends of a rank, and every member of a rank of one or two points, are
-    infinitely far from their neighbours.
+    infinitely far from their neighbours. A rank's members are sorted by each
+    objective's column, ties by position.
     """
     dist = [0.0] * len(objs)
     by_rank: dict[int, list[int]] = {}
     for i, r in enumerate(ranks):
         by_rank.setdefault(r, []).append(i)
+    columns = ([o[0] for o in objs], [o[1] for o in objs])
     for members in by_rank.values():
         if len(members) <= 2:
             for i in members:
                 dist[i] = math.inf
             continue
-        for dim in (0, 1):
-            order = sorted(members, key=lambda i: objs[i][dim])
-            lo, hi = objs[order[0]][dim], objs[order[-1]][dim]
-            dist[order[0]] = dist[order[-1]] = math.inf
-            span = hi - lo
+        for column in columns:
+            order = sorted(members, key=column.__getitem__)
+            first, last = order[0], order[-1]
+            dist[first] = dist[last] = math.inf
+            span = column[last] - column[first]
             if span <= 0:
                 continue
             for a, b, c in zip(order, order[1:], order[2:]):
-                dist[b] += (objs[c][dim] - objs[a][dim]) / span
+                dist[b] += (column[c] - column[a]) / span
     return dist
 
 
-def _tournament(draws: Draws, ranks: list[int], crowd: list[float]) -> int:
-    i, j = draws.integers(len(ranks)), draws.integers(len(ranks))
-    if (ranks[i], -crowd[i]) <= (ranks[j], -crowd[j]):
+def _objectives(pop: list[DesignPoint]) -> list[tuple[float, float]]:
+    return [(p.objectives.area, p.objectives.latency) for p in pop]
+
+
+def _tournament_keys(objs: list[tuple[float, float]], ranks: list[int]) -> list[tuple[int, float]]:
+    """Each point's (rank, -crowding) key: a lower key wins a tournament."""
+    return [(r, -c) for r, c in zip(ranks, _crowding(objs, ranks))]
+
+
+def _tournament(draws: Draws, keys: list[tuple[int, float]]) -> int:
+    i, j = draws.integers(len(keys)), draws.integers(len(keys))
+    if keys[i] <= keys[j]:
         return i
     return j
 
@@ -132,12 +182,19 @@ def _seed_population(
     return [ev.evaluate(_unseen_random(ev, draw)) for _ in range(size)]
 
 
-def _survivors(pop: list[DesignPoint], size: int) -> list[DesignPoint]:
-    objs = [(p.objectives.area, p.objectives.latency) for p in pop]
+def _survivors(
+    pop: list[DesignPoint], objs: list[tuple[float, float]], size: int
+) -> tuple[list[DesignPoint], list[tuple[float, float]], list[int]]:
+    """The best `size` points by tournament key, with their objectives and ranks.
+
+    The survivors are whole ranks and part of the next, and every point that
+    dominates a survivor has a lower rank, so it survives too: the ranks among
+    the survivors are the ranks among all the points.
+    """
     ranks = _nondominated_ranks(objs)
-    crowd = _crowding(objs, ranks)
-    order = sorted(range(len(pop)), key=lambda i: (ranks[i], -crowd[i]))
-    return [pop[i] for i in order[:size]]
+    keys = _tournament_keys(objs, ranks)
+    order = sorted(range(len(pop)), key=keys.__getitem__)[:size]
+    return [pop[i] for i in order], [objs[i] for i in order], [ranks[i] for i in order]
 
 
 # -- evolutionary explorers ---------------------------------------------------
@@ -147,71 +204,69 @@ def _survivors(pop: list[DesignPoint], size: int) -> list[DesignPoint]:
 def run_nsga2(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     cards = schema.cardinalities
     k = len(cards)
+    rate = 1.0 / k
+    random, integers = draws.random, draws.integers
     pop = _seed_population(ev, draws, cards, _POP)
+    objs = _objectives(pop)
+    ranks = _nondominated_ranks(objs)
     while True:
-        objs = [(p.objectives.area, p.objectives.latency) for p in pop]
-        ranks = _nondominated_ranks(objs)
-        crowd = _crowding(objs, ranks)
+        keys = _tournament_keys(objs, ranks)
         kids: list[DesignPoint] = []
         while len(kids) < _POP:
-            pa = pop[_tournament(draws, ranks, crowd)].knobs
-            pb = pop[_tournament(draws, ranks, crowd)].knobs
-            if draws.random() < 0.9:
-                mask = [draws.random() < 0.5 for _ in range(k)]
-                ca = tuple(pa[i] if mask[i] else pb[i] for i in range(k))
-                cb = tuple(pb[i] if mask[i] else pa[i] for i in range(k))
+            pa = pop[_tournament(draws, keys)].knobs
+            pb = pop[_tournament(draws, keys)].knobs
+            if random() < 0.9:
+                mask = [random() < 0.5 for _ in range(k)]
+                ca = tuple([a if m else b for m, a, b in zip(mask, pa, pb)])
+                cb = tuple([b if m else a for m, a, b in zip(mask, pa, pb)])
             else:
                 ca, cb = pa, pb
             for child in (ca, cb):
-                mutated = tuple(
-                    draws.integers(cards[i]) if draws.random() < 1.0 / k else child[i]
-                    for i in range(k)
-                )
+                mutated = tuple([integers(c) if random() < rate else x for c, x in zip(cards, child)])
                 kids.append(ev.evaluate(mutated))
                 if len(kids) == _POP:
                     break
-        pop = _survivors(pop + kids, _POP)
+        pop, objs, ranks = _survivors(pop + kids, objs + _objectives(kids), _POP)
 
 
 @register(ExplorerId.QLMOEA)
 def run_qlmoea(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
-    """NSGA2 skeleton with a Q-learned choice of variation operator."""
+    """NSGA2 skeleton with a Q-learned choice of variation operator.
+
+    The Q rows are Python floats: `row.index(max(row))` is numpy's argmax,
+    the first index of the largest value.
+    """
     cards = schema.cardinalities
     k = len(cards)
-    q: dict[tuple[int, int], np.ndarray] = {}
+    q: dict[tuple[int, int], list[float]] = {}
     pop = _seed_population(ev, draws, cards, _POP)
+    objs = _objectives(pop)
+    ranks = _nondominated_ranks(objs)
     prev_front = len(ev.front_points())
     growth_sign = 1
 
     def state() -> tuple[int, int]:
-        decile = min(9, 10 * ev.evaluations_used // ev.max_evaluations)
-        return (int(decile), growth_sign)
+        return (min(9, 10 * ev.evaluations_used // ev.max_evaluations), growth_sign)
 
-    def q_row(s: tuple[int, int]) -> np.ndarray:
-        if s not in q:
-            q[s] = np.zeros(4)
-        return q[s]
+    def q_row(s: tuple[int, int]) -> list[float]:
+        return q.setdefault(s, [0.0] * 4)
 
     while True:
-        s = state()
-        row = q_row(s)
+        row = q_row(state())
         if draws.random() < 0.1:
             op = draws.integers(4)
         else:
-            op = int(np.argmax(row))
-        objs = [(p.objectives.area, p.objectives.latency) for p in pop]
-        ranks = _nondominated_ranks(objs)
-        crowd = _crowding(objs, ranks)
+            op = row.index(max(row))
+        keys = _tournament_keys(objs, ranks)
         kids: list[DesignPoint] = []
         try:
             while len(kids) < _POP:
                 if op == 0:
-                    pa = pop[_tournament(draws, ranks, crowd)].knobs
-                    pb = pop[_tournament(draws, ranks, crowd)].knobs
-                    mask = [draws.random() < 0.5 for _ in range(k)]
-                    child = tuple(pa[i] if mask[i] else pb[i] for i in range(k))
+                    pa = pop[_tournament(draws, keys)].knobs
+                    pb = pop[_tournament(draws, keys)].knobs
+                    child = tuple([a if draws.random() < 0.5 else b for a, b in zip(pa, pb)])
                 elif op in (1, 2):
-                    child = list(pop[_tournament(draws, ranks, crowd)].knobs)
+                    child = list(pop[_tournament(draws, keys)].knobs)
                     for axis in draws.permutation(k)[: min(op, k)]:
                         child[axis] = draws.integers(cards[axis])
                     child = tuple(child)
@@ -224,8 +279,8 @@ def run_qlmoea(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
             reward = max(-1.0, min(1.0, (now_front - prev_front) / max(1, prev_front)))
             growth_sign = 1 + (now_front > prev_front) - (now_front < prev_front)
             prev_front = now_front
-            row[op] += 0.1 * (reward + 0.9 * float(q_row(state()).max()) - row[op])
-        pop = _survivors(pop + kids, _POP)
+            row[op] += 0.1 * (reward + 0.9 * max(q_row(state())) - row[op])
+        pop, objs, ranks = _survivors(pop + kids, objs + _objectives(kids), _POP)
 
 
 # -- trajectory explorers -----------------------------------------------------
@@ -279,28 +334,25 @@ def run_lattice(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
 
 @register(ExplorerId.ACO)
 def run_aco(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+    """Ant colony search over one pheromone list per knob, Python floats
+    updated as numpy updated the arrays: normalised by their `_row_sum`,
+    decayed, deposited on in batch order and clipped as
+    `min(hi, max(lo, x))`."""
     cards = schema.cardinalities
-    pheromone = [np.ones(c) for c in cards]
+    pheromone = [[1.0] * c for c in cards]
     random = draws.random
     while True:
-        cums = [list(accumulate((tau / tau.sum()).tolist())) for tau in pheromone]
-        batch = [
-            ev.evaluate(tuple([_sample_cumulative(random, cum) for cum in cums])) for _ in range(20)
-        ]
-        front, _ = ev.front_arrays()
-        objs = np.array([p.objectives.as_tuple() for p in batch])
-        # behind[j]: how many front points dominate batch point j
-        no_worse = (front[:, None, :] <= objs[None, :, :]).all(axis=2)
-        better = (front[:, None, :] < objs[None, :, :]).any(axis=2)
-        behind = (no_worse & better).sum(axis=0).tolist()
+        cums = []
         for tau in pheromone:
-            tau *= 0.9
-        for point, count in zip(batch, behind):
-            deposit = 1.0 / (1.0 + count)
+            total = _row_sum(tau)
+            cums.append(list(accumulate([t / total for t in tau])))
+        batch = [ev.evaluate(tuple([_sample_cumulative(random, cum) for cum in cums])) for _ in range(20)]
+        pheromone = [[t * 0.9 for t in tau] for tau in pheromone]
+        for point in batch:
+            deposit = 1.0 / (1.0 + ev.dominators(point.objectives))
             for axis, level in enumerate(point.knobs):
                 pheromone[axis][level] += deposit
-        for tau in pheromone:
-            np.clip(tau, 0.05, 20.0, out=tau)
+        pheromone = [[min(20.0, max(0.05, t)) for t in tau] for tau in pheromone]
 
 
 @register(ExplorerId.PSO)
@@ -533,34 +585,51 @@ def run_eda(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
 # -- table-policy explorers ---------------------------------------------------
 
 
-def _width_runs(cards: tuple[int, ...]) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """The table layout with rows grouped by width: each knob's row, and
-    (start, stop, width) of each width's run of rows."""
-    rows = [0] * len(cards)
-    for row, axis in enumerate(sorted(range(len(cards)), key=cards.__getitem__)):
-        rows[axis] = row
-    runs: list[tuple[int, int, int]] = []
-    for width in sorted(set(cards)):
-        start = runs[-1][1] if runs else 0
-        runs.append((start, start + cards.count(width), width))
-    return rows, runs
+def _softmax_rows(tables: list[list[float]]) -> tuple[list[list[float]], list[list[float]]]:
+    """Each row's softmax and its running sums.
+
+    Bit-equal to numpy's softmax of the row as an array: one `np.exp` over
+    all the rows' shifted entries (numpy's exp is not `math.exp` on every
+    host), and each row's exponentials over their `_row_sum`.
+    """
+    # the sign of a zero maximum changes no exponential: exp(±0) is 1.0
+    exps = np.exp([t - top for row in tables for top in (max(row),) for t in row]).tolist()
+    probs, cums = [], []
+    stop = 0
+    for row in tables:
+        start, stop = stop, stop + len(row)
+        e = exps[start:stop]
+        total = _row_sum(e)
+        p = [x / total for x in e]
+        probs.append(p)
+        cums.append(list(accumulate(p)))
+    return probs, cums
 
 
-def _softmax_runs(tables: np.ndarray, runs: list[tuple[int, int, int]]) -> np.ndarray:
-    """Softmax of each -inf-padded row, bit-equal to the softmax of the row
-    cut to its width. numpy's summation order depends on a row's length, so
-    each row is summed at its own width: a width's rows are one basic slice."""
-    probs = np.exp(tables - tables.max(axis=1, keepdims=True))
-    for start, stop, width in runs:
-        block = probs[start:stop, :width]
-        block /= block.sum(axis=1, keepdims=True)
-    return probs
+def _step_tables(
+    tables: list[list[float]], probs: list[list[float]], actions: tuple[int, ...], step: float
+) -> list[list[float]]:
+    """The tables after one REINFORCE step of size `step` toward the actions.
+
+    Bit-equal to numpy's t + (-p + onehot) * step on each row as an array:
+    t + (-p) * step is t - p * step, and -p + 1.0 is 1.0 - p, since IEEE
+    negation is exact and rounding symmetric.
+    """
+    stepped = []
+    for row, p, action in zip(tables, probs, actions):
+        new = [t - q * step for t, q in zip(row, p)]
+        new[action] = row[action] + (1.0 - p[action]) * step
+        stepped.append(new)
+    return stepped
 
 
 def _run_policy(ev: BudgetedEvaluator, schema, draws: Draws, with_baseline: bool) -> None:
     """A softmax table per knob, trained by REINFORCE on the negated coverage
     shortfall of each proposal against the front; AC subtracts a running
     baseline from the reward, PG does not.
+
+    Each knob's table is a list of Python floats; `_softmax_rows` and
+    `_step_tables` make numpy's IEEE operations on them.
 
     Memo-saturated runs mostly re-propose known points, so a repeat is kept
     cheap: the reward is cached per knob tuple until the front changes, and a
@@ -570,11 +639,7 @@ def _run_policy(ev: BudgetedEvaluator, schema, draws: Draws, with_baseline: bool
     bit-equal. AC's baseline keeps its advantage nonzero, so AC always steps.
     """
     cards = schema.cardinalities
-    rows, runs = _width_runs(cards)
-    # one table row per knob, padded with -inf to the widest knob
-    tables = np.full((len(cards), max(cards)), -np.inf)
-    for row, card in zip(rows, cards):
-        tables[row, :card] = 0.0
+    tables = [[0.0] * card for card in cards]
     # one baseline serves every knob: each knob's would take the same updates
     baseline = 0.0
     arrays = None
@@ -583,9 +648,7 @@ def _run_policy(ev: BudgetedEvaluator, schema, draws: Draws, with_baseline: bool
     random, integers = draws.random, draws.integers
     while True:
         if probs is None:
-            probs = _softmax_runs(tables, runs)
-            listed = probs.tolist()
-            cums = [list(accumulate(listed[row][:card])) for row, card in zip(rows, cards)]
+            probs, cums = _softmax_rows(tables)
         actions = tuple(
             [
                 integers(card) if random() < 0.1 else _sample_cumulative(random, cum)
@@ -610,11 +673,7 @@ def _run_policy(ev: BudgetedEvaluator, schema, draws: Draws, with_baseline: bool
             continue
         else:
             advantage = reward
-        grad = -probs
-        for row, action in zip(rows, actions):
-            grad[row, action] += 1.0
-        grad *= 0.05 * advantage
-        tables += grad
+        tables = _step_tables(tables, probs, actions, 0.05 * advantage)
         probs = None
 
 

@@ -4,11 +4,15 @@ Every explorer spends its budget through one BudgetedEvaluator, which owns the
 memo table (repeat proposals are free), the archive of evaluated points, and an
 incrementally maintained archive front. The front is a staircase: parallel
 lists of points, areas and latencies, updated by one binary search and one
-slice assignment per admitted point. Its points tuple and its objective and
+slice assignment per admitted point, and two binary searches count the front
+points that dominate given objectives. Its points tuple and its objective and
 ADRS-denominator arrays are cached until it next changes. Once an explorer
 first asks, the evaluator also keeps the sorted list of unevaluated points one
 level from a front point on one knob, with a reference count per neighbour,
 so that lattice reads it instead of rebuilding it.
+
+A space no larger than the budget is not searched: every explorer's result
+there is the model's true front, enumerated once per model.
 
 An explorer that keeps re-proposing evaluated points is stopped as stalled,
 and `explore` spends the rest of its budget on unseen uniform points, so every
@@ -25,13 +29,14 @@ import importlib
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import neg
 from typing import Callable, Optional
 
 import numpy as np
 
 from ..benchmarks import BenchmarkInstance, KnobSchema
 from ..hashing import mix64
-from ..pareto import ZERO_REFERENCE_EPS, DesignPoint, ParetoFront, adrs, pareto_filter
+from ..pareto import ZERO_REFERENCE_EPS, DesignPoint, ObjectiveVector, ParetoFront, adrs, pareto_filter
 from ..surrogate import SurrogateModel, exhaustive_front
 from .draws import Draws
 
@@ -275,6 +280,20 @@ class BudgetedEvaluator:
             self._points = tuple(self._front)
         return self._points
 
+    def dominators(self, objectives: ObjectiveVector) -> int:
+        """How many front points dominate the objectives.
+
+        Two binary searches on the staircase: the points with area <= its
+        area are a prefix, those with latency <= its latency a suffix, and
+        every point in both dominates it except one with equal objectives.
+        """
+        area, latency = objectives.area, objectives.latency
+        end = bisect_right(self._areas, area)
+        start = bisect_left(self._lats, -latency, key=neg)
+        if end and self._areas[end - 1] == area and self._lats[end - 1] == latency:
+            end -= 1
+        return max(0, end - start)
+
     def front_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The front's (n, 2) objectives, columns (area, latency), and their
         ADRS denominators: each objective, or ZERO_REFERENCE_EPS where it is 0."""
@@ -343,8 +362,10 @@ def explore(
 ) -> ExplorationResult:
     """Run one explorer on one benchmark under a budget, deterministically.
 
-    When the whole design space fits inside the evaluation budget, the space
-    is simply enumerated; any search would be wasted motion there. Otherwise
+    When the whole design space fits inside the evaluation budget, any search
+    would end by evaluating every point, so the result is the model's true
+    front (`exhaustive_front`, enumerated once per model and shared) with
+    every point of the space as both evaluations and proposals. Otherwise
     the explorer draws from a `Draws` stream over its seeded generator, which
     is closed when the search ends, leaving the generator where the same
     scalar calls on it would have. When the explorer stalls, the rest of its
@@ -357,23 +378,28 @@ def explore(
     explorer = ExplorerId(explorer)
     if model.cardinalities != instance.schema.cardinalities:
         raise ValueError("model does not match the instance's design space")
+    space = instance.schema.space_size()
+    if space <= budget.max_evaluations:
+        return ExplorationResult(
+            explorer=explorer,
+            front=exhaustive_front(model),
+            evaluations_used=space,
+            wall_seconds=space * NOMINAL_EVAL_SECONDS[explorer],
+            stop_reason="exhaustive_fallback",
+            proposals=space,
+        )
     evaluator = BudgetedEvaluator(model, instance.schema, budget)
     stop_reason = "budget"
     try:
-        if instance.schema.space_size() <= budget.max_evaluations:
-            stop_reason = "exhaustive_fallback"
-            for knobs in instance.schema.iter_points():
-                evaluator.evaluate(knobs)
-        else:
-            draws = Draws(
-                np.random.default_rng(
-                    np.random.SeedSequence([_EXPLORE_TAG, explorer.value, seed & _SEED_MASK])
-                )
+        draws = Draws(
+            np.random.default_rng(
+                np.random.SeedSequence([_EXPLORE_TAG, explorer.value, seed & _SEED_MASK])
             )
-            try:
-                _RUNNERS[explorer](evaluator, instance.schema, draws)
-            finally:
-                draws.close()
+        )
+        try:
+            _RUNNERS[explorer](evaluator, instance.schema, draws)
+        finally:
+            draws.close()
     except Stalled:
         fill = Draws(
             np.random.default_rng(np.random.SeedSequence([_FILL_TAG, explorer.value, seed & _SEED_MASK]))
@@ -411,7 +437,7 @@ def score_results(
     which equals that of everything they evaluated.
     """
     if instance.schema.space_size() <= EXHAUSTIVE_REFERENCE_LIMIT:
-        reference = exhaustive_front(model, instance.schema)
+        reference = exhaustive_front(model)
     else:
         reference = pareto_filter(p for r in results for p in r.front.points)
     adrs_values = tuple(adrs(reference, r.front) for r in results)

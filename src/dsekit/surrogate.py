@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import product
+from operator import add
 
 import numpy as np
 
-from .benchmarks import BenchmarkInstance, Family, KnobSchema, random_knobs
+from .benchmarks import BenchmarkInstance, Family, random_knobs
 from .hashing import hash_unit, mix64
 from .pareto import DesignPoint, ObjectiveVector, ParetoFront, pareto_filter
 
@@ -48,6 +51,20 @@ class SurrogateModel:
     pocket_latency: tuple[float, ...] = ()
     outside_penalty: float = 1.0
 
+    def __getstate__(self) -> dict:
+        """The fields alone: a model sent to a pool worker leaves its
+        enumerated front behind, and the worker enumerates its own."""
+        state = dict(self.__dict__)
+        state.pop("true_front", None)
+        return state
+
+    @cached_property
+    def true_front(self) -> ParetoFront:
+        """The true Pareto front, by enumeration of the whole design space in
+        lexicographic order; enumerated on first use and kept."""
+        space = product(*(range(card) for card in self.cardinalities))
+        return pareto_filter(DesignPoint(k, self.evaluate_knobs(k)) for k in space)
+
     @classmethod
     def from_instance(cls, instance: BenchmarkInstance) -> "SurrogateModel":
         """Derive the full cost surface from (family, seed, schema)."""
@@ -66,7 +83,8 @@ class SurrogateModel:
             gamma = 1.0 if family is Family.SMOOTH else rng.uniform(1.0, 1.5)
             lat_tabs.append([1.0 - u for u in pos])
             area_tabs.append([u**gamma for u in pos])
-        lat_total, area_total = sum(lat_w), sum(area_w)
+        # left folds from int 0: builtin sum compensates its rounding from Python 3.12 on
+        lat_total, area_total = reduce(add, lat_w, 0), reduce(add, area_w, 0)
         latency_tables = tuple(
             tuple(_LOG_SPAN * (w / lat_total) * v for v in tab) for w, tab in zip(lat_w, lat_tabs)
         )
@@ -218,9 +236,10 @@ def _basin_layout(
     k = len(cards)
 
     def logs(kn: tuple[int, ...]) -> tuple[float, float]:
+        # left folds from int 0, not builtin sum (compensated from Python 3.12 on)
         return (
-            sum(tab[i] for tab, i in zip(latency_tables, kn)),
-            sum(tab[i] for tab, i in zip(area_tables, kn)),
+            reduce(add, (tab[i] for tab, i in zip(latency_tables, kn)), 0),
+            reduce(add, (tab[i] for tab, i in zip(area_tables, kn)), 0),
         )
 
     pool = sorted({random_knobs(rng, cards) for _ in range(150)})
@@ -238,7 +257,7 @@ def _basin_layout(
                 if not 0 <= v < cards[d]:
                     continue
                 neighbor = center[:d] + (v,) + center[d + 1 :]
-                slack = sum(logs(neighbor)) - f_center - 0.04
+                slack = reduce(add, logs(neighbor), 0) - f_center - 0.04
                 if slack < 0.0:
                     worst = max(worst, -slack / (1.0 - pull))
         return worst
@@ -300,6 +319,11 @@ def _separated_centers(rng: np.random.Generator, count: int, width: float) -> tu
     return tuple(float(c) for c in np.linspace(0.16, 0.66, count))
 
 
-def exhaustive_front(model: SurrogateModel, schema: KnobSchema) -> ParetoFront:
-    """True Pareto front by full enumeration of the design space; `schema` is the model's own."""
-    return pareto_filter(DesignPoint(k, model.evaluate_knobs(k)) for k in schema.iter_points())
+def exhaustive_front(model: SurrogateModel) -> ParetoFront:
+    """True Pareto front by full enumeration of the model's design space.
+
+    The model keeps it, so the space is enumerated once per model object: the
+    exhaustive fallback of all ten explorers, the scoring of their runs and
+    `infer`'s reference share one enumeration.
+    """
+    return model.true_front

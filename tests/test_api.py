@@ -113,3 +113,41 @@ def test_every_table_key_is_a_key_its_writer_emits(tmp_path):
         fields = getattr(dataset, name)
         assert set(fields) <= set(record), name
         dataset._check_fields(json.loads(dataset.canonical_json(record)), fields)
+
+
+# Bare `sum(...)` calls whose argument is a list of ints, by module and
+# argument source: Python 3.12 made builtin sum compensated on floats, so a
+# float sum would give other bits than on 3.10 and 3.11.
+INTEGER_SUMS = {
+    ("benchmarks.py", "cards"),
+    ("explorers/algorithms.py", "cards"),
+}
+
+
+def is_count(node: ast.expr) -> bool:
+    """A generator of the int constant 1 (or any int constant): a count."""
+    return (
+        isinstance(node, ast.GeneratorExp)
+        and isinstance(node.elt, ast.Constant)
+        and type(node.elt.value) is int
+    )
+
+
+def test_builtin_sum_is_only_used_on_integers():
+    float_sums = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}: sum({ast.unparse(node.args[0]) if node.args else ''})"
+        for path, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+        and not (
+            len(node.args) == 1
+            and not node.keywords
+            and (
+                is_count(node.args[0])
+                or (path.relative_to(PACKAGE).as_posix(), ast.unparse(node.args[0])) in INTEGER_SUMS
+            )
+        )
+    ]
+    assert float_sums == []

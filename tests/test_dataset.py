@@ -223,10 +223,9 @@ class TestPersistAndLoad:
             for inst, portfolio in zip(instances, portfolios)
             for result, value in zip(portfolio.results, portfolio.adrs_values)
         ]
-        assert loaded.fronts == {
-            inst.id: [result.front for result in portfolio.results]
-            for inst, portfolio in zip(instances, portfolios)
-        }
+        assert loaded.front_entries.keys() == {inst.id for inst in instances}
+        for inst, portfolio in zip(instances, portfolios):
+            assert loaded.fronts(inst.id) == [result.front for result in portfolio.results]
 
     def test_split_sizes_and_disjointness(self, tiny_dataset):
         dataset, _ = tiny_dataset
@@ -256,7 +255,7 @@ class TestPersistAndLoad:
     def test_fronts_round_trip(self, tiny_dataset):
         dataset, out = tiny_dataset
         first = json.loads((out / RUNS_FILE).read_text().splitlines()[0])
-        front = dataset.fronts[first["benchmark_id"]][0]
+        front = dataset.fronts(first["benchmark_id"])[0]
         assert len(front.points) >= 1
         assert first["explorer_code"] == 0
         assert front == pareto_filter(

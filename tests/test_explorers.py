@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import pickle
+from functools import cached_property
 from itertools import accumulate
 from unittest import mock
 
@@ -26,8 +28,9 @@ from dsekit.explorers.algorithms import (
     _dominated,
     _nondominated_ranks,
     _sample_cumulative,
-    _softmax_runs,
-    _width_runs,
+    _row_sum,
+    _softmax_rows,
+    _step_tables,
     run_sbo,
 )
 from dsekit.explorers.base import (
@@ -44,6 +47,7 @@ from dsekit.pareto import (
     ObjectiveVector,
     ParetoFront,
     adrs,
+    dominates,
     pareto_filter,
 )
 from dsekit.surrogate import SurrogateModel, exhaustive_front
@@ -76,6 +80,9 @@ GRID_POINTS = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda t: (t[0
 
 class CountingModel:
     """Duck-typed wrapper that counts raw cost-model invocations."""
+
+    # the model's enumeration, through this wrapper's evaluate_knobs
+    true_front = cached_property(SurrogateModel.true_front.func)
 
     def __init__(self, inner: SurrogateModel) -> None:
         self.inner = inner
@@ -233,7 +240,7 @@ class TestExplore:
         size = instance.schema.space_size()
         result = explore(ExplorerId.ACO, instance, model, Budget(size), seed=0)
         assert result.evaluations_used == size
-        assert result.front == exhaustive_front(model, instance.schema)
+        assert result.front == exhaustive_front(model)
 
     def test_spent_budget_never_exceeds_the_cap(self, medium_case):
         instance, model = medium_case
@@ -416,7 +423,7 @@ class TestPortfolio:
         size = instance.schema.space_size()
         assert size <= EXHAUSTIVE_REFERENCE_LIMIT
         portfolio = scored_portfolio(instance, model, Budget(20), master_seed=0)
-        reference = exhaustive_front(model, instance.schema)
+        reference = exhaustive_front(model)
         assert portfolio.adrs_values == tuple(adrs(reference, r.front) for r in portfolio.results)
 
     def test_large_space_reference_is_the_front_of_everything_evaluated(self, medium_case):
@@ -450,6 +457,46 @@ class TestPortfolio:
         # pool workers are forked, so they see the patched runner
         with pytest.raises(RuntimeError, match=message):
             run_suite([instance], 3, master_seed=0, workers=2)
+
+
+class TestExhaustiveFallback:
+    """A space that fits the budget is enumerated once per model and shared."""
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.name)
+    def test_every_explorer_gets_the_per_point_enumeration(self, family):
+        instance = synth_instance(family, 0, "small")
+        model = SurrogateModel.from_instance(instance)
+        budget = Budget(instance.schema.space_size())
+        ev = BudgetedEvaluator(model, instance.schema, budget)
+        for knobs in instance.schema.iter_points():
+            ev.evaluate(knobs)
+        results = [explore(e, instance, model, budget, seed=3) for e in ExplorerId]
+        for result in results:
+            assert result.front == ParetoFront(ev.front_points())
+            assert result.front is results[0].front
+            assert (result.evaluations_used, result.proposals, result.stop_reason) == (
+                ev.evaluations_used,
+                ev.proposals,
+                "exhaustive_fallback",
+            )
+            assert result.wall_seconds == ev.evaluations_used * NOMINAL_EVAL_SECONDS[result.explorer]
+
+    def test_a_portfolio_and_its_scoring_enumerate_once(self, small_case):
+        instance, model = small_case
+        counting = CountingModel(model)
+        space = instance.schema.space_size()
+        portfolio = scored_portfolio(instance, counting, Budget(space), master_seed=0)
+        assert counting.calls == space
+        assert exhaustive_front(counting) is portfolio.results[0].front
+
+    def test_a_pickled_model_leaves_its_front_behind(self):
+        model = SurrogateModel.from_instance(synth_instance(Family.RUGGED, 2, "small"))
+        size = len(pickle.dumps(model))
+        front = exhaustive_front(model)
+        assert len(pickle.dumps(model)) == size
+        restored = pickle.loads(pickle.dumps(model))
+        assert "true_front" not in vars(restored)
+        assert exhaustive_front(restored) == front
 
 
 class TestSurrogateExplorer:
@@ -632,6 +679,16 @@ class TestArchiveFront:
             near = {nbr for p in ev.front_points() for nbr in neighbours(p.knobs, cards)}
             assert ev.unseen_neighbours() == sorted(near - {p.knobs for p in ev.evaluated})
 
+    @settings(max_examples=200, deadline=None)
+    @given(admissions=ADMISSIONS, probes=st.lists(GRID_POINTS, min_size=1, max_size=10))
+    @example(admissions=[(0, 1, 1), (1, 2, 0), (2, 0, 2)], probes=[(1.0, 1.0), (2.0, 2.0), (0.5, 0.0)])
+    def test_dominators_match_the_pairwise_count(self, small_case, admissions, probes):
+        """Probes on and off the grid, among them the points just admitted."""
+        for ev, point in self.admitting(small_case, admissions):
+            for obj in [point.objectives] + [ObjectiveVector(*xy) for xy in probes]:
+                expected = sum(1 for p in ev.front_points() if dominates(p.objectives, obj))
+                assert ev.dominators(obj) == expected
+
     @settings(max_examples=300, deadline=None)
     @given(objs=st.lists(GRID_POINTS, max_size=40))
     @example(objs=[])
@@ -658,17 +715,6 @@ class TestArchiveFront:
             assert np.array(got, dtype=float).tobytes() == reference_crowding(objs, ranks).tobytes()
 
 
-def grouped_tables(rows):
-    """The rows as one -inf-padded table in the width-grouped layout: each row's
-    index in the table, the runs of one width, and the table."""
-    cards = tuple(len(row) for row in rows)
-    at, runs = _width_runs(cards)
-    tables = np.full((len(rows), max(cards)), -np.inf)
-    for r, row in zip(at, rows):
-        tables[r, : len(row)] = row
-    return at, runs, tables
-
-
 # table entries on a coarse grid, so that ±0, ties and exact sums are common
 ENTRY = st.one_of(
     st.just(0.0), st.just(-0.0), st.integers(-8, 8).map(lambda v: v / 4), st.floats(-50.0, 50.0)
@@ -677,6 +723,12 @@ TABLE_ROWS = st.lists(
     st.integers(2, 16).flatmap(lambda width: st.lists(ENTRY, min_size=width, max_size=width)),
     min_size=1,
     max_size=10,
+)
+# summands: signed zeros, subnormals and magnitudes far apart, small enough
+# that no sum of a thousand of them overflows
+SUMMAND = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-1e250, 1e250),
 )
 
 
@@ -690,55 +742,72 @@ class FixedDraw:
         return self.u
 
 
+def numpy_step(row, probs, action, step):
+    """One table row's REINFORCE step as the array form made it."""
+    grad = -np.array(probs)
+    grad[action] += 1.0
+    grad *= step
+    return np.array(row) + grad
+
+
 class TestPolicyTables:
+    """The Python-float table arithmetic against numpy's on the same values."""
+
     @settings(max_examples=300, deadline=None)
-    @given(cards=st.lists(st.integers(2, 16), min_size=1, max_size=12))
-    @example(cards=[3, 2, 3, 5, 2])
-    def test_layout_puts_each_width_in_one_run_of_rows(self, cards):
-        at, runs = _width_runs(tuple(cards))
-        assert sorted(at) == list(range(len(cards)))
-        assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
-        assert runs[-1][1] == len(cards)
-        assert [width for _, _, width in runs] == sorted(set(cards))
-        for start, stop, width in runs:
-            assert sorted(a for a, r in enumerate(at) if start <= r < stop) == [
-                a for a, card in enumerate(cards) if card == width
-            ]
+    @given(
+        xs=st.one_of(
+            st.lists(SUMMAND, min_size=2, max_size=16),
+            st.lists(SUMMAND, min_size=17, max_size=1000),
+        )
+    )
+    @example(xs=[-0.0, -0.0])
+    @example(xs=[-0.0] * 9)
+    @example(xs=[1e250, 1.0, -1e250, 1.0, 5e-324, -0.0, 3.0, 1e-300, -7.5])
+    @example(xs=[0.1] * 136)
+    def test_row_sum_is_numpys_add_reduce(self, xs):
+        assert np.float64(_row_sum(xs)).tobytes() == np.add.reduce(np.array(xs)).tobytes()
+
+    @pytest.mark.parametrize("width", range(2, 17))
+    def test_row_sum_is_a_rows_sum_in_a_block(self, width):
+        """The sum of one row of a 2-D block, as the array form took it."""
+        rng = np.random.default_rng(width)
+        block = rng.standard_normal((50, width)) * 10.0 ** rng.integers(-12, 12, size=(50, width))
+        assert [_row_sum(row) for row in block.tolist()] == block.sum(axis=1).tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(rows=TABLE_ROWS)
     @example(rows=[[0.0] * 5, [0.0] * 16, [1e-3 * i for i in range(9)], [0.0] * 5])
-    def test_grouped_softmax_is_bit_equal_to_each_row_at_its_width(self, rows):
-        at, runs, tables = grouped_tables(rows)
-        probs = _softmax_runs(tables, runs)
-        for r, row in zip(at, rows):
-            assert probs[r, : len(row)].tobytes() == softmax(np.array(row)).tobytes()
-            assert not probs[r, len(row) :].any()
+    @example(rows=[[0.0, -0.0, 0.0], [-0.0, -0.0]])
+    def test_softmax_is_bit_equal_to_numpys_on_each_row(self, rows):
+        probs, cums = _softmax_rows(rows)
+        for row, p, cum in zip(rows, probs, cums):
+            assert np.array(p).tobytes() == softmax(np.array(row)).tobytes()
+            assert cum == list(accumulate(p))
 
     @settings(max_examples=300, deadline=None)
     @given(
         rows=TABLE_ROWS,
         steps=st.lists(
-            st.tuples(st.sampled_from([0.0, -0.0, 0.5, -1.0, -0.25]), st.integers(0, 15)),
+            st.tuples(st.sampled_from([0.0, -0.0, 0.5, -1.0, -0.25, 1e-17]), st.integers(0, 15)),
             min_size=1,
             max_size=8,
         ),
     )
     @example(rows=[[0.0, -0.0, 0.0], [-0.0, 1.0]], steps=[(-0.0, 0), (0.0, 1), (-1.0, 2), (-0.0, 0)])
-    def test_skipping_a_signed_zero_update_keeps_the_softmax_bit_equal(self, rows, steps):
-        at, runs, stepped = grouped_tables(rows)
-        skipped = stepped.copy()
-        probs = _softmax_runs(skipped, runs)
+    def test_table_steps_are_numpys_and_a_signed_zero_step_can_be_skipped(self, rows, steps):
+        stepped = skipped = rows
+        probs, _ = _softmax_rows(skipped)
         for advantage, action in steps:
-            grad = -probs
-            for r, row in zip(at, rows):
-                grad[r, action % len(row)] += 1.0
-            grad *= 0.05 * advantage
-            stepped += grad
+            actions = tuple(action % len(row) for row in rows)
+            step = 0.05 * advantage
+            before = stepped
+            stepped = _step_tables(stepped, _softmax_rows(stepped)[0], actions, step)
+            for old, new, p, a in zip(before, stepped, _softmax_rows(before)[0], actions):
+                assert np.array(new).tobytes() == numpy_step(old, p, a, step).tobytes()
             if advantage != 0.0:
-                skipped += grad
-                probs = _softmax_runs(skipped, runs)
-            assert _softmax_runs(stepped, runs).tobytes() == probs.tobytes()
+                skipped = _step_tables(skipped, probs, actions, step)
+                probs, _ = _softmax_rows(skipped)
+            assert _softmax_rows(stepped)[0] == probs
 
 
 class TestSampler:

@@ -1,6 +1,9 @@
 """Tests for the analytic cost surfaces and their family landscape contracts."""
 
+import dataclasses
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -123,7 +126,7 @@ class TestSmoothMonotonicity:
 class TestExhaustiveFront:
     def test_matches_brute_force_oracle(self):
         inst, model, pts = model_and_points(Family.RUGGED, 1)
-        front = exhaustive_front(model, inst.schema)
+        front = exhaustive_front(model)
         knobs = [p.knobs for p in pts]
         objs = np.array([[p.objectives.area, p.objectives.latency] for p in pts])
         expected = brute_force_pareto_indices(objs, knobs)
@@ -143,7 +146,7 @@ class TestExhaustiveFront:
         model = SurrogateModel.from_instance(found)
         pts = list(enumerate_points(model, found.schema))
         best = min(pts, key=lambda p: (p.objectives.latency, p.objectives.area))
-        front = exhaustive_front(model, found.schema)
+        front = exhaustive_front(model)
         tail = front[len(front) - 1]
         assert tail.objectives.latency == best.objectives.latency
 
@@ -245,3 +248,57 @@ class TestPlateauQuantization:
         for family in (Family.SMOOTH, Family.RUGGED):
             model = SurrogateModel.from_instance(small(family, 0))
             assert model.quant_step == 0.0
+
+
+def neumaier_sum(iterable, start=0):
+    """Builtin sum as Python 3.12 computes it: exact on ints, and on floats a
+    Neumaier-compensated sum, which need not equal the left fold of 3.11."""
+    total, compensation, floats = start, 0.0, False
+    for x in iterable:
+        if not floats and type(x) is int and type(total) is int:
+            total += x
+            continue
+        if not floats:
+            total, floats = float(total), True
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if floats and compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def synthesized(cases):
+    """Each case's instance and the fields of its model, floats as their hex."""
+    out = []
+    for family, seed, size in cases:
+        instance = synth_instance(family, seed, size)
+        model = SurrogateModel.from_instance(instance)
+        fields = repr(
+            [getattr(model, f.name) for f in dataclasses.fields(model)]
+        )
+        out.append((instance, fields))
+    return out
+
+
+def test_outputs_do_not_depend_on_the_python_versions_builtin_sum(monkeypatch):
+    """Python 3.12 made builtin sum compensated on floats. With it emulated in
+    the two modules that synthesize instances and models, every instance and
+    every model table stays as it is."""
+    import dsekit.benchmarks
+    import dsekit.surrogate
+
+    cases = [(f, seed, size) for f in Family for seed in (0, 1, 2) for size in ("small", "medium")]
+    expected = synthesized(cases)
+    for module in (dsekit.benchmarks, dsekit.surrogate):
+        monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+    assert synthesized(cases) == expected
+
+
+def test_the_emulated_sum_is_compensated_on_floats_and_exact_on_ints():
+    assert neumaier_sum([0.1] * 10) == 1.0 != reduce(add, [0.1] * 10, 0)
+    assert neumaier_sum([1e100, 1.0, -1e100]) == 1.0
+    assert neumaier_sum(range(10)) == 45 and type(neumaier_sum([1, 2])) is int
