@@ -450,13 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    use_one_blas_thread()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the usage message
-        return int(exc.code or 0)
-    try:
+        use_one_blas_thread()
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse already printed the usage message
+            return int(exc.code or 0)
         return args.func(args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -97,7 +97,7 @@ _SIZE_CLASS = (lambda v: type(v) is str and v in SIZE_CLASSES, "one of " + ", ".
 INSTANCE_FIELDS: Fields = {
     "id": _STRING,
     "family": _STRING,
-    "seed": _INTEGER,
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "size_class": _SIZE_CLASS,
     "schema": (_list_of(_OBJECT[0]), "a list of objects"),
     "graph": _OBJECT,
@@ -344,7 +344,20 @@ def run_suite(
         processes = min(workers, len(tasks))
         with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker) as pool:
             try:
-                results = list(pool.map(_explore_cell, tasks))
+                # The submission forks every worker. A SIGINT there could kill a
+                # worker before it ignores SIGINT, be swallowed by a fork hook or
+                # orphan a worker, so a handler holds it until the submission is
+                # done. Blocking it in this thread is not enough: OpenBLAS's
+                # thread then takes it, and Python still raises it in this one.
+                held = []
+                previous = signal.signal(signal.SIGINT, lambda *_: held.append(True))
+                try:
+                    cells = pool.map(_explore_cell, tasks)
+                finally:
+                    signal.signal(signal.SIGINT, previous)
+                if held:
+                    signal.raise_signal(signal.SIGINT)
+                results = list(cells)
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise

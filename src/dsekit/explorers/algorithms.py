@@ -1,15 +1,16 @@
-"""The ten explorer algorithms.
+"""The ten explorer algorithms, listed in `RUNNERS`.
 
-Each runner drives a BudgetedEvaluator until it raises BudgetSaturated; that
-exception is the uniform stop signal, so none of the loops below carry their
-own termination logic beyond it. A runner that re-proposes evaluated points
-4096 times in a row (or makes max(2000, 250 x budget) proposals in all) is
-stopped by its subclass Stalled, and `explore` fills the rest of the budget
-with unseen uniform points from a stream of its own. All randomness of the
-search flows through the passed-in `Draws` stream, which is what makes a run
-reproducible from its seed. Its scalar draws equal the seeded generator's
-`random()`, `integers(n)` and `permutation(k)` calls; SBO, whose draws are
-mostly vectors, takes the generator itself from it.
+Each runner(ev, draws) drives a BudgetedEvaluator, whose `cardinalities` are
+its space, until it raises BudgetSaturated; that exception is the uniform stop
+signal, so none of the loops below carry their own termination logic beyond
+it. A runner that re-proposes evaluated points 4096 times in a row (or makes
+max(2000, 250 x budget) proposals in all) is stopped by its subclass Stalled,
+and `explore` fills the rest of the budget with unseen uniform points from a
+stream of its own. All randomness of the search flows through the `Draws`
+stream, which is what makes a run reproducible from its seed. Its scalar
+draws equal the seeded generator's `random()`, `integers(n)` and
+`permutation(k)` calls; SBO, whose draws are mostly vectors, takes the
+generator itself from it.
 
 The runners read the evaluator's shared front state rather than rebuilding
 it: AC and PG take the cached front objective arrays for their rewards, ACO
@@ -44,7 +45,7 @@ import numpy as np
 
 from ..benchmarks import random_knobs
 from ..pareto import DesignPoint, dominates
-from .base import BudgetedEvaluator, ExplorerId, register
+from .base import BudgetedEvaluator, ExplorerId
 from .draws import Draws
 
 _POP = 40
@@ -53,12 +54,10 @@ _POP = 40
 # -- shared helpers -----------------------------------------------------------
 
 
-def _unseen_random(
-    ev: BudgetedEvaluator, draw: Callable[[], tuple[int, ...]], tries: int = 64
-) -> tuple[int, ...]:
-    """The first unseen of up to 1 + tries uniform points from draw(), or the last."""
+def _unseen_random(ev: BudgetedEvaluator, draw: Callable[[], tuple[int, ...]]) -> tuple[int, ...]:
+    """The first unseen of up to 65 uniform points from draw(), or the last."""
     knobs = draw()
-    for _ in range(tries):
+    for _ in range(64):
         if not ev.seen(knobs):
             break
         knobs = draw()
@@ -200,9 +199,8 @@ def _survivors(
 # -- evolutionary explorers ---------------------------------------------------
 
 
-@register(ExplorerId.NSGA2)
-def run_nsga2(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
-    cards = schema.cardinalities
+def run_nsga2(ev: BudgetedEvaluator, draws: Draws) -> None:
+    cards = ev.cardinalities
     k = len(cards)
     rate = 1.0 / k
     random, integers = draws.random, draws.integers
@@ -229,14 +227,13 @@ def run_nsga2(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
         pop, objs, ranks = _survivors(pop + kids, objs + _objectives(kids), _POP)
 
 
-@register(ExplorerId.QLMOEA)
-def run_qlmoea(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+def run_qlmoea(ev: BudgetedEvaluator, draws: Draws) -> None:
     """NSGA2 skeleton with a Q-learned choice of variation operator.
 
     The Q rows are Python floats: `row.index(max(row))` is numpy's argmax,
     the first index of the largest value.
     """
-    cards = schema.cardinalities
+    cards = ev.cardinalities
     k = len(cards)
     q: dict[tuple[int, int], list[float]] = {}
     pop = _seed_population(ev, draws, cards, _POP)
@@ -286,9 +283,8 @@ def run_qlmoea(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
 # -- trajectory explorers -----------------------------------------------------
 
 
-@register(ExplorerId.SA)
-def run_sa(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
-    cards = schema.cardinalities
+def run_sa(ev: BudgetedEvaluator, draws: Draws) -> None:
+    cards = ev.cardinalities
     k = len(cards)
     current = ev.evaluate(draws.knobs(cards))
     temperature = 1.0
@@ -313,9 +309,8 @@ def run_sa(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
         step += 1
 
 
-@register(ExplorerId.LATTICE)
-def run_lattice(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
-    cards = schema.cardinalities
+def run_lattice(ev: BudgetedEvaluator, draws: Draws) -> None:
+    cards = ev.cardinalities
     draw = partial(draws.knobs, cards)
     ev.evaluate(draw())
     while True:
@@ -332,13 +327,12 @@ def run_lattice(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
 # -- swarm explorers ----------------------------------------------------------
 
 
-@register(ExplorerId.ACO)
-def run_aco(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+def run_aco(ev: BudgetedEvaluator, draws: Draws) -> None:
     """Ant colony search over one pheromone list per knob, Python floats
     updated as numpy updated the arrays: normalised by their `_row_sum`,
     decayed, deposited on in batch order and clipped as
     `min(hi, max(lo, x))`."""
-    cards = schema.cardinalities
+    cards = ev.cardinalities
     pheromone = [[1.0] * c for c in cards]
     random = draws.random
     while True:
@@ -355,8 +349,7 @@ def run_aco(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
         pheromone = [[min(20.0, max(0.05, t)) for t in tau] for tau in pheromone]
 
 
-@register(ExplorerId.PSO)
-def run_pso(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+def run_pso(ev: BudgetedEvaluator, draws: Draws) -> None:
     """Discrete particle swarm (Kennedy & Eberhart 1995) over rounded positions.
 
     A particle's k coordinates are Python floats updated with the operations,
@@ -365,7 +358,7 @@ def run_pso(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     `min(hi, max(lo, x))`, which is numpy's clip down to the sign of a zero,
     and `round` is half-to-even in both.
     """
-    cards = schema.cardinalities
+    cards = ev.cardinalities
     n = 30
     random = draws.random
     hi = [c - 1.0 for c in cards]
@@ -454,8 +447,7 @@ def _dominated(front_logs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return dominated
 
 
-@register(ExplorerId.SBO)
-def run_sbo(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+def run_sbo(ev: BudgetedEvaluator, draws: Draws) -> None:
     """Quadratic regression surrogate with dominance-improvement acquisition.
 
     Points are held as mixed-radix integer codes, `levels @ strides`, whose
@@ -463,7 +455,7 @@ def run_sbo(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
     10 000 000 points. Each step's candidates are the sorted codes of 256
     uniform picks and the front's neighbours, less the evaluated points.
     """
-    cards = schema.cardinalities
+    cards = ev.cardinalities
     k = len(cards)
     rng = draws.generator()
     draw = partial(random_knobs, rng, cards)
@@ -553,10 +545,9 @@ def run_sbo(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
             ev.evaluate(tuple(levels[i].tolist()))
 
 
-@register(ExplorerId.EDA)
-def run_eda(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
+def run_eda(ev: BudgetedEvaluator, draws: Draws) -> None:
     """Tchebycheff decomposition into 8 subproblems with univariate marginals."""
-    cards = schema.cardinalities
+    cards = ev.cardinalities
     weights = [(i / 7.0, 1.0 - i / 7.0) for i in range(8)]
     marginals = [[np.full(c, 1.0 / c) for c in cards] for _ in range(8)]
     ideal = [math.inf, math.inf]
@@ -623,7 +614,7 @@ def _step_tables(
     return stepped
 
 
-def _run_policy(ev: BudgetedEvaluator, schema, draws: Draws, with_baseline: bool) -> None:
+def _run_policy(ev: BudgetedEvaluator, draws: Draws, with_baseline: bool) -> None:
     """A softmax table per knob, trained by REINFORCE on the negated coverage
     shortfall of each proposal against the front; AC subtracts a running
     baseline from the reward, PG does not.
@@ -638,7 +629,7 @@ def _run_policy(ev: BudgetedEvaluator, schema, draws: Draws, with_baseline: bool
     probability, and with them the row sums the next draws use, stays
     bit-equal. AC's baseline keeps its advantage nonzero, so AC always steps.
     """
-    cards = schema.cardinalities
+    cards = ev.cardinalities
     tables = [[0.0] * card for card in cards]
     # one baseline serves every knob: each knob's would take the same updates
     baseline = 0.0
@@ -677,11 +668,16 @@ def _run_policy(ev: BudgetedEvaluator, schema, draws: Draws, with_baseline: bool
         probs = None
 
 
-@register(ExplorerId.PG)
-def run_pg(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
-    _run_policy(ev, schema, draws, with_baseline=False)
-
-
-@register(ExplorerId.AC)
-def run_ac(ev: BudgetedEvaluator, schema, draws: Draws) -> None:
-    _run_policy(ev, schema, draws, with_baseline=True)
+# Every explorer's runner: explore calls RUNNERS[explorer](evaluator, draws).
+RUNNERS: dict[ExplorerId, Callable[[BudgetedEvaluator, Draws], None]] = {
+    ExplorerId.NSGA2: run_nsga2,
+    ExplorerId.SA: run_sa,
+    ExplorerId.ACO: run_aco,
+    ExplorerId.PSO: run_pso,
+    ExplorerId.LATTICE: run_lattice,
+    ExplorerId.SBO: run_sbo,
+    ExplorerId.EDA: run_eda,
+    ExplorerId.AC: partial(_run_policy, with_baseline=True),
+    ExplorerId.PG: partial(_run_policy, with_baseline=False),
+    ExplorerId.QLMOEA: run_qlmoea,
+}

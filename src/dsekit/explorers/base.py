@@ -12,7 +12,9 @@ level from a front point on one knob, with a reference count per neighbour,
 so that lattice reads it instead of rebuilding it.
 
 A space no larger than the budget is not searched: every explorer's result
-there is the model's true front, enumerated once per model.
+there is the model's true front, enumerated once per model, so an evaluator
+assumes a space larger than its budget. The runners take `(evaluator, draws)`
+and are listed in `algorithms.RUNNERS`, which `explore` loads on first use.
 
 An explorer that keeps re-proposing evaluated points is stopped as stalled,
 and `explore` spends the rest of its budget on unseen uniform points, so every
@@ -25,12 +27,11 @@ worker counts and machines.
 
 from __future__ import annotations
 
-import importlib
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import neg
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -139,9 +140,9 @@ class Stalled(BudgetSaturated):
 class BudgetedEvaluator:
     """Counting, memoizing gate between an explorer and the cost model.
 
-    Raises BudgetSaturated instead of evaluating once the budget (or the whole
-    design space) is spent; explorers treat that as their stop signal. The
-    first evaluation is always admitted so a run can never end empty-handed.
+    Raises BudgetSaturated instead of evaluating once the budget is spent;
+    explorers treat that as their stop signal. The first evaluation is always
+    admitted so a run can never end empty-handed.
 
     It raises Stalled, a BudgetSaturated, at the STALL_STREAK-th consecutive
     proposal of an already evaluated point, and at the max(2000, 250 x budget)-th
@@ -154,7 +155,6 @@ class BudgetedEvaluator:
         self._model = model
         self._schema = schema
         self._budget = budget
-        self._space = schema.space_size()
         self._memo: dict[tuple[int, ...], DesignPoint] = {}
         self._proposals = 0
         self._streak = 0
@@ -191,11 +191,8 @@ class BudgetedEvaluator:
         return knobs in self._memo
 
     def saturated(self) -> bool:
-        """Whether the budget or the whole design space is spent."""
-        return (
-            self.evaluations_used >= self._budget.max_evaluations
-            or len(self._memo) >= self._space
-        )
+        """Whether the budget is spent."""
+        return self.evaluations_used >= self._budget.max_evaluations
 
     def evaluate(self, knobs: tuple[int, ...]) -> DesignPoint:
         self._proposals += 1
@@ -218,7 +215,7 @@ class BudgetedEvaluator:
         Each point is the first of up to 64 uniform draws that is unseen, or,
         when all 64 were seen, the first unseen point in `iter_points` order.
         """
-        cards = self._schema.cardinalities
+        cards = self.cardinalities
         ordered = None
         filled = 0
         while not self.saturated():
@@ -317,7 +314,7 @@ class BudgetedEvaluator:
     def _track(self, knobs: tuple[int, ...], delta: int) -> None:
         """Add (1) or drop (-1) one front point's neighbours from the counts."""
         refs, unseen = self._refs, self._unseen
-        for axis, card in enumerate(self._schema.cardinalities):
+        for axis, card in enumerate(self.cardinalities):
             level = knobs[axis]
             for moved in (level - 1, level + 1):
                 if not 0 <= moved < card:
@@ -334,23 +331,6 @@ class BudgetedEvaluator:
                     insort(unseen, nbr)
                 elif not before + delta:
                     del unseen[bisect_left(unseen, nbr)]
-
-
-Runner = Callable[[BudgetedEvaluator, KnobSchema, Draws], None]
-_RUNNERS: dict[ExplorerId, Runner] = {}
-
-
-def register(explorer: ExplorerId) -> Callable[[Runner], Runner]:
-    def wrap(fn: Runner) -> Runner:
-        _RUNNERS[explorer] = fn
-        return fn
-
-    return wrap
-
-
-def _ensure_runners() -> None:
-    if not _RUNNERS:
-        importlib.import_module(".algorithms", __package__)
 
 
 def explore(
@@ -374,7 +354,8 @@ def explore(
     search is raised as a RuntimeError that names the explorer and the
     benchmark.
     """
-    _ensure_runners()
+    from .algorithms import RUNNERS  # algorithms imports this module
+
     explorer = ExplorerId(explorer)
     if model.cardinalities != instance.schema.cardinalities:
         raise ValueError("model does not match the instance's design space")
@@ -397,7 +378,7 @@ def explore(
             )
         )
         try:
-            _RUNNERS[explorer](evaluator, instance.schema, draws)
+            RUNNERS[explorer](evaluator, draws)
         finally:
             draws.close()
     except Stalled:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -557,12 +558,14 @@ class TestInputChecks:
         [
             (lambda r: r.pop("schema"), "missing key 'schema'"),
             (lambda r: r.update(family="nope"), "unknown family: 'nope'"),
-            (lambda r: r.update(seed="x"), "seed must be an integer, got 'x'"),
+            (lambda r: r.update(seed="x"), "seed must be an integer >= 0, got 'x'"),
+            (lambda r: r.update(seed=-1), "seed must be an integer >= 0, got -1"),
             (lambda r: r.update(graph={"nodes": [], "edges": []}), "graph needs 8..512 nodes, got 0"),
             (lambda r: r["schema"][0].pop("levels"), "missing key 'levels'"),
             (lambda r: r["graph"]["edges"][0].__setitem__(0, "x"), "edge ('x', "),
         ],
-        ids=["no_schema", "unknown_family", "string_seed", "empty_graph", "knob_without_levels", "string_edge"],
+        ids=["no_schema", "unknown_family", "string_seed", "negative_seed", "empty_graph",
+             "knob_without_levels", "string_edge"],
     )
     def test_run_names_the_line_of_a_bad_instance_record(self, pipeline, tmp_path, capsys, edit, message):
         records = read_jsonl(pipeline["d"] / "instances.jsonl")
@@ -650,11 +653,61 @@ class TestInputChecks:
         assert not (tmp_path / "t" / CHECKPOINT_FILE).exists()
 
 
+def test_importing_the_cli_leaves_the_explorer_algorithms_unloaded():
+    code = "import sys, dsekit.cli; print('dsekit.explorers.algorithms' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60, check=True)
+    assert done.stdout == b"False\n"
+
+
 # imports everything, says so, then runs the command line on its arguments
 _READY_THEN_MAIN = "import sys; from dsekit import cli; print('ready', flush=True); sys.exit(cli.main(sys.argv[1:]))"
 
 
+# sends itself a SIGINT before each fork, then runs the command line on its arguments
+_SIGINT_AT_FORK_THEN_MAIN = (
+    "import os, signal, sys; from dsekit import cli; "
+    "os.register_at_fork(before=lambda: os.kill(os.getpid(), signal.SIGINT)); "
+    "sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
 class TestInterrupt:
+    def test_sigint_before_the_command_starts_is_one_line(self, monkeypatch, capsys):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "use_one_blas_thread", interrupted)
+        assert main(["run", "--dataset", "unread"]) == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+
+    def test_sigint_while_the_pool_forks_ends_run_as_any_sigint(self, tmp_path):
+        """A SIGINT that reaches the parent while it forks its workers, before
+        they ignore it, used to be swallowed by a fork hook (run completed) or
+        to kill a worker, or leave one behind."""
+        d = tmp_path / "d"
+        assert main(["synth", "--families", "deceptive", "--seeds", "0..1", "--size", "small",
+                     "--out", str(d)]) == 0
+        out, err = tmp_path / "out", tmp_path / "err"
+        argv = ["run", "--dataset", str(d), "--budget", "20", "--workers", "2"]
+        with out.open("wb") as stdout, err.open("wb") as stderr:
+            run = subprocess.Popen(
+                [sys.executable, "-c", _SIGINT_AT_FORK_THEN_MAIN, *argv],
+                stdout=stdout,
+                stderr=stderr,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                start_new_session=True,
+            )
+        try:
+            code = run.wait(timeout=120)
+            with pytest.raises(ProcessLookupError):  # no process is left in its group
+                os.killpg(run.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(run.pid, signal.SIGKILL)
+        assert (code, err.read_bytes(), out.read_bytes()) == (130, b"interrupted\n", b"")
+        assert [p.name for p in d.iterdir()] == ["instances.jsonl"]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sigint_ends_run_with_one_line_no_files_and_no_processes(self, tmp_path, workers):
         d = tmp_path / "d"

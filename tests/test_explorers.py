@@ -115,13 +115,14 @@ class RecordingModel(CountingModel):
 
 
 def streamed(runner):
-    """A stream runner called with a generator, as `explore` calls it: through
-    a `Draws` over the generator, closed when the run ends."""
+    """A stream runner called as the generator routines in `oracles` are, with
+    a schema and a generator, and as `explore` calls it: with a `Draws` over
+    the generator, closed when the run ends."""
 
     def run(ev, schema, rng):
         draws = Draws(rng)
         try:
-            runner(ev, schema, draws)
+            runner(ev, draws)
         finally:
             draws.close()
 
@@ -207,15 +208,14 @@ class TestExplore:
         )
 
     def test_wall_clock_is_modeled_from_the_rate(self, medium_case, monkeypatch):
-        def three_points_and_a_repeat(ev, schema, rng):
-            points = schema.iter_points()
+        def three_points_and_a_repeat(ev, draws):
+            points = medium_case[0].schema.iter_points()
             first = next(points)
             for knobs in (first, next(points), next(points)):
                 ev.evaluate(knobs)
             ev.evaluate(first)  # a memo hit costs nothing
 
-        base._ensure_runners()
-        monkeypatch.setitem(base._RUNNERS, ExplorerId.SA, three_points_and_a_repeat)
+        monkeypatch.setitem(algorithms.RUNNERS, ExplorerId.SA, three_points_and_a_repeat)
         result = explore(ExplorerId.SA, *medium_case, Budget(50), seed=0)
         assert (result.evaluations_used, result.proposals) == (3, 4)
         assert result.wall_seconds == 3 * NOMINAL_EVAL_SECONDS[ExplorerId.SA]
@@ -224,6 +224,9 @@ class TestExplore:
         _, a = recorded_explore(ExplorerId.PSO, *medium_case, Budget(120), seed=1)
         _, b = recorded_explore(ExplorerId.PSO, *medium_case, Budget(120), seed=2)
         assert a != b
+
+    def test_runners_has_one_entry_per_explorer(self):
+        assert list(algorithms.RUNNERS) == list(ExplorerId)
 
     def test_unknown_explorer_rejected(self, small_case):
         with pytest.raises(ValueError):
@@ -314,14 +317,13 @@ class TestStall:
     ):
         proposed = []
 
-        def one_point_forever(ev, schema, draws):
-            knobs = draws.knobs(schema.cardinalities)
+        def one_point_forever(ev, draws):
+            knobs = draws.knobs(ev.cardinalities)
             while True:
                 proposed.append(knobs)
                 ev.evaluate(knobs)
 
-        base._ensure_runners()
-        monkeypatch.setitem(base._RUNNERS, ExplorerId.SA, one_point_forever)
+        monkeypatch.setitem(algorithms.RUNNERS, ExplorerId.SA, one_point_forever)
         result, evaluated = recorded_explore(ExplorerId.SA, *medium_case, Budget(50), seed=0)
         assert len(proposed) == 1 + STALL_STREAK
         assert result.proposals == 1 + STALL_STREAK  # the fill proposes nothing
@@ -335,15 +337,14 @@ class TestStall:
         instance = synth_instance(Family.PLATEAU, 0, "small")
         model = SurrogateModel.from_instance(instance)
         seed = portfolio_seed(0, ExplorerId.EDA)
-        base._ensure_runners()
-        run_eda = base._RUNNERS[ExplorerId.EDA]
+        run_eda = algorithms.RUNNERS[ExplorerId.EDA]
         streams = []
 
-        def recording(ev, schema, draws):
+        def recording(ev, draws):
             streams.append(draws)
-            run_eda(ev, schema, draws)
+            run_eda(ev, draws)
 
-        monkeypatch.setitem(base._RUNNERS, ExplorerId.EDA, recording)
+        monkeypatch.setitem(algorithms.RUNNERS, ExplorerId.EDA, recording)
         result, evaluated = recorded_explore(ExplorerId.EDA, instance, model, Budget(500), seed)
         assert result.stop_reason == "stalled"
 
@@ -444,11 +445,10 @@ class TestPortfolio:
         assert values[portfolio.argmin.value] == min(values)
 
     def test_explorer_failures_carry_attribution(self, small_case, monkeypatch):
-        def boom(ev, schema, rng):
+        def boom(ev, draws):
             raise RuntimeError("internal fault")
 
-        base._ensure_runners()
-        monkeypatch.setitem(base._RUNNERS, ExplorerId.SA, boom)
+        monkeypatch.setitem(algorithms.RUNNERS, ExplorerId.SA, boom)
         instance, model = small_case
         message = f"explorer SA failed on {instance.id}"
         with pytest.raises(RuntimeError, match=message) as raised:
@@ -928,8 +928,8 @@ class TestDraws:
 # explorer -> (library runner on the stream, the generator routine it replaced)
 REPLACED = {
     "lattice": (algorithms.run_lattice, reference_run_lattice),
-    "ac": (algorithms.run_ac, lambda ev, schema, rng: reference_run_policy(ev, schema, rng, True)),
-    "pg": (algorithms.run_pg, lambda ev, schema, rng: reference_run_policy(ev, schema, rng, False)),
+    "ac": (algorithms.RUNNERS[ExplorerId.AC], lambda ev, schema, rng: reference_run_policy(ev, schema, rng, True)),
+    "pg": (algorithms.RUNNERS[ExplorerId.PG], lambda ev, schema, rng: reference_run_policy(ev, schema, rng, False)),
     "aco": (algorithms.run_aco, reference_run_aco),
     "eda": (algorithms.run_eda, reference_run_eda),
     "pso": (algorithms.run_pso, reference_run_pso),

@@ -5,8 +5,10 @@ a value for one of another type, puts NaN, infinity or 1e308 in a number,
 drops the line, or cuts the file inside it. `load` (with the manifest
 re-hashed for an edited data file) and `report` must then succeed, or raise a
 ValueError or FileNotFoundError whose message is one line naming the edited
-file. Any other exception fails the test. A knob setting of a stored front
-point that leaves the design space must make `train` fail in one line too.
+file. Any other exception fails the test. `run` is held to the same on an
+edited instances file, whose edits also put a negative integer in place of
+an integer. A knob setting of a stored front point that leaves the design
+space must make `train` fail in one line too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from dsekit import cli
 from dsekit.cli import CHECKPOINT_FILE, REPORT_FILE, main
-from dsekit.dataset import DATA_FILES, LABELS_FILE, MANIFEST_FILE, RUNS_FILE, load
+from dsekit.dataset import DATA_FILES, INSTANCES_FILE, LABELS_FILE, MANIFEST_FILE, RUNS_FILE, load
 from dsekit.hashing import fnv1a64_hex
 
 SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
@@ -58,11 +60,11 @@ def spots(value) -> list[tuple[object, object]]:
     return [spot for key, item in items for spot in [(value, key), *spots(item)]]
 
 
-def mutate(data, text: str) -> str:
-    """The text with one drawn mutation applied to one drawn line."""
+def mutate(data, text: str, kinds: tuple[str, ...] = MUTATIONS) -> str:
+    """The text with one drawn mutation of the kinds applied to one drawn line."""
     lines = text.splitlines(keepends=True)
     n = data.draw(st.integers(0, len(lines) - 1), label="line")
-    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
     if kind == "drop_line":
         return "".join(lines[:n] + lines[n + 1 :])
     if kind == "cut_line":
@@ -74,12 +76,16 @@ def mutate(data, text: str) -> str:
         where = [(c, k) for c, k in where if isinstance(c, dict)]
     elif kind == "bad_number":
         where = [(c, k) for c, k in where if type(c[k]) in (int, float)]
+    elif kind == "negative":
+        where = [(c, k) for c, k in where if type(c[k]) is int]
     container, key = data.draw(st.sampled_from(where), label="spot")
     if kind == "delete_key":
         del container[key]
     elif kind == "swap_type":
         others = [v for v in OTHER_TYPES if type(v) is not type(container[key])]
         container[key] = data.draw(st.sampled_from(others), label="value")
+    elif kind == "negative":
+        container[key] = data.draw(st.integers(max_value=-1), label="value")
     else:
         container[key] = data.draw(st.sampled_from((math.nan, math.inf, 1e308)), label="value")
     lines[n] = json.dumps(record) + "\n"
@@ -112,6 +118,22 @@ def test_load_of_a_mutated_file(round_dir, data):
             manifest["hashes"][name] = fnv1a64_hex(text.encode("utf-8"))
             (d / MANIFEST_FILE).write_text(json.dumps(manifest))
         fails_cleanly(d / name, lambda: load(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_on_a_mutated_instances_file(round_dir, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / INSTANCES_FILE
+        path.write_text(mutate(data, (round_dir / INSTANCES_FILE).read_text(), MUTATIONS + ("negative",)))
+        args = cli.build_parser().parse_args(["run", "--dataset", tmp, "--budget", "5"])
+        try:
+            args.func(args)
+        except ValueError as err:
+            # a suite cut down to one benchmark is refused for its split
+            message = str(err)
+            assert "\n" not in message, message
+            assert str(path) in message or message.startswith("--split-fraction "), message
 
 
 @settings(max_examples=150, deadline=None)
