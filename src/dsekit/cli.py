@@ -28,21 +28,22 @@ from .dataset import (
     MAX_WORKERS,
     REPORT_FIELDS,
     RUN_FIELDS,
-    DatasetConfig,
+    DatasetManifest,
     LabeledSample,
-    _write_atomic,
     check_runs_cover,
     dataset_fingerprint,
+    instance_line,
     instance_master_seed,
     load,
     manifest_checked_texts,
-    persist_instances,
     persist_results,
     read_instances,
     read_jsonl,
+    read_text,
     run_suite,
     split_ids,
     synth_suite,
+    write_atomic,
     write_jsonl,
 )
 from .explorers import EXHAUSTIVE_REFERENCE_LIMIT, Budget, ExplorerId, explore, portfolio_seed
@@ -140,7 +141,7 @@ def _fmt(value: float) -> str:
 
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple[str, ...]]) -> None:
     text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
-    _write_atomic(path, text)
+    write_atomic(path, text)
 
 
 def _report_line(sample: LabeledSample, selected: ExplorerId, fresh_adrs: float) -> dict:
@@ -163,14 +164,13 @@ def _report_line(sample: LabeledSample, selected: ExplorerId, fresh_adrs: float)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = DatasetConfig(families=args.families, seeds=args.seeds, size_class=args.size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    instances = synth_suite(config)
-    feature_map = {
-        inst.id: tuple(float(v) for v in extract_features(inst)) for inst in instances
-    }
-    digest = persist_instances(out, instances, config.size_class, feature_map)
+    instances = synth_suite(args.families, args.seeds, args.size)
+    digest = write_jsonl(
+        out / INSTANCES_FILE,
+        (instance_line(inst, args.size, extract_features(inst)) for inst in instances),
+    )
     print(f"wrote {len(instances)} instances to {out / INSTANCES_FILE} (hash {digest})")
     return 0
 
@@ -178,7 +178,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     dataset = Path(args.dataset)
     instances_path = dataset / INSTANCES_FILE
-    instances, _, records = read_instances(instances_path)
+    text = read_text(instances_path)
+    instances, _, records = read_instances(instances_path, text)
     if not records:
         raise ValueError(f"no instances in {instances_path}")
     train_ids, inference_ids = split_ids(
@@ -189,25 +190,23 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"--split-fraction {args.split_fraction} splits {len(instances)} benchmarks into "
             f"{len(train_ids)} train / {len(inference_ids)} inference; each side needs at least one"
         )
-    families = tuple(dict.fromkeys(record["family"] for record in records))
-    seeds = tuple(sorted({record["seed"] for record in records}))
-    portfolios = run_suite(instances, args.budget, args.master_seed, args.workers)
-    manifest = persist_results(
-        dataset,
-        instances,
-        portfolios,
-        instances_hash=fnv1a64_hex(instances_path.read_bytes()),
+    manifest = DatasetManifest(
         master_seed=args.master_seed,
         budget=args.budget,
         size_class=records[0]["size_class"],
-        families=families,
-        seeds=seeds,
+        families=tuple(dict.fromkeys(record["family"] for record in records)),
+        seeds=tuple(sorted({record["seed"] for record in records})),
         split_fraction=args.split_fraction,
+        train_ids=train_ids,
+        inference_ids=inference_ids,
+        # the bytes parsed above: the file may change while the portfolio runs
+        hashes={INSTANCES_FILE: fnv1a64_hex(text.encode("utf-8"))},
     )
+    portfolios = run_suite(instances, args.budget, args.master_seed, args.workers)
+    persist_results(dataset, instances, portfolios, manifest)
     print(
         f"ran {N_EXPLORERS} explorers on {len(instances)} benchmarks "
-        f"(budget {args.budget}); split {len(manifest.train_ids)} train / "
-        f"{len(manifest.inference_ids)} inference"
+        f"(budget {args.budget}); split {len(train_ids)} train / {len(inference_ids)} inference"
     )
     return 0
 
@@ -225,7 +224,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     checkpoint = io.StringIO()
     save_selector(checkpoint, agent, fingerprint=dataset_fingerprint(ds.manifest), seed=args.seed)
-    _write_atomic(out / CHECKPOINT_FILE, checkpoint.getvalue())
+    write_atomic(out / CHECKPOINT_FILE, checkpoint.getvalue())
     _write_csv(
         out / SUPERVISED_CURVE_FILE,
         ("epoch", "loss"),

@@ -1,11 +1,14 @@
 """Datasets: portfolio runs over instance suites, labels, and their files.
 
 A dataset is four files in one directory. `synth` writes instances.jsonl, the
-benchmarks themselves. `run` adds runs.jsonl, one line per (benchmark,
-explorer) with the score, the found front, the number of proposals and why
-the run stopped; labels.jsonl, the per-benchmark winner; and manifest.json,
-the configuration echo, the train/inference split, and FNV-1a content hashes
-of the other three. The manifest is written last, so a directory with a
+benchmarks themselves, one `instance_line` per benchmark. `run` adds
+runs.jsonl, one line per (benchmark, explorer) with the score, the found
+front, the number of proposals and why the run stopped; labels.jsonl, the
+per-benchmark winner; and manifest.json, the configuration echo, the
+train/inference split, and FNV-1a content hashes of the other three. `run`
+describes the dataset once, in a `DatasetManifest` that hashes the
+instances.jsonl bytes it parsed; `persist_results` adds the hashes of the
+two files it writes. The manifest is written last, so a directory with a
 manifest is complete, and every float is serialized with 17 significant
 digits, so `load` reproduces the run bit-exactly. `load` also checks every
 stored front point against its benchmark's design space. Each input file has
@@ -24,7 +27,7 @@ import os
 import reprlib
 import signal
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -194,21 +197,6 @@ def _emit(value, out: list[str]) -> None:
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    """Which benchmark suite to synthesize."""
-
-    families: tuple[Family, ...] = tuple(Family)
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
-    size_class: str = "medium"
-
-    def __post_init__(self) -> None:
-        if not self.families or not self.seeds:
-            raise ValueError("config needs at least one family and one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("duplicate seeds would create duplicate benchmark ids")
-
-
-@dataclass(frozen=True)
 class LabeledSample:
     """One training example: benchmark features and its winning explorer."""
 
@@ -287,12 +275,12 @@ def instance_master_seed(master_seed: int, instance: BenchmarkInstance) -> int:
     return mix64(master_seed, instance.family.value, instance.seed)
 
 
-def synth_suite(config: DatasetConfig) -> tuple[BenchmarkInstance, ...]:
-    """All configured instances, family-major then seed-ascending."""
+def synth_suite(
+    families: Sequence[Family], seeds: Sequence[int], size_class: str
+) -> tuple[BenchmarkInstance, ...]:
+    """One instance per (family, seed), family-major then seed-ascending."""
     return tuple(
-        synth_instance(family, seed, config.size_class)
-        for family in config.families
-        for seed in sorted(config.seeds)
+        synth_instance(family, seed, size_class) for family in families for seed in sorted(seeds)
     )
 
 
@@ -383,7 +371,8 @@ def split_ids(
 # -- persistence --------------------------------------------------------------------
 
 
-def _instance_line(instance: BenchmarkInstance, size_class: str, features: Iterable[float]) -> dict:
+def instance_line(instance: BenchmarkInstance, size_class: str, features: Iterable[float]) -> dict:
+    """One instances.jsonl record: the instance and its feature vector."""
     record = instance_to_record(instance, size_class)
     record["feature_vector"] = list(features)
     return record
@@ -417,7 +406,8 @@ def _label_line(benchmark_id: str, label: int, adrs_row: Sequence[float]) -> dic
     }
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str) -> None:
+    """Write the text to a temporary file, then rename it over the path."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -426,32 +416,21 @@ def _write_atomic(path: Path, text: str) -> None:
 def write_jsonl(path: Path, records: Iterable[dict]) -> str:
     """Write one canonical-JSON object per line; returns the content hash."""
     text = "".join(canonical_json(record) + "\n" for record in records)
-    _write_atomic(path, text)
+    write_atomic(path, text)
     return fnv1a64_hex(text.encode("utf-8"))
 
 
-def persist_instances(
-    out_dir: Path,
-    instances: Sequence[BenchmarkInstance],
-    size_class: str,
-    feature_map: dict[str, tuple[float, ...]],
-) -> str:
-    """Write instances.jsonl; returns its content hash."""
-    return write_jsonl(
-        out_dir / INSTANCES_FILE,
-        (_instance_line(inst, size_class, feature_map[inst.id]) for inst in instances),
-    )
-
-
-def _read_text(path: Path, expected_hash: str | None = None) -> str:
-    """A file's UTF-8 text, its bytes first matched to a manifest hash if given; errors name it."""
+def read_text(path: Path, expected_hash: str | None = None) -> str:
+    """A file's UTF-8 text, its bytes first matched to a hash from the manifest
+    beside it if given; errors name the file, and a mismatch names the manifest too."""
     if not path.exists():
         raise FileNotFoundError(f"input file missing: {path}")
-    data = path.read_bytes()  # hashed as stored, like `run` hashes instances.jsonl
+    data = path.read_bytes()  # hashed as stored
     actual = None if expected_hash is None else fnv1a64_hex(data)
     if actual != expected_hash:
         raise ValueError(
-            f"dataset corrupted/stale: {path} hash {actual} does not match manifest {expected_hash}"
+            f"dataset corrupted/stale: {path} hash {actual} does not match "
+            f"{path.with_name(MANIFEST_FILE)} hash {expected_hash}"
         )
     try:
         return data.decode("utf-8")
@@ -463,7 +442,7 @@ def read_jsonl(path: Path, text: str | None, fields: Fields) -> list[dict]:
     """The JSON objects of a JSONL file, one per line; reads the file unless given its text.
     A line that is not an object that passes `fields` is rejected with its path and number."""
     if text is None:
-        text = _read_text(path)
+        text = read_text(path)
     records: list[dict] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         try:
@@ -576,24 +555,17 @@ def persist_results(
     out_dir: Path,
     instances: Sequence[BenchmarkInstance],
     portfolios: Sequence[PortfolioResult],
-    *,
-    instances_hash: str,
-    master_seed: int,
-    budget: int,
-    size_class: str,
-    families: Sequence[str],
-    seeds: Sequence[int],
-    split_fraction: float,
+    manifest: DatasetManifest,
 ) -> DatasetManifest:
-    """Write runs, labels, and the manifest; returns the manifest.
+    """Write runs, labels, and the manifest; returns the manifest as written.
 
-    Any failure removes the three files this call owns, so a directory that
-    contains manifest.json is always complete.
+    `manifest` holds everything but the hashes of the two files written here,
+    which are added to its `hashes`. Any failure removes the three files this
+    call owns, so a directory that contains manifest.json is always complete.
     """
     out = Path(out_dir)
-    hashes: dict[str, str] = {INSTANCES_FILE: instances_hash}
     try:
-        hashes[RUNS_FILE] = write_jsonl(
+        runs_hash = write_jsonl(
             out / RUNS_FILE,
             (
                 _run_line(inst.id, result, value)
@@ -601,28 +573,16 @@ def persist_results(
                 for result, value in zip(portfolio.results, portfolio.adrs_values)
             ),
         )
-        hashes[LABELS_FILE] = write_jsonl(
+        labels_hash = write_jsonl(
             out / LABELS_FILE,
             (
                 _label_line(inst.id, portfolio.argmin.value, portfolio.adrs_values)
                 for inst, portfolio in zip(instances, portfolios)
             ),
         )
-        train_ids, inference_ids = split_ids(
-            [inst.id for inst in instances], split_fraction, master_seed
-        )
-        manifest = DatasetManifest(
-            master_seed=master_seed,
-            budget=budget,
-            size_class=size_class,
-            families=tuple(families),
-            seeds=tuple(seeds),
-            split_fraction=split_fraction,
-            train_ids=train_ids,
-            inference_ids=inference_ids,
-            hashes=hashes,
-        )
-        _write_atomic(out / MANIFEST_FILE, canonical_json(asdict(manifest)) + "\n")
+        hashes = {**manifest.hashes, RUNS_FILE: runs_hash, LABELS_FILE: labels_hash}
+        manifest = replace(manifest, hashes=hashes)
+        write_atomic(out / MANIFEST_FILE, canonical_json(asdict(manifest)) + "\n")
     except BaseException:
         for name in (RUNS_FILE, LABELS_FILE, MANIFEST_FILE):
             (out / name).unlink(missing_ok=True)
@@ -641,7 +601,7 @@ def dataset_fingerprint(manifest: DatasetManifest) -> str:
 
 def _read_manifest(manifest_path: Path) -> DatasetManifest:
     """A manifest.json that is an object passing MANIFEST_FIELDS and hashes each data file."""
-    text = _read_text(manifest_path)
+    text = read_text(manifest_path)
     try:
         record = json.loads(text)
         _check_fields(record, MANIFEST_FIELDS)
@@ -662,9 +622,9 @@ def manifest_checked_texts(runs_path: Path, labels_path: Path) -> dict[Path, str
     if not (directory / MANIFEST_FILE).exists():
         return {}
     hashes = _read_manifest(directory / MANIFEST_FILE).hashes
-    texts = {runs_path: _read_text(runs_path, hashes[RUNS_FILE])}
+    texts = {runs_path: read_text(runs_path, hashes[RUNS_FILE])}
     if labels_path.parent.resolve() == directory.resolve():
-        texts[labels_path] = _read_text(labels_path, hashes[LABELS_FILE])
+        texts[labels_path] = read_text(labels_path, hashes[LABELS_FILE])
     return texts
 
 
@@ -674,7 +634,7 @@ def load(dataset_dir: str | Path) -> Dataset:
     manifest_path = directory / MANIFEST_FILE
     manifest = _read_manifest(manifest_path)
     paths = {name: directory / name for name in DATA_FILES}
-    texts = {name: _read_text(paths[name], manifest.hashes[name]) for name in DATA_FILES}
+    texts = {name: read_text(paths[name], manifest.hashes[name]) for name in DATA_FILES}
 
     instances, feature_map, _ = read_instances(paths[INSTANCES_FILE], texts[INSTANCES_FILE])
     runs = read_jsonl(paths[RUNS_FILE], texts[RUNS_FILE], RUN_FIELDS)
@@ -715,21 +675,22 @@ __all__ = [
     "RUNS_FILE",
     "RUN_FIELDS",
     "Dataset",
-    "DatasetConfig",
     "DatasetManifest",
     "LabeledSample",
     "canonical_json",
     "check_runs_cover",
     "dataset_fingerprint",
+    "instance_line",
     "instance_master_seed",
     "load",
     "manifest_checked_texts",
-    "persist_instances",
     "persist_results",
     "read_instances",
     "read_jsonl",
+    "read_text",
     "run_suite",
     "split_ids",
     "synth_suite",
+    "write_atomic",
     "write_jsonl",
 ]

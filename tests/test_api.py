@@ -63,6 +63,19 @@ def test_every_exported_name_is_read_somewhere_in_the_package():
     assert unread == []
 
 
+def test_no_module_imports_an_underscore_name_from_another():
+    """A name another module needs is public: listed in its module's `__all__`."""
+    private = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}: {alias.name}"
+        for path, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def read_jsonl_calls(tree: ast.Module) -> list[ast.Call]:
     return [
         node
@@ -88,19 +101,20 @@ def test_every_read_jsonl_call_passes_a_field_table():
 def test_every_table_key_is_a_key_its_writer_emits(tmp_path):
     """On a real one-benchmark round, each table's keys are among those of the
     record its writer emits, and that record, as written, passes the table."""
-    config = dataset.DatasetConfig(families=(Family.SMOOTH,), seeds=(0,), size_class="small")
-    (instance,) = dataset.synth_suite(config)
+    (instance,) = dataset.synth_suite((Family.SMOOTH,), (0,), "small")
     features = tuple(float(v) for v in extract_features(instance))
     (portfolio,) = dataset.run_suite([instance], 20, master_seed=0)
-    manifest = dataset.persist_results(
-        tmp_path, [instance], [portfolio], instances_hash="0" * 16, master_seed=0, budget=20,
-        size_class="small", families=("smooth",), seeds=(0,), split_fraction=0.5,
+    manifest = dataset.DatasetManifest(
+        master_seed=0, budget=20, size_class="small", families=("smooth",), seeds=(0,),
+        split_fraction=0.5, train_ids=(), inference_ids=(instance.id,),
+        hashes={dataset.INSTANCES_FILE: "0" * 16},
     )
+    manifest = dataset.persist_results(tmp_path, [instance], [portfolio], manifest)
     label = portfolio.argmin.value
     sample = dataset.LabeledSample(instance.id, features, label, portfolio.adrs_values)
     run = dataset._run_line(instance.id, portfolio.results[0], portfolio.adrs_values[0])
     written = {
-        "INSTANCE_FIELDS": dataset._instance_line(instance, "small", features),
+        "INSTANCE_FIELDS": dataset.instance_line(instance, "small", features),
         "RUN_FIELDS": run,
         "FRONT_POINT_FIELDS": run["front"][0],
         "LABEL_FIELDS": dataset._label_line(instance.id, label, portfolio.adrs_values),

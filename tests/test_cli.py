@@ -65,13 +65,25 @@ def pipeline(tmp_path_factory) -> dict[str, Path]:
 
 
 class TestUsageErrors:
-    def test_unknown_family_exits_2_naming_token(self, tmp_path, capsys):
-        assert main(["synth", "--families", "smooth,bogus", "--out", str(tmp_path)]) == 2
-        assert "bogus" in capsys.readouterr().err
-
-    def test_bad_seed_token_exits_2(self, tmp_path, capsys):
-        assert main(["synth", "--seeds", "0..x", "--out", str(tmp_path)]) == 2
-        assert "0..x" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--families", "smooth,bogus", "unknown family: 'bogus'"),
+            ("--families", "smooth,smooth", "duplicate family names"),
+            ("--families", ",", "no families given"),
+            ("--seeds", "0..x", "bad seed token '0..x'"),
+            ("--seeds", "1,1", "duplicate seeds"),
+            ("--seeds", "0..2,2", "duplicate seeds"),
+        ],
+    )
+    def test_a_bad_synth_suite_flag_exits_2_in_one_usage_line(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        """The flag's own parser is the one check of the suite it names."""
+        assert main(["synth", flag, value, "--out", str(tmp_path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+        assert errors == [f"dsekit synth: error: argument {flag}: {message}"]
+        assert not (tmp_path / "instances.jsonl").exists()
 
     def test_budget_zero_exits_2(self, tmp_path):
         assert main(["run", "--dataset", str(tmp_path), "--budget", "0"]) == 2
@@ -753,6 +765,22 @@ class TestRunAndTrainArtifacts:
         assert main(["run", "--dataset", str(other), "--budget", "60", "--workers", "2"]) == 0
         for name in ("instances.jsonl", "runs.jsonl", "labels.jsonl", "manifest.json"):
             assert (other / name).read_bytes() == (pipeline["d"] / name).read_bytes(), name
+
+    def test_manifest_hashes_the_instances_bytes_run_parsed(self, tmp_path, monkeypatch):
+        """Instances rewritten while the portfolio runs leave the manifest stale."""
+        d = tmp_path / "d"
+        assert main(SYNTH + ["--out", str(d)]) == 0
+        real_run_suite = cli.run_suite
+
+        def respaced_then_run(*args):
+            path = d / "instances.jsonl"
+            path.write_text("".join(json.dumps(record) + "\n" for record in read_jsonl(path)))
+            return real_run_suite(*args)
+
+        monkeypatch.setattr(cli, "run_suite", respaced_then_run)
+        assert main(["run", "--dataset", str(d), "--budget", "5"]) == 0
+        with pytest.raises(ValueError, match="^dataset corrupted/stale: .*instances.jsonl hash"):
+            load(d)
 
     def test_curve_files_have_pinned_epoch_counts(self, pipeline):
         supervised = (pipeline["t"] / SUPERVISED_CURVE_FILE).read_text().splitlines()

@@ -20,23 +20,25 @@ from dsekit.dataset import (
     MAX_WORKERS,
     RUN_FIELDS,
     RUNS_FILE,
-    DatasetConfig,
+    DatasetManifest,
     canonical_json,
     check_runs_cover,
+    instance_line,
     instance_master_seed,
     load,
-    persist_instances,
     persist_results,
     read_jsonl,
     run_suite,
     split_ids,
     synth_suite,
+    write_jsonl,
 )
 from dsekit.explorers import ExplorerId
 from dsekit.hashing import fnv1a64_hex
 from dsekit.pareto import DesignPoint, ObjectiveVector, pareto_filter
 
-TINY = DatasetConfig(families=(Family.SMOOTH, Family.CLUSTERED), seeds=(0, 1), size_class="small")
+# the `synth_suite` arguments of TINY_SYNTH: families, seeds and size class
+TINY = ((Family.SMOOTH, Family.CLUSTERED), (0, 1), "small")
 TINY_SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
 BUDGET = 60
 MASTER_SEED = 0
@@ -58,22 +60,27 @@ def tiny_dataset(tmp_path_factory):
 
 def persist_tiny(out):
     """The tiny suite through the library calls that `synth` and `run` make."""
-    instances = synth_suite(TINY)
+    families, seeds, size_class = TINY
+    instances = synth_suite(families, seeds, size_class)
     feature_map = {inst.id: tuple(float(v) for v in extract_features(inst)) for inst in instances}
-    instances_hash = persist_instances(out, instances, TINY.size_class, feature_map)
-    portfolios = run_suite(instances, BUDGET, MASTER_SEED)
-    manifest = persist_results(
-        out,
-        instances,
-        portfolios,
-        instances_hash=instances_hash,
+    instances_hash = write_jsonl(
+        out / INSTANCES_FILE,
+        (instance_line(inst, size_class, feature_map[inst.id]) for inst in instances),
+    )
+    train_ids, inference_ids = split_ids([inst.id for inst in instances], 0.69, MASTER_SEED)
+    manifest = DatasetManifest(
         master_seed=MASTER_SEED,
         budget=BUDGET,
-        size_class=TINY.size_class,
+        size_class=size_class,
         families=("smooth", "clustered"),
-        seeds=TINY.seeds,
+        seeds=seeds,
         split_fraction=0.69,
+        train_ids=train_ids,
+        inference_ids=inference_ids,
+        hashes={INSTANCES_FILE: instances_hash},
     )
+    portfolios = run_suite(instances, BUDGET, MASTER_SEED)
+    manifest = persist_results(out, instances, portfolios, manifest)
     return instances, feature_map, portfolios, manifest
 
 
@@ -113,16 +120,6 @@ class TestSplit:
         ids = [f"b{i:02d}" for i in range(29)]
         assert split_ids(ids, 0.69, 0) == split_ids(ids, 0.69, 0)
         assert split_ids(ids, 0.69, 0) != split_ids(ids, 0.69, 1)
-
-
-class TestConfigValidation:
-    def test_rejects_empty_families(self):
-        with pytest.raises(ValueError, match="at least one"):
-            DatasetConfig(families=(), seeds=(0,))
-
-    def test_rejects_duplicate_seeds(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            DatasetConfig(seeds=(1, 1))
 
 
 class TestReadJsonl:
@@ -296,6 +293,18 @@ class TestLoadIntegrity:
         with pytest.raises(ValueError, match="corrupted/stale"):
             load(copy)
 
+    def test_a_stale_hash_names_the_file_and_its_manifest(self, tiny_dataset, tmp_path):
+        """Either may be the edited one: here it is the manifest's hash."""
+        _, out = tiny_dataset
+        copy = self.make_copy(out, tmp_path)
+        manifest = json.loads((copy / MANIFEST_FILE).read_text())
+        manifest["hashes"][LABELS_FILE] = "0" * 16
+        (copy / MANIFEST_FILE).write_text(json.dumps(manifest))
+        stale = re.escape(f"dataset corrupted/stale: {copy / LABELS_FILE} hash ")
+        listed = re.escape(f" does not match {copy / MANIFEST_FILE} hash {'0' * 16}")
+        with pytest.raises(ValueError, match=f"^{stale}[0-9a-f]{{16}}{listed}$"):
+            load(copy)
+
     def test_missing_file_named(self, tiny_dataset, tmp_path):
         _, out = tiny_dataset
         copy = self.make_copy(out, tmp_path)
@@ -398,7 +407,7 @@ def pool_sizes(monkeypatch) -> list[int]:
 
 class TestWorkerCount:
     def test_the_pool_has_no_more_processes_than_cells(self, pool_sizes):
-        suite = synth_suite(TINY)[:1]
+        suite = synth_suite(*TINY)[:1]
         pooled = run_suite(suite, 5, MASTER_SEED, workers=MAX_WORKERS)
         assert pool_sizes == [len(ExplorerId)]
         assert pooled == run_suite(suite, 5, MASTER_SEED)
@@ -406,7 +415,7 @@ class TestWorkerCount:
     @pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
     def test_a_count_outside_the_bounds_is_refused(self, pool_sizes, workers):
         with pytest.raises(ValueError, match=f"workers must be in 1..{MAX_WORKERS}, got {workers}"):
-            run_suite(synth_suite(TINY)[:1], 5, MASTER_SEED, workers=workers)
+            run_suite(synth_suite(*TINY)[:1], 5, MASTER_SEED, workers=workers)
         assert pool_sizes == []
 
 
@@ -433,19 +442,19 @@ class TestWorkerCount:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InterruptedPool)
         with pytest.raises(KeyboardInterrupt):
-            run_suite(synth_suite(TINY)[:1], 5, MASTER_SEED, workers=2)
+            run_suite(synth_suite(*TINY)[:1], 5, MASTER_SEED, workers=2)
         assert shutdowns == [True]
 
 
 class TestSeedDerivation:
     def test_per_instance_seed_ignores_suite_composition(self):
-        suite = synth_suite(TINY)
+        suite = synth_suite(*TINY)
         solo = run_suite(suite[:1], BUDGET, MASTER_SEED)
         full = run_suite(suite, BUDGET, MASTER_SEED)
         assert solo[0] == full[0]
 
     def test_master_seed_changes_runs(self):
-        suite = synth_suite(TINY)[:1]
+        suite = synth_suite(*TINY)[:1]
         a = run_suite(suite, 40, master_seed=0)
         b = run_suite(suite, 40, master_seed=1)
         assert a != b
@@ -456,6 +465,6 @@ class TestSeedDerivation:
         assert parallel.manifest.hashes == dataset.manifest.hashes
 
     def test_seed_formula_uses_family_and_instance_seed(self):
-        suite = synth_suite(TINY)
+        suite = synth_suite(*TINY)
         seeds = {instance_master_seed(0, inst) for inst in suite}
         assert len(seeds) == len(suite)

@@ -2,13 +2,13 @@
 
 Hypothesis edits one line of one file of a real round: it deletes a key, swaps
 a value for one of another type, puts NaN, infinity or 1e308 in a number,
-drops the line, or cuts the file inside it. `load` (with the manifest
-re-hashed for an edited data file) and `report` must then succeed, or raise a
-ValueError or FileNotFoundError whose message is one line naming the edited
-file. Any other exception fails the test. `run` is held to the same on an
-edited instances file, whose edits also put a negative integer in place of
-an integer. A knob setting of a stored front point that leaves the design
-space must make `train` fail in one line too.
+drops the line, cuts the file inside it, or flips bits of one byte. `load`
+(with the manifest re-hashed for an edited data file) and `report` must then
+succeed, or raise a ValueError or FileNotFoundError whose message is one line
+naming the edited file. Any other exception fails the test. `run` is held to
+the same on an edited instances file, whose edits also put a negative integer
+in place of an integer. A knob setting of a stored front point that leaves
+the design space must make `train` fail in one line too.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dsekit.dataset import DATA_FILES, INSTANCES_FILE, LABELS_FILE, MANIFEST_FIL
 from dsekit.hashing import fnv1a64_hex
 
 SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
-MUTATIONS = ("delete_key", "swap_type", "bad_number", "drop_line", "cut_line")
+MUTATIONS = ("delete_key", "swap_type", "bad_number", "drop_line", "cut_line", "flip_byte")
 OTHER_TYPES = ("x", 7, 0.5, True, None, [], {})
 BAD_SETTINGS = (-1, 99, True, 1.0, "1", None)
 
@@ -61,10 +61,17 @@ def spots(value) -> list[tuple[object, object]]:
 
 
 def mutate(data, text: str, kinds: tuple[str, ...] = MUTATIONS) -> str:
-    """The text with one drawn mutation of the kinds applied to one drawn line."""
+    """The text with one drawn mutation of the kinds applied to one drawn line.
+    A flipped byte that is not UTF-8 is held as a surrogate escape; `write` restores it."""
     lines = text.splitlines(keepends=True)
     n = data.draw(st.integers(0, len(lines) - 1), label="line")
     kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind == "flip_byte":
+        raw = bytearray(lines[n].encode("utf-8"))
+        at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        raw[at] ^= data.draw(st.integers(1, 255), label="bits")
+        lines[n] = raw.decode("utf-8", "surrogateescape")
+        return "".join(lines)
     if kind == "drop_line":
         return "".join(lines[:n] + lines[n + 1 :])
     if kind == "cut_line":
@@ -92,6 +99,13 @@ def mutate(data, text: str, kinds: tuple[str, ...] = MUTATIONS) -> str:
     return "".join(lines)
 
 
+def write(path: Path, text: str) -> bytes:
+    """Write a mutated text as the bytes it stands for; returns them."""
+    data = text.encode("utf-8", "surrogateescape")
+    path.write_bytes(data)
+    return data
+
+
 def fails_cleanly(path: Path, call) -> str | None:
     """Run call(); None if it succeeds, else its one-line message, which names path."""
     try:
@@ -111,11 +125,10 @@ def test_load_of_a_mutated_file(round_dir, data):
         d = Path(tmp)
         for each in DATA_FILES + (MANIFEST_FILE,):
             shutil.copy(round_dir / each, d / each)
-        text = mutate(data, (d / name).read_text())
-        (d / name).write_text(text)
+        written = write(d / name, mutate(data, (d / name).read_text()))
         if name != MANIFEST_FILE:
             manifest = json.loads((d / MANIFEST_FILE).read_text())
-            manifest["hashes"][name] = fnv1a64_hex(text.encode("utf-8"))
+            manifest["hashes"][name] = fnv1a64_hex(written)
             (d / MANIFEST_FILE).write_text(json.dumps(manifest))
         fails_cleanly(d / name, lambda: load(d))
 
@@ -125,7 +138,7 @@ def test_load_of_a_mutated_file(round_dir, data):
 def test_run_on_a_mutated_instances_file(round_dir, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / INSTANCES_FILE
-        path.write_text(mutate(data, (round_dir / INSTANCES_FILE).read_text(), MUTATIONS + ("negative",)))
+        write(path, mutate(data, (round_dir / INSTANCES_FILE).read_text(), MUTATIONS + ("negative",)))
         args = cli.build_parser().parse_args(["run", "--dataset", tmp, "--budget", "5"])
         try:
             args.func(args)
@@ -143,7 +156,7 @@ def test_report_on_a_mutated_file(round_dir, data):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {each: round_dir / each for each in (RUNS_FILE, LABELS_FILE, REPORT_FILE)}
         paths[name] = Path(tmp) / name
-        paths[name].write_text(mutate(data, (round_dir / name).read_text()))
+        write(paths[name], mutate(data, (round_dir / name).read_text()))
         argv = [
             "report",
             "--runs", str(paths[RUNS_FILE]),
