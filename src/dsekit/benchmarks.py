@@ -1,9 +1,12 @@
 """Synthetic benchmark synthesis: knob schemas, operation graphs, features.
 
-Instances are generated deterministically from (family, seed, size class).
-Each landscape family biases both the tuning-knob layout and the operation
-graph shape, so the fixed-length feature vector carries enough signal to
-recover the family (and with it, which explorer tends to win).
+Instances are generated deterministically from (family, seed, size class),
+and each one keeps its size class. Each landscape family biases both the
+tuning-knob layout and the operation graph shape, so the fixed-length
+feature vector carries enough signal to recover the family (and with it,
+which explorer tends to win). `instance_from_record` rebuilds an instance
+from its `instance_to_record` form and checks it where it enters: the knobs,
+the graph by `validate_graph`, and a design-space size inside its size class.
 """
 
 from __future__ import annotations
@@ -158,40 +161,6 @@ class OperationGraph:
     def node_count(self) -> int:
         return len(self.node_types)
 
-    def check_pragmas(self) -> None:
-        neighbors: dict[int, set[int]] = {}
-        for s, d, _ in self.edges:
-            neighbors.setdefault(s, set()).add(d)
-            neighbors.setdefault(d, set()).add(s)
-        for i, t in enumerate(self.node_types):
-            if t != "pragma":
-                continue
-            attached = neighbors.get(i, set())
-            headers = {j for j in attached if self.node_types[j] == "loop-header"}
-            if len(attached) != 1 or len(headers) != 1:
-                raise ValueError(f"pragma node {i} must attach to exactly one loop-header")
-
-    def check_connectivity(self) -> None:
-        keep = [i for i, t in enumerate(self.node_types) if t != "pragma"]
-        if not keep:
-            raise ValueError("graph needs non-pragma nodes")
-        kept = set(keep)
-        adj: dict[int, list[int]] = {i: [] for i in keep}
-        for s, d, _ in self.edges:
-            if s in kept and d in kept:
-                adj[s].append(d)
-                adj[d].append(s)
-        seen = {keep[0]}
-        stack = [keep[0]]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != kept:
-            raise ValueError("graph must stay connected once pragma nodes are removed")
-
 
 def validate_graph(graph: OperationGraph) -> None:
     """Enforce the structural contract on pipeline graphs.
@@ -201,19 +170,37 @@ def validate_graph(graph: OperationGraph) -> None:
     deserialized graph; hand-built degenerate graphs used purely for feature
     probing may skip it.
     """
-    graph.check_pragmas()
-    graph.check_connectivity()
+    types = graph.node_types
+    neighbors: dict[int, set[int]] = {i: set() for i in range(len(types))}
+    for s, d, _ in graph.edges:
+        neighbors[s].add(d)
+        neighbors[d].add(s)
+    for i, t in enumerate(types):
+        if t == "pragma" and (len(neighbors[i]) != 1 or types[min(neighbors[i])] != "loop-header"):
+            raise ValueError(f"pragma node {i} must attach to exactly one loop-header")
+    keep = [i for i, t in enumerate(types) if t != "pragma"]
+    if not keep:
+        raise ValueError("graph needs non-pragma nodes")
+    seen, stack = {keep[0]}, [keep[0]]
+    while stack:
+        for nxt in neighbors[stack.pop()]:
+            if nxt not in seen and types[nxt] != "pragma":
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) != len(keep):
+        raise ValueError("graph must stay connected once pragma nodes are removed")
 
 
 @dataclass(frozen=True)
 class BenchmarkInstance:
-    """One synthetic benchmark: identity, design space, graph, family, seed."""
+    """One synthetic benchmark: identity, design space, graph, family, seed, size class."""
 
     id: str
     schema: KnobSchema
     graph: OperationGraph
     family: Family
     seed: int
+    size_class: str
 
 
 # --- instance synthesis -----------------------------------------------------
@@ -260,7 +247,9 @@ def synth_instance(family: Family, seed: int, size_class: str) -> BenchmarkInsta
     graph = _synth_graph(rng, family, len(schema.knobs))
     validate_graph(graph)
     ident = f"{family.name.lower()}-{size_class}-{int(seed):04d}"
-    return BenchmarkInstance(id=ident, schema=schema, graph=graph, family=family, seed=int(seed))
+    return BenchmarkInstance(
+        id=ident, schema=schema, graph=graph, family=family, seed=int(seed), size_class=size_class
+    )
 
 
 def _size_code(size_class: str) -> int:
@@ -505,13 +494,13 @@ def _neighbor_readout(graph: OperationGraph, type_index: np.ndarray) -> list[flo
 # --- serialization ----------------------------------------------------------
 
 
-def instance_to_record(instance: BenchmarkInstance, size_class: str) -> dict:
+def instance_to_record(instance: BenchmarkInstance) -> dict:
     """Plain-data form of an instance for JSONL persistence."""
     return {
         "id": instance.id,
         "family": instance.family.name.lower(),
         "seed": instance.seed,
-        "size_class": size_class,
+        "size_class": instance.size_class,
         "schema": [
             {"name": k.name, "kind": k.kind, "cardinality": k.cardinality, "levels": list(k.levels)}
             for k in instance.schema.knobs
@@ -524,7 +513,8 @@ def instance_to_record(instance: BenchmarkInstance, size_class: str) -> dict:
 
 
 def instance_from_record(record: dict) -> BenchmarkInstance:
-    """Rebuild an instance from its JSONL record, as `instance_to_record` writes it."""
+    """Rebuild an instance from its JSONL record, as `instance_to_record` writes it;
+    the design space must lie in the record's size class."""
     knobs = tuple(
         Knob(name=k["name"], kind=k["kind"], cardinality=k["cardinality"],
              levels=tuple(k["levels"]))
@@ -538,10 +528,17 @@ def instance_from_record(record: dict) -> BenchmarkInstance:
         edges=tuple((s, d, kind) for s, d, kind in record["graph"]["edges"]),
     )
     validate_graph(graph)
-    return BenchmarkInstance(
+    instance = BenchmarkInstance(
         id=record["id"],
         schema=KnobSchema(knobs),
         graph=graph,
         family=Family.from_name(record["family"]),
         seed=record["seed"],
+        size_class=record["size_class"],
     )
+    size, (lo, hi) = instance.schema.space_size(), SIZE_CLASSES[instance.size_class]
+    if not lo <= size <= hi:
+        raise ValueError(
+            f"design space size {size} is outside size class {instance.size_class!r}, [{lo}, {hi}]"
+        )
+    return instance

@@ -25,9 +25,11 @@ from .blas import use_one_blas_thread
 from .dataset import (
     INSTANCES_FILE,
     LABEL_FIELDS,
+    LABELS_FILE,
     MAX_WORKERS,
     REPORT_FIELDS,
     RUN_FIELDS,
+    RUNS_FILE,
     DatasetManifest,
     LabeledSample,
     check_runs_cover,
@@ -35,7 +37,7 @@ from .dataset import (
     instance_line,
     instance_master_seed,
     load,
-    manifest_checked_texts,
+    manifest_hashes,
     persist_results,
     read_instances,
     read_jsonl,
@@ -169,7 +171,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     instances = synth_suite(args.families, args.seeds, args.size)
     digest = write_jsonl(
         out / INSTANCES_FILE,
-        (instance_line(inst, args.size, extract_features(inst)) for inst in instances),
+        (instance_line(inst, extract_features(inst)) for inst in instances),
     )
     print(f"wrote {len(instances)} instances to {out / INSTANCES_FILE} (hash {digest})")
     return 0
@@ -179,8 +181,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     dataset = Path(args.dataset)
     instances_path = dataset / INSTANCES_FILE
     text = read_text(instances_path)
-    instances, _, records = read_instances(instances_path, text)
-    if not records:
+    instances, _ = read_instances(instances_path, text)
+    if not instances:
         raise ValueError(f"no instances in {instances_path}")
     train_ids, inference_ids = split_ids(
         [inst.id for inst in instances], args.split_fraction, args.master_seed
@@ -193,9 +195,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = DatasetManifest(
         master_seed=args.master_seed,
         budget=args.budget,
-        size_class=records[0]["size_class"],
-        families=tuple(dict.fromkeys(record["family"] for record in records)),
-        seeds=tuple(sorted({record["seed"] for record in records})),
+        size_class=instances[0].size_class,
+        families=tuple(dict.fromkeys(inst.family.name.lower() for inst in instances)),
+        seeds=tuple(sorted({inst.seed for inst in instances})),
         split_fraction=args.split_fraction,
         train_ids=train_ids,
         inference_ids=inference_ids,
@@ -262,13 +264,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
             f"(checkpoint fingerprint {settings.get('fingerprint')}, dataset {fingerprint})"
         )
 
-    samples = {s.benchmark_id: s for s in ds.samples}
-    instances = {inst.id: inst for inst in ds.instances}
-
     rows: list[dict] = []
     for benchmark_id in ds.manifest.inference_ids:
-        sample = samples[benchmark_id]
-        instance = instances[benchmark_id]
+        sample, instance = ds.samples[benchmark_id], ds.instances[benchmark_id]
         choice, _ = recommend(agent, np.array(sample.features))
 
         model = SurrogateModel.from_instance(instance)
@@ -300,12 +298,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    runs_path, labels_path = Path(args.runs), Path(args.labels)
+    runs_path, labels_path, report_path = Path(args.runs), Path(args.labels), Path(args.report)
     # a manifest beside the runs file must vouch for it, and for the labels beside it
-    texts = manifest_checked_texts(runs_path, labels_path)
-    labels_rows = read_jsonl(labels_path, texts.get(labels_path), LABEL_FIELDS)
-    runs_rows = read_jsonl(runs_path, texts.get(runs_path), RUN_FIELDS)
-    report_rows = read_jsonl(Path(args.report), None, REPORT_FIELDS)
+    hashes = manifest_hashes(runs_path.parent)
+    beside = labels_path.parent.resolve() == runs_path.parent.resolve()
+    runs_text = read_text(runs_path, hashes.get(RUNS_FILE))
+    labels_text = read_text(labels_path, hashes.get(LABELS_FILE) if beside else None)
+    labels_rows = read_jsonl(labels_path, labels_text, LABEL_FIELDS)
+    runs_rows = read_jsonl(runs_path, runs_text, RUN_FIELDS)
+    report_rows = read_jsonl(report_path, read_text(report_path), REPORT_FIELDS)
     if not report_rows:  # an empty labels file leaves every reported benchmark unknown
         raise ValueError(f"{args.report}: no records")
     check_runs_cover(runs_rows, labels_rows, runs_path, labels_path)

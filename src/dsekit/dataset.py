@@ -11,8 +11,13 @@ instances.jsonl bytes it parsed; `persist_results` adds the hashes of the
 two files it writes. The manifest is written last, so a directory with a
 manifest is complete, and every float is serialized with 17 significant
 digits, so `load` reproduces the run bit-exactly. `load` also checks every
-stored front point against its benchmark's design space. Each input file has
-a field table, and every record is checked against it where the file is read.
+stored front point against its benchmark's design space, and keys the
+instances and samples it returns by benchmark id.
+
+Each input file is read once, by `read_text`, which matches its bytes to the
+manifest's hash when there is one; `read_jsonl` and `read_instances` parse
+that text. Each input file has a field table, and every record is checked
+against it where the file is read.
 
 `run_suite` runs every (benchmark, explorer) cell through `explore` with the
 benchmark's one surrogate model and then scores each benchmark. The worker
@@ -79,6 +84,11 @@ def _is_finite(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def _one_of(names: Sequence[str]) -> tuple[Callable[[object], bool], str]:
+    """A field-table entry for exactly one of these strings."""
+    return (lambda v: type(v) is str and v in names, "one of " + ", ".join(names))
+
+
 def _list_of(test: Callable[[object], bool], count: int | None = None) -> Callable[[object], bool]:
     """A test for a list of values that pass `test`, exactly `count` of them if given."""
     return lambda v: isinstance(v, list) and count in (None, len(v)) and all(map(test, v))
@@ -95,11 +105,12 @@ _INTEGERS = (_list_of(_INTEGER[0]), "a list of integers")
 _CODE = (lambda v: type(v) is int and 0 <= v < len(ExplorerId), "an integer in 0..9")
 _ROW = (_list_of(_is_finite, len(ExplorerId)), "10 finite numbers")
 _HASHES = (lambda v: _OBJECT[0](v) and all(map(_STRING[0], v.values())), "an object of strings")
-_SIZE_CLASS = (lambda v: type(v) is str and v in SIZE_CLASSES, "one of " + ", ".join(SIZE_CLASSES))
+_SIZE_CLASS = _one_of(tuple(SIZE_CLASSES))
+_FAMILY = _one_of(tuple(family.name.lower() for family in Family))  # as `synth` writes it
 
 INSTANCE_FIELDS: Fields = {
     "id": _STRING,
-    "family": _STRING,
+    "family": _FAMILY,
     "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "size_class": _SIZE_CLASS,
     "schema": (_list_of(_OBJECT[0]), "a list of objects"),
@@ -220,25 +231,21 @@ class DatasetManifest:
     inference_ids: tuple[str, ...]
     hashes: dict[str, str]
 
-    @staticmethod
-    def from_record(record: dict) -> "DatasetManifest":
-        """The manifest of a record that passed MANIFEST_FIELDS."""
-        values = {key: record[key] for key in MANIFEST_FIELDS}
-        return DatasetManifest(**{k: tuple(v) if type(v) is list else v for k, v in values.items()})
-
 
 @dataclass(frozen=True)
 class Dataset:
     """Everything a training or inference stage needs, in memory.
 
-    `front_entries` holds each benchmark's stored front points as read, in
-    runs.jsonl order, every one of them already checked; `fronts` builds one
-    benchmark's fronts from them for the caller that asks.
+    `instances` and `samples` are keyed by benchmark id, in the order of
+    instances.jsonl and labels.jsonl. `front_entries` holds each benchmark's
+    stored front points as read, in runs.jsonl order, every one of them
+    already checked; `fronts` builds one benchmark's fronts from them for the
+    caller that asks.
     """
 
-    instances: tuple[BenchmarkInstance, ...]
+    instances: dict[str, BenchmarkInstance]
     front_entries: dict[str, list[list[dict]]]
-    samples: tuple[LabeledSample, ...]
+    samples: dict[str, LabeledSample]
     manifest: DatasetManifest
 
     def fronts(self, benchmark_id: str) -> list[ParetoFront]:
@@ -254,8 +261,7 @@ class Dataset:
 
     def split(self, which: str) -> tuple[LabeledSample, ...]:
         ids = {"train": self.manifest.train_ids, "inference": self.manifest.inference_ids}[which]
-        by_id = {s.benchmark_id: s for s in self.samples}
-        return tuple(by_id[i] for i in ids)
+        return tuple(self.samples[i] for i in ids)
 
     def matrices(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(features, labels, score rows) for one split, in manifest order."""
@@ -371,9 +377,9 @@ def split_ids(
 # -- persistence --------------------------------------------------------------------
 
 
-def instance_line(instance: BenchmarkInstance, size_class: str, features: Iterable[float]) -> dict:
+def instance_line(instance: BenchmarkInstance, features: Iterable[float]) -> dict:
     """One instances.jsonl record: the instance and its feature vector."""
-    record = instance_to_record(instance, size_class)
+    record = instance_to_record(instance)
     record["feature_vector"] = list(features)
     return record
 
@@ -438,11 +444,9 @@ def read_text(path: Path, expected_hash: str | None = None) -> str:
         raise ValueError(f"{path}: {err}") from None
 
 
-def read_jsonl(path: Path, text: str | None, fields: Fields) -> list[dict]:
-    """The JSON objects of a JSONL file, one per line; reads the file unless given its text.
-    A line that is not an object that passes `fields` is rejected with its path and number."""
-    if text is None:
-        text = read_text(path)
+def read_jsonl(path: Path, text: str, fields: Fields) -> list[dict]:
+    """The JSON objects of a JSONL file's text, one per line. A line that is not
+    an object that passes `fields` is rejected with its path and number."""
     records: list[dict] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         try:
@@ -457,9 +461,9 @@ def read_jsonl(path: Path, text: str | None, fields: Fields) -> list[dict]:
 
 
 def read_instances(
-    path: Path, text: str | None = None
-) -> tuple[tuple[BenchmarkInstance, ...], dict[str, tuple[float, ...]], list[dict]]:
-    """Parse instances.jsonl into objects, features, and the raw records.
+    path: Path, text: str
+) -> tuple[tuple[BenchmarkInstance, ...], dict[str, tuple[float, ...]]]:
+    """Parse the text of instances.jsonl into instances and their features by id.
 
     A suite has unique benchmark ids and one size class, and every record
     must make an instance; a line that breaks one is named by path and number.
@@ -481,7 +485,7 @@ def read_instances(
             reason = f"missing key {err}" if isinstance(err, KeyError) else err
             raise ValueError(f"{path}:{lineno}: {reason}") from None
         feature_map[record["id"]] = tuple(float(v) for v in record["feature_vector"])
-    return tuple(instances), feature_map, records
+    return tuple(instances), feature_map
 
 
 def check_runs_cover(
@@ -520,18 +524,17 @@ def check_runs_cover(
 
 
 def _check_fronts(
-    runs: Iterable[dict], instances: Sequence[BenchmarkInstance], runs_path: Path
+    runs: Iterable[dict], instances: dict[str, BenchmarkInstance], runs_path: Path
 ) -> dict[str, list[list[dict]]]:
     """Each benchmark's stored front entries in file order, every point checked
     against FRONT_POINT_FIELDS and its benchmark's design space: the one check
     it gets. `Dataset.fronts` builds the fronts of the benchmarks asked for."""
-    cardinalities = {inst.id: inst.schema.cardinalities for inst in instances}
     entries: dict[str, list[list[dict]]] = {}
     for lineno, record in enumerate(runs, 1):
         benchmark_id = record["benchmark_id"]
-        cards = cardinalities.get(benchmark_id)
-        if cards is None:
+        if benchmark_id not in instances:
             raise ValueError(f"{runs_path}:{lineno}: unknown benchmark {benchmark_id}")
+        cards = instances[benchmark_id].schema.cardinalities
         for i, entry in enumerate(record["front"]):
             try:
                 _check_fields(entry, FRONT_POINT_FIELDS)
@@ -607,25 +610,18 @@ def _read_manifest(manifest_path: Path) -> DatasetManifest:
         _check_fields(record, MANIFEST_FIELDS)
     except ValueError as err:
         raise ValueError(f"{manifest_path}: {err}") from None
-    manifest = DatasetManifest.from_record(record)
+    values = {key: record[key] for key in MANIFEST_FIELDS}
+    manifest = DatasetManifest(**{k: tuple(v) if type(v) is list else v for k, v in values.items()})
     for name in DATA_FILES:
         if name not in manifest.hashes:
             raise ValueError(f"{manifest_path}: lists no hash for {name}")
     return manifest
 
 
-def manifest_checked_texts(runs_path: Path, labels_path: Path) -> dict[Path, str]:
-    """The texts of a runs file and, when it sits in the same directory, of a
-    labels file, each matched to its hash in the manifest of that directory.
-    Empty when the runs file's directory holds no manifest."""
-    directory = runs_path.parent
-    if not (directory / MANIFEST_FILE).exists():
-        return {}
-    hashes = _read_manifest(directory / MANIFEST_FILE).hashes
-    texts = {runs_path: read_text(runs_path, hashes[RUNS_FILE])}
-    if labels_path.parent.resolve() == directory.resolve():
-        texts[labels_path] = read_text(labels_path, hashes[LABELS_FILE])
-    return texts
+def manifest_hashes(directory: Path) -> dict[str, str]:
+    """The data-file hashes of the manifest in a directory; empty when it holds none."""
+    path = directory / MANIFEST_FILE
+    return _read_manifest(path).hashes if path.exists() else {}
 
 
 def load(dataset_dir: str | Path) -> Dataset:
@@ -636,12 +632,13 @@ def load(dataset_dir: str | Path) -> Dataset:
     paths = {name: directory / name for name in DATA_FILES}
     texts = {name: read_text(paths[name], manifest.hashes[name]) for name in DATA_FILES}
 
-    instances, feature_map, _ = read_instances(paths[INSTANCES_FILE], texts[INSTANCES_FILE])
+    instance_list, feature_map = read_instances(paths[INSTANCES_FILE], texts[INSTANCES_FILE])
+    instances = {instance.id: instance for instance in instance_list}
     runs = read_jsonl(paths[RUNS_FILE], texts[RUNS_FILE], RUN_FIELDS)
     labels = read_jsonl(paths[LABELS_FILE], texts[LABELS_FILE], LABEL_FIELDS)
     check_runs_cover(runs, labels, paths[RUNS_FILE], paths[LABELS_FILE])
 
-    samples = []
+    samples: dict[str, LabeledSample] = {}
     for lineno, record in enumerate(labels, 1):
         benchmark_id = record["benchmark_id"]
         if benchmark_id not in feature_map:
@@ -650,18 +647,15 @@ def load(dataset_dir: str | Path) -> Dataset:
                 f"{benchmark_id}, not in {paths[INSTANCES_FILE]}"
             )
         features, row = feature_map[benchmark_id], tuple(float(v) for v in record["adrs_row"])
-        samples.append(LabeledSample(benchmark_id, features, record["label_code"], row))
-    labelled = sorted(sample.benchmark_id for sample in samples)
-    if sorted(manifest.train_ids + manifest.inference_ids) != labelled:
+        samples[benchmark_id] = LabeledSample(benchmark_id, features, record["label_code"], row)
+    if sorted(manifest.train_ids + manifest.inference_ids) != sorted(samples):
         raise ValueError(
             f"{manifest_path}: train_ids and inference_ids must together name each "
             f"benchmark of {paths[LABELS_FILE]} once"
         )
     front_entries = _check_fronts(runs, instances, paths[RUNS_FILE])
 
-    return Dataset(
-        instances=instances, front_entries=front_entries, samples=tuple(samples), manifest=manifest
-    )
+    return Dataset(instances, front_entries, samples, manifest)
 
 
 __all__ = [
@@ -683,7 +677,7 @@ __all__ = [
     "instance_line",
     "instance_master_seed",
     "load",
-    "manifest_checked_texts",
+    "manifest_hashes",
     "persist_results",
     "read_instances",
     "read_jsonl",

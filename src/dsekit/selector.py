@@ -441,24 +441,22 @@ def recommend(agent: PpoAgent, features: np.ndarray) -> tuple[ExplorerId, np.nda
 _CHECKPOINT_HEADER = "selector-checkpoint"
 
 
-# Every setting `save_selector` writes into the header, with the type it parses as.
-_SETTING_TYPES = dict(
-    fingerprint=str, seed=int, supervised_epochs=int, supervised_lr=float, rl_epochs=int,
-    rl_lr=float, clip=float, gamma=float, lam=float, value_coef=float, entropy_coef=float,
-    passes=int, hidden=int,
-)
+def _header_settings(fingerprint: str, seed: int) -> dict[str, object]:
+    """Every setting a checkpoint header carries, in header order; `load_selector`
+    wants each one, parseable as the type of its value here."""
+    return dict(
+        fingerprint=fingerprint, seed=seed, supervised_epochs=SUPERVISED_EPOCHS,
+        supervised_lr=SUPERVISED_LR, rl_epochs=RL_EPOCHS, rl_lr=RL_LR, clip=CLIP_RATIO,
+        gamma=DISCOUNT, lam=GAE_LAMBDA, value_coef=VALUE_COEF, entropy_coef=ENTROPY_COEF,
+        passes=UPDATE_PASSES, hidden=HIDDEN,
+    )
 
 
 def save_selector(out, agent: PpoAgent, *, fingerprint: str, seed: int) -> None:
     """One text record: header with hyperparameters, scaler, then three nets."""
-    settings = (
-        f"fingerprint={fingerprint} seed={seed} "
-        f"supervised_epochs={SUPERVISED_EPOCHS} supervised_lr={SUPERVISED_LR:.17g} "
-        f"rl_epochs={RL_EPOCHS} rl_lr={RL_LR:.17g} clip={CLIP_RATIO:.17g} "
-        f"gamma={DISCOUNT:.17g} lam={GAE_LAMBDA:.17g} value_coef={VALUE_COEF:.17g} "
-        f"entropy_coef={ENTROPY_COEF:.17g} passes={UPDATE_PASSES} hidden={HIDDEN}"
-    )
-    out.write(f"{_CHECKPOINT_HEADER} {settings}\n")
+    settings = _header_settings(fingerprint, seed).items()
+    tokens = (f"{k}={v:.17g}" if type(v) is float else f"{k}={v}" for k, v in settings)
+    out.write(f"{_CHECKPOINT_HEADER} {' '.join(tokens)}\n")
     head = agent.head
     write_matrix(out, "scaler_mean", head.scaler.mean)
     write_matrix(out, "scaler_std", head.scaler.std)
@@ -480,7 +478,8 @@ def load_selector(lines: Iterable[str]) -> tuple[PpoAgent, dict[str, str]]:
     settings = dict(
         token.split("=", 1) for token in header.split()[1:] if "=" in token
     )
-    for key, kind in _SETTING_TYPES.items():
+    for key, value in _header_settings("", 0).items():
+        kind = type(value)
         try:
             kind(settings[key])
         except KeyError:

@@ -86,6 +86,7 @@ def read_jsonl_calls(tree: ast.Module) -> list[ast.Call]:
 
 
 def test_every_read_jsonl_call_passes_a_field_table():
+    """Each call also passes text its caller read, never the constant None."""
     modules = parsed_modules()
     calls = {path: read_jsonl_calls(tree) for path, tree in modules.items()}
     assert sum(len(found) for found in calls.values()) >= 6  # read_instances, load and report
@@ -94,6 +95,11 @@ def test_every_read_jsonl_call_passes_a_field_table():
             tables = call.args[2:3] + [kw.value for kw in call.keywords if kw.arg == "fields"]
             assert len(tables) == 1, f"{path.name}:{call.lineno}"
             assert isinstance(tables[0], ast.Name) and tables[0].id.endswith("_FIELDS"), (
+                f"{path.name}:{call.lineno}"
+            )
+            texts = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "text"]
+            assert len(texts) == 1, f"{path.name}:{call.lineno}"
+            assert not (isinstance(texts[0], ast.Constant) and texts[0].value is None), (
                 f"{path.name}:{call.lineno}"
             )
 
@@ -114,7 +120,7 @@ def test_every_table_key_is_a_key_its_writer_emits(tmp_path):
     sample = dataset.LabeledSample(instance.id, features, label, portfolio.adrs_values)
     run = dataset._run_line(instance.id, portfolio.results[0], portfolio.adrs_values[0])
     written = {
-        "INSTANCE_FIELDS": dataset.instance_line(instance, "small", features),
+        "INSTANCE_FIELDS": dataset.instance_line(instance, features),
         "RUN_FIELDS": run,
         "FRONT_POINT_FIELDS": run["front"][0],
         "LABEL_FIELDS": dataset._label_line(instance.id, label, portfolio.adrs_values),

@@ -112,12 +112,12 @@ class TestSynthInstance:
         a = synth_instance(Family.DECEPTIVE, 11, "medium")
         b = synth_instance(Family.DECEPTIVE, 11, "medium")
         assert a == b
-        assert instance_to_record(a, "medium") == instance_to_record(b, "medium")
+        assert instance_to_record(a) == instance_to_record(b)
 
     def test_distinct_seeds_differ(self):
         a = synth_instance(Family.RUGGED, 0, "small")
         b = synth_instance(Family.RUGGED, 1, "small")
-        assert instance_to_record(a, "small") != instance_to_record(b, "small")
+        assert instance_to_record(a) != instance_to_record(b)
 
     def test_unknown_size_class(self):
         with pytest.raises(ValueError, match="unknown size class"):
@@ -125,7 +125,7 @@ class TestSynthInstance:
 
     def test_record_roundtrip(self):
         inst = synth_instance(Family.CLUSTERED, 3, "small")
-        back = instance_from_record(instance_to_record(inst, "small"))
+        back = instance_from_record(instance_to_record(inst))
         assert back == inst
 
 
@@ -140,7 +140,8 @@ class TestExtractFeatures:
     def test_log_space_size_component(self):
         """|DS| = 1000 puts exactly 3.0 in the first component."""
         inst = BenchmarkInstance(
-            id="t", schema=make_schema((10, 10, 10)), graph=chain_graph(), family=Family.SMOOTH, seed=0
+            id="t", schema=make_schema((10, 10, 10)), graph=chain_graph(), family=Family.SMOOTH, seed=0,
+            size_class="small",
         )
         feats = extract_features(inst)
         assert feats[0] == 3.0
@@ -151,7 +152,8 @@ class TestExtractFeatures:
         """All-arith edgeless graph: histogram is a point mass, no depth, no edges."""
         graph = OperationGraph(("arith",) * 9, ())
         inst = BenchmarkInstance(
-            id="d", schema=make_schema((10, 10)), graph=graph, family=Family.SMOOTH, seed=0
+            id="d", schema=make_schema((10, 10)), graph=graph, family=Family.SMOOTH, seed=0,
+            size_class="small",
         )
         feats = extract_features(inst)
         hist = feats[9:17]
@@ -168,7 +170,8 @@ class TestExtractFeatures:
             Knob("partition3", "partition", 4, (1, 2, 4, 8)),
         )
         inst = BenchmarkInstance(
-            id="k", schema=KnobSchema(knobs), graph=chain_graph(), family=Family.SMOOTH, seed=0
+            id="k", schema=KnobSchema(knobs), graph=chain_graph(), family=Family.SMOOTH, seed=0,
+            size_class="small",
         )
         feats = extract_features(inst)
         assert list(feats[4:7]) == [1.0, 1.0, 2.0]
@@ -192,6 +195,7 @@ class TestExtractFeatures:
                 graph=OperationGraph(tuple(new_types), tuple(new_edges)),
                 family=inst.family,
                 seed=inst.seed,
+                size_class=inst.size_class,
             )
             assert np.array_equal(extract_features(inst), extract_features(relabeled))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import math
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from dsekit import cli
+from dsekit import cli, dataset
 from dsekit.cli import (
     ACCURACY_FILE,
     ADRS_MATRIX_FILE,
@@ -33,6 +34,7 @@ from dsekit.explorers import ExplorerId
 from dsekit.hashing import fnv1a64_hex
 
 SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
+FAMILY_NAMES = "smooth, rugged, deceptive, plateau, clustered"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -569,7 +571,7 @@ class TestInputChecks:
         "edit,message",
         [
             (lambda r: r.pop("schema"), "missing key 'schema'"),
-            (lambda r: r.update(family="nope"), "unknown family: 'nope'"),
+            (lambda r: r.update(family="nope"), f"family must be one of {FAMILY_NAMES}, got 'nope'"),
             (lambda r: r.update(seed="x"), "seed must be an integer >= 0, got 'x'"),
             (lambda r: r.update(seed=-1), "seed must be an integer >= 0, got -1"),
             (lambda r: r.update(graph={"nodes": [], "edges": []}), "graph needs 8..512 nodes, got 0"),
@@ -663,6 +665,40 @@ class TestInputChecks:
             "the scaler: mean 5e+307, std inf\n"
         )
         assert not (tmp_path / "t" / CHECKPOINT_FILE).exists()
+
+    def test_run_refuses_a_family_name_synth_does_not_write(self, tmp_path, capsys):
+        """`--families` takes a name in any case and spacing; instances.jsonl only as `synth` writes it."""
+        d = tmp_path / "d"
+        synth = ["synth", "--families", " SMOOTH,Plateau", "--seeds", "0", "--size", "small"]
+        assert main(synth + ["--out", str(d)]) == 0
+        records = read_jsonl(d / "instances.jsonl")
+        assert [record["family"] for record in records] == ["smooth", "plateau"]
+        records[0]["family"] = " SMOOTH"
+        (d / "instances.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+        capsys.readouterr()
+        assert main(["run", "--dataset", str(d), "--budget", "5"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {d / 'instances.jsonl'}:1: family must be one of {FAMILY_NAMES}, got ' SMOOTH'\n"
+        )
+        assert not (d / "manifest.json").exists()
+
+    def test_run_refuses_a_size_class_the_design_space_does_not_fit(self, tmp_path, capsys):
+        """A medium suite relabelled small: the first line is named with its size and the range."""
+        d = tmp_path / "d"
+        synth = ["synth", "--families", "smooth,plateau", "--seeds", "0", "--size", "medium"]
+        assert main(synth + ["--out", str(d)]) == 0
+        records = read_jsonl(d / "instances.jsonl")
+        for record in records:
+            record["size_class"] = "small"
+        (d / "instances.jsonl").write_text("".join(json.dumps(record) + "\n" for record in records))
+        size = math.prod(knob["cardinality"] for knob in records[0]["schema"])
+        capsys.readouterr()
+        assert main(["run", "--dataset", str(d), "--budget", "5"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {d / 'instances.jsonl'}:1: design space size {size} is outside "
+            "size class 'small', [100, 1000]\n"
+        )
+        assert not (d / "manifest.json").exists()
 
 
 def test_importing_the_cli_leaves_the_explorer_algorithms_unloaded():
@@ -781,6 +817,35 @@ class TestRunAndTrainArtifacts:
         assert main(["run", "--dataset", str(d), "--budget", "5"]) == 0
         with pytest.raises(ValueError, match="^dataset corrupted/stale: .*instances.jsonl hash"):
             load(d)
+
+    def test_each_command_reads_each_input_file_once(self, tmp_path, monkeypatch):
+        """Every read goes through `read_text`, which `cli` imports by name."""
+        reads: collections.Counter[Path] = collections.Counter()
+        real_read_text = dataset.read_text
+
+        def counted(path, *args):
+            reads[path] += 1
+            return real_read_text(path, *args)
+
+        monkeypatch.setattr(dataset, "read_text", counted)
+        monkeypatch.setattr(cli, "read_text", counted)
+        d, t, i = tmp_path / "d", tmp_path / "t", tmp_path / "i"
+
+        def reads_of(argv: list[str]) -> dict[Path, int]:
+            reads.clear()
+            assert main(argv) == 0
+            return dict(reads)
+
+        assert main(SYNTH + ["--out", str(d)]) == 0
+        assert reads_of(["run", "--dataset", str(d), "--budget", "5"]) == {d / "instances.jsonl": 1}
+        data = {d / name: 1 for name in ("manifest.json", "instances.jsonl", "runs.jsonl", "labels.jsonl")}
+        assert reads_of(["train", "--dataset", str(d), "--out", str(t)]) == data
+        infer = ["infer", "--dataset", str(d), "--checkpoints", str(t), "--budget", "5", "--out", str(i)]
+        assert reads_of(infer) == data
+        report = ["report", "--runs", str(d / "runs.jsonl"), "--labels", str(d / "labels.jsonl")]
+        report += ["--report", str(i / REPORT_FILE), "--out", str(tmp_path / "r")]
+        del data[d / "instances.jsonl"]
+        assert reads_of(report) == {**data, i / REPORT_FILE: 1}
 
     def test_curve_files_have_pinned_epoch_counts(self, pipeline):
         supervised = (pipeline["t"] / SUPERVISED_CURVE_FILE).read_text().splitlines()

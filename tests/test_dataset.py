@@ -65,7 +65,7 @@ def persist_tiny(out):
     feature_map = {inst.id: tuple(float(v) for v in extract_features(inst)) for inst in instances}
     instances_hash = write_jsonl(
         out / INSTANCES_FILE,
-        (instance_line(inst, size_class, feature_map[inst.id]) for inst in instances),
+        (instance_line(inst, feature_map[inst.id]) for inst in instances),
     )
     train_ids, inference_ids = split_ids([inst.id for inst in instances], 0.69, MASTER_SEED)
     manifest = DatasetManifest(
@@ -127,7 +127,7 @@ class TestReadJsonl:
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n{"a": \n')
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
-            read_jsonl(path, None, {})
+            read_jsonl(path, path.read_text(), {})
 
     def test_line_that_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -208,13 +208,13 @@ class TestPersistAndLoad:
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
         loaded = load(tmp_path)
         assert loaded.manifest == manifest
-        assert loaded.instances == instances
-        assert [s.benchmark_id for s in loaded.samples] == [i.id for i in instances]
-        for sample, portfolio in zip(loaded.samples, portfolios):
+        assert loaded.instances == {inst.id: inst for inst in instances}
+        assert list(loaded.samples) == [i.id for i in instances]
+        for sample, portfolio in zip(loaded.samples.values(), portfolios):
             assert sample.features == feature_map[sample.benchmark_id]
             assert sample.label == portfolio.argmin.value
             assert sample.adrs_row == portfolio.adrs_values
-        runs = read_jsonl(tmp_path / RUNS_FILE, None, RUN_FIELDS)
+        runs = read_jsonl(tmp_path / RUNS_FILE, (tmp_path / RUNS_FILE).read_text(), RUN_FIELDS)
         assert [(r["benchmark_id"], r["explorer_code"], r["adrs"]) for r in runs] == [
             (inst.id, result.explorer.value, value)
             for inst, portfolio in zip(instances, portfolios)
@@ -233,7 +233,7 @@ class TestPersistAndLoad:
 
     def test_labels_match_argmin(self, tiny_dataset):
         dataset, _ = tiny_dataset
-        for sample in dataset.samples:
+        for sample in dataset.samples.values():
             row = np.array(sample.adrs_row)
             assert sample.label == int(np.argmin(row))
 
