@@ -271,7 +271,7 @@ def _synth_schema(rng: np.random.Generator, family: Family, size_class: str) -> 
     knobs = []
     for i, card in enumerate(cards):
         if card == 2:
-            kind = _KNOB_KIND_BINARY[_weighted_choice(rng, style["binary"])]
+            kind = KNOB_KINDS[_weighted_choice(rng, style["binary"])]
         else:
             kind = _KNOB_KIND_WIDE[_weighted_choice(rng, style["wide"])]
         if kind == "pipeline":
@@ -282,7 +282,6 @@ def _synth_schema(rng: np.random.Generator, family: Family, size_class: str) -> 
     return KnobSchema(tuple(knobs))
 
 
-_KNOB_KIND_BINARY = ("unroll", "pipeline", "partition")
 _KNOB_KIND_WIDE = ("unroll", "partition")
 
 

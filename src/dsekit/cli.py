@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import Family, extract_features
+from .benchmarks import SIZE_CLASSES, Family, extract_features
 from .blas import use_one_blas_thread
 from .dataset import (
     INSTANCES_FILE,
@@ -251,10 +251,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
     checkpoint = Path(args.checkpoints)
     if checkpoint.is_dir():
         checkpoint = checkpoint / CHECKPOINT_FILE
-    if not checkpoint.exists():
-        raise FileNotFoundError(f"checkpoint missing: {checkpoint}")
+    text = read_text(checkpoint)
     try:
-        agent, settings = load_selector(checkpoint.read_text(encoding="utf-8").splitlines())
+        agent, settings = load_selector(text.splitlines())
     except ValueError as exc:
         raise ValueError(f"{checkpoint}: {exc}") from None
     fingerprint = dataset_fingerprint(ds.manifest)
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--families",
         type=_families_arg,
-        default="smooth,rugged,deceptive,plateau,clustered",
+        default=",".join(family.name.lower() for family in Family),
         metavar="LIST",
         help="comma-separated family names",
     )
@@ -405,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--size",
-        choices=("small", "medium", "large"),
+        choices=tuple(SIZE_CLASSES),
         default="medium",
         help="design-space size class",
     )

@@ -120,6 +120,7 @@ INSTANCE_FIELDS: Fields = {
 RUN_FIELDS: Fields = {
     "benchmark_id": _STRING,
     "explorer_code": _CODE,
+    "adrs": _NON_NEGATIVE,
     "wall_seconds": _NUMBER,
     "front": _LIST,
 }
@@ -492,17 +493,18 @@ def check_runs_cover(
     runs: Iterable[dict], labels: Iterable[dict], runs_path: Path, labels_path: Path
 ) -> None:
     """Require one runs record of each of the ten explorers for every labelled benchmark,
-    and each label's `adrs_row` to have its first minimum at `label_code`; a
-    repeated record is rejected too. Takes records that passed their field tables.
+    with its `adrs` equal to the label's `adrs_row` entry, and each label's
+    `adrs_row` to have its first minimum at `label_code`; a repeated record is
+    rejected too. Takes records that passed their field tables.
     """
-    covered: set[tuple[str, int]] = set()
+    covered: dict[tuple[str, int], tuple[int, float]] = {}  # -> (line, adrs)
     for lineno, record in enumerate(runs, 1):
         benchmark_id, code = record["benchmark_id"], record["explorer_code"]
         if (benchmark_id, code) in covered:
             raise ValueError(
                 f"{runs_path}:{lineno}: repeated run of explorer code {code} on {benchmark_id}"
             )
-        covered.add((benchmark_id, code))
+        covered[benchmark_id, code] = (lineno, record["adrs"])
     labelled: set[str] = set()
     for lineno, record in enumerate(labels, 1):
         benchmark_id, row = record["benchmark_id"], record["adrs_row"]
@@ -521,6 +523,13 @@ def check_runs_cover(
                 f"{runs_path} has no run of {', '.join(missing)} on benchmark "
                 f"{benchmark_id} named in {labels_path}:{lineno}"
             )
+        for code, value in enumerate(row):
+            run_line, run_adrs = covered[benchmark_id, code]
+            if run_adrs != value:
+                raise ValueError(
+                    f"{runs_path}:{run_line}: adrs {run_adrs!r} of explorer code {code} on "
+                    f"{benchmark_id} is not its adrs_row entry {value!r} in {labels_path}:{lineno}"
+                )
 
 
 def _check_fronts(

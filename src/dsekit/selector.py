@@ -11,6 +11,10 @@ so there is no state transition), but the advantage estimator is written for
 any horizon and for a batch of episodes that share one. An epoch's buffer is
 a set of aligned arrays, one row per benchmark: states, actions, behaviour
 log-probabilities, advantages and critic targets.
+
+Both stages train with one recipe. Its settings are the module constants
+below, which every checkpoint header records, and the training code reads
+them where it uses them; a caller chooses only the seed and the epoch counts.
 """
 
 from __future__ import annotations
@@ -112,7 +116,6 @@ def pretrain_supervised(
     labels: Sequence[int],
     *,
     epochs: int = SUPERVISED_EPOCHS,
-    lr: float = SUPERVISED_LR,
     seed: int = 0,
 ) -> tuple[SupervisedHead, list[float]]:
     """Full-batch gradient descent on cross-entropy; returns the loss curve.
@@ -144,7 +147,7 @@ def pretrain_supervised(
         if not math.isfinite(loss):
             raise FloatingPointError("supervised pretraining diverged: non-finite loss")
         curve.append(loss)
-        sgd_step(net.params, backward(net, x, hidden, dlogits, out=grad), lr)
+        sgd_step(net.params, backward(net, x, hidden, dlogits, out=grad), SUPERVISED_LR)
     return SupervisedHead(scaler=scaler, net=net), curve
 
 
@@ -210,7 +213,6 @@ def ppo_policy_loss(
     old_logp: np.ndarray,
     advantages: np.ndarray,
     *,
-    clip: float = CLIP_RATIO,
     parts: tuple[np.ndarray, np.ndarray],
     onehot: np.ndarray,
 ) -> tuple[float, np.ndarray]:
@@ -222,13 +224,13 @@ def ppo_policy_loss(
     n = logits.shape[0]
     logp, p = parts
     ratio = np.exp(logp[np.arange(n), actions] - old_logp)
-    clipped = np.minimum(np.maximum(ratio, 1.0 - clip), 1.0 + clip)
+    clipped = np.minimum(np.maximum(ratio, 1.0 - CLIP_RATIO), 1.0 + CLIP_RATIO)
     surr_plain = ratio * advantages
     surr_clip = clipped * advantages
     loss = -(np.add.reduce(np.minimum(surr_plain, surr_clip)) / n)
     # gradient flows through the ratio only where the plain branch is active
     # or the clip is not binding; elsewhere the objective is locally flat
-    inside = clipped == ratio  # 1 - clip <= ratio <= 1 + clip; false for NaN
+    inside = clipped == ratio  # 1 - CLIP_RATIO <= ratio <= 1 + CLIP_RATIO; false for NaN
     active = (surr_plain <= surr_clip) | inside
     scale = np.where(active, advantages, 0.0)
     scale *= ratio
@@ -326,14 +328,8 @@ class _Learner:
         old_logp: np.ndarray,
         advantages: np.ndarray,
         returns: np.ndarray,
-        *,
-        passes: int,
-        lr: float,
-        clip: float,
-        value_coef: float,
-        entropy_coef: float,
     ) -> list[float]:
-        """`passes` gradient steps on one buffer; returns the combined losses."""
+        """UPDATE_PASSES gradient steps on one buffer; returns the combined losses."""
         n = len(actions)
         if n == 0:
             raise ValueError("a PPO update needs a non-empty buffer")
@@ -343,25 +339,25 @@ class _Learner:
         onehot = np.zeros((n, actor.dims[2]))
         onehot[np.arange(n), actions] = 1.0
         losses: list[float] = []
-        for _ in range(passes):
+        for _ in range(UPDATE_PASSES):
             logits, hidden = forward(actor, states)
             parts = softmax_parts(logits)
             policy_loss, dlogits = ppo_policy_loss(
-                logits, actions, old_logp, advantages, clip=clip, parts=parts, onehot=onehot
+                logits, actions, old_logp, advantages, parts=parts, onehot=onehot
             )
             entropy, d_entropy = mean_entropy(logits, parts=parts)
-            d_entropy *= entropy_coef
+            d_entropy *= ENTROPY_COEF
             dlogits -= d_entropy
             pred, hidden_c = forward(critic, z)
             value_loss, d_value = mean_squared_error(pred, target)
-            total = policy_loss + value_coef * value_loss - entropy_coef * entropy
+            total = policy_loss + VALUE_COEF * value_loss - ENTROPY_COEF * entropy
             if not math.isfinite(total):
                 raise FloatingPointError("ppo update diverged: non-finite loss")
             losses.append(total)
             backward(actor, states, hidden, dlogits, out=self.actor_grad)
-            d_value *= value_coef
+            d_value *= VALUE_COEF
             backward(critic, z, hidden_c, d_value, out=self.critic_grad)
-            sgd_step(self.params, self.grad, lr)
+            sgd_step(self.params, self.grad, RL_LR)
         return losses
 
 
@@ -372,9 +368,6 @@ def train_rl(
     *,
     epochs: int = RL_EPOCHS,
     seed: int = 0,
-    lr: float = RL_LR,
-    passes: int = UPDATE_PASSES,
-    entropy_coef: float = ENTROPY_COEF,
 ) -> tuple[PpoAgent, list[float]]:
     """PPO over one-decision episodes; returns the per-epoch mean reward curve.
 
@@ -414,16 +407,7 @@ def train_rl(
         advantages, returns = gae(rewards[:, None], values[order][:, None])
         curve.append(float(rewards.sum() / n))
         learner.update(
-            states[order],
-            actions,
-            logp[order, actions],
-            normalized(advantages[:, 0]),
-            returns[:, 0],
-            passes=passes,
-            lr=lr,
-            clip=CLIP_RATIO,
-            value_coef=VALUE_COEF,
-            entropy_coef=entropy_coef,
+            states[order], actions, logp[order, actions], normalized(advantages[:, 0]), returns[:, 0]
         )
     return learner.trained(), curve
 

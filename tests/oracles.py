@@ -289,7 +289,7 @@ def entropy_of(logits: np.ndarray) -> tuple[float, np.ndarray]:
     return mean_entropy(logits, parts=softmax_parts(logits))
 
 
-def policy_loss_of(logits, actions, old_logp, advantages, **kwargs) -> tuple[float, np.ndarray]:
+def policy_loss_of(logits, actions, old_logp, advantages) -> tuple[float, np.ndarray]:
     """`selector.ppo_policy_loss` given the logits' softmax parts and the actions' one-hot rows."""
     from dsekit.nn import softmax_parts
     from dsekit.selector import ppo_policy_loss
@@ -297,7 +297,7 @@ def policy_loss_of(logits, actions, old_logp, advantages, **kwargs) -> tuple[flo
     onehot = np.zeros_like(logits)
     onehot[np.arange(len(actions)), actions] = 1.0
     return ppo_policy_loss(
-        logits, actions, old_logp, advantages, parts=softmax_parts(logits), onehot=onehot, **kwargs
+        logits, actions, old_logp, advantages, parts=softmax_parts(logits), onehot=onehot
     )
 
 

@@ -1,8 +1,9 @@
-"""The package exports only what the package itself uses, and reads every
-JSONL input through a field table.
+"""The package exports only what the package itself uses, has no parameter
+that only tests set, and reads every JSONL input through a field table.
 
 A public name (one listed in a module's `__all__`) that no code in `src/`
-reads is API kept alive only by tests; such code belongs in the tests.
+reads is API kept alive only by tests; such code belongs in the tests. So is
+a defaulted parameter that no call in `src/` passes.
 """
 
 from __future__ import annotations
@@ -74,6 +75,71 @@ def test_no_module_imports_an_underscore_name_from_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# Defaulted parameters that no call in the package passes, each with its reason.
+UNPASSED_DEFAULTS = {
+    "main.argv": "`entry` calls main() so that argparse reads sys.argv",
+    "pretrain_supervised.epochs": "the run length, which unit tests shorten",
+    "train_rl.epochs": "the run length, which unit tests shorten",
+    "gae.gamma": "acceptance guarantee 6 checks gae's closed forms at other discounts",
+    "gae.lam": "acceptance guarantee 6 checks gae's closed forms at lam 0 and 1",
+    "gae.bootstrap": "acceptance guarantee 6 checks gae's closed forms on cut-off episodes",
+}
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, call position or None if keyword-only) of every
+    defaulted parameter of a def. A method is called through an instance or its
+    class, so `self` or `cls` takes no call position, and `__init__` is called
+    by its class name."""
+    found = []
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            callee = owner.name if bound and node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first - bound):
+                found.append((callee, arg.arg, index))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((callee, arg.arg, None))
+    return found
+
+
+def passes(call: ast.Call, parameter: str, index: int | None) -> bool:
+    """Whether a call passes the parameter by keyword, by position or by unpacking."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
+    """A default that no call in `src/` overrides is a setting only tests choose.
+    Calls are matched to defs by name alone, so two defs of one name share their calls."""
+    modules = parsed_modules()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    defaults = [found for tree in modules.values() for found in defaulted_parameters(tree)]
+    assert ("read_text", "expected_hash", 1) in defaults and ("init", "seed", 1) in defaults
+    unpassed = {
+        f"{callee}.{parameter}"
+        for callee, parameter, index in defaults
+        if not any(passes(call, parameter, index) for call in calls.get(callee, []))
+    }
+    assert unpassed == set(UNPASSED_DEFAULTS)
 
 
 def read_jsonl_calls(tree: ast.Module) -> list[ast.Call]:

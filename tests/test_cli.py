@@ -666,6 +666,38 @@ class TestInputChecks:
         )
         assert not (tmp_path / "t" / CHECKPOINT_FILE).exists()
 
+    def test_a_runs_record_from_another_suite_is_refused(self, pipeline, tmp_path, capsys):
+        """The same cell run at another budget and master seed: the record is well formed and
+        its front lies in the design space, but its adrs is not the entry of the label row."""
+        other = tmp_path / "other"
+        other.mkdir()
+        shutil.copy(pipeline["d"] / "instances.jsonl", other)
+        assert main(["run", "--dataset", str(other), "--budget", "30", "--master-seed", "5"]) == 0
+        ours, theirs = read_jsonl(pipeline["d"] / "runs.jsonl"), read_jsonl(other / "runs.jsonl")
+        n = next(n for n, (a, b) in enumerate(zip(ours, theirs)) if a["adrs"] != b["adrs"])
+        spliced = theirs[n]
+        benchmark_id, code = spliced["benchmark_id"], spliced["explorer_code"]
+        assert (ours[n]["benchmark_id"], ours[n]["explorer_code"]) == (benchmark_id, code)
+
+        def splice(records):
+            records[n] = spliced
+
+        d = rehashed_copy(pipeline, tmp_path, "runs.jsonl", splice)
+        labels = read_jsonl(d / "labels.jsonl")
+        label_line = next(i for i, r in enumerate(labels, 1) if r["benchmark_id"] == benchmark_id)
+        entry = labels[label_line - 1]["adrs_row"][code]
+        assert entry == ours[n]["adrs"]
+        want = (
+            f"error: {d / 'runs.jsonl'}:{n + 1}: adrs {spliced['adrs']!r} of explorer code {code} "
+            f"on {benchmark_id} is not its adrs_row entry {entry!r} in {d / 'labels.jsonl'}:{label_line}\n"
+        )
+        assert train_and_infer_fail(pipeline, d, tmp_path, capsys) == [want, want]
+        report = ["report", "--runs", str(d / "runs.jsonl"), "--labels", str(d / "labels.jsonl")]
+        report += ["--report", str(pipeline["i"] / REPORT_FILE), "--out", str(tmp_path / "r")]
+        assert main(report) == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "r").exists()
+
     def test_run_refuses_a_family_name_synth_does_not_write(self, tmp_path, capsys):
         """`--families` takes a name in any case and spacing; instances.jsonl only as `synth` writes it."""
         d = tmp_path / "d"
@@ -841,7 +873,7 @@ class TestRunAndTrainArtifacts:
         data = {d / name: 1 for name in ("manifest.json", "instances.jsonl", "runs.jsonl", "labels.jsonl")}
         assert reads_of(["train", "--dataset", str(d), "--out", str(t)]) == data
         infer = ["infer", "--dataset", str(d), "--checkpoints", str(t), "--budget", "5", "--out", str(i)]
-        assert reads_of(infer) == data
+        assert reads_of(infer) == {**data, t / CHECKPOINT_FILE: 1}
         report = ["report", "--runs", str(d / "runs.jsonl"), "--labels", str(d / "labels.jsonl")]
         report += ["--report", str(i / REPORT_FILE), "--out", str(tmp_path / "r")]
         del data[d / "instances.jsonl"]
@@ -921,7 +953,7 @@ def write_toy_files(root: Path, report: list[dict]) -> tuple[Path, Path, Path]:
     """The toy labels, their runs and the given report rows, as report's three inputs."""
     root.mkdir()
     runs = [
-        {"benchmark_id": record["benchmark_id"], "explorer_code": c, "wall_seconds": 0.25, "adrs": 0.0, "evaluations_used": 1, "front": []}
+        {"benchmark_id": record["benchmark_id"], "explorer_code": c, "wall_seconds": 0.25, "adrs": record["adrs_row"][c], "evaluations_used": 1, "front": []}
         for record in TOY_LABELS
         for c in range(len(ExplorerId))
     ]

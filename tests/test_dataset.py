@@ -143,7 +143,10 @@ class TestSamples:
     """Runs and labels records as `load` and `report` take them: through
     `read_jsonl` with the file's field table, then `check_runs_cover`."""
 
-    RUNS = [{"benchmark_id": "b", "explorer_code": code, "wall_seconds": 0.5, "front": []} for code in range(10)]
+    RUNS = [
+        {"benchmark_id": "b", "explorer_code": code, "adrs": 0.5, "wall_seconds": 0.5, "front": []}
+        for code in range(10)
+    ]
 
     @classmethod
     def check(cls, runs, labels):
@@ -155,12 +158,13 @@ class TestSamples:
         )
 
     @classmethod
-    def check_label(cls, label_code, adrs_row):
-        cls.check(cls.RUNS, [{"benchmark_id": "b", "label_code": label_code, "adrs_row": adrs_row}])
+    def check_label(cls, label_code, adrs_row, runs=RUNS):
+        cls.check(runs, [{"benchmark_id": "b", "label_code": label_code, "adrs_row": adrs_row}])
 
     def test_label_law_enforced(self):
         row = [0.5, 0.1, 0.1, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
-        self.check_label(1, row)  # lowest-code minimizer is fine
+        runs = [dict(run, adrs=value) for run, value in zip(self.RUNS, row)]
+        self.check_label(1, row, runs)  # lowest-code minimizer is fine
         with pytest.raises(ValueError, match="^labels.jsonl:1: label_code of b is not 1, the lowest index"):
             self.check_label(2, row)
         for mistyped in (True, 1.0):
@@ -185,6 +189,12 @@ class TestSamples:
             ("explorer_code", False, "explorer_code must be an integer in 0..9, got False"),
             ("explorer_code", 3.0, "explorer_code must be an integer in 0..9, got 3.0"),
             ("benchmark_id", ["b"], re.escape("benchmark_id must be a string, got ['b']")),
+            ("adrs", -0.5, re.escape("adrs must be a finite number >= 0, got -0.5")),
+            (
+                "adrs",
+                0.25,
+                "adrs 0.25 of explorer code 3 on b is not its adrs_row entry 0.5 in labels.jsonl:1",
+            ),
         ],
     )
     def test_runs_name_an_explorer_of_a_named_benchmark(self, key, value, message):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsekit import selector
 from dsekit.explorers import ExplorerId
 from dsekit.nn import (
     Mlp,
@@ -279,13 +280,16 @@ class TestSupervisedHead:
         assert (head_a.net.w2 == head_b.net.w2).all()
 
 
-PPO_SETTINGS = dict(lr=RL_LR, clip=CLIP_RATIO, value_coef=VALUE_COEF, entropy_coef=ENTROPY_COEF)
+# The training settings, spelled out for the reference update.
+PPO_SETTINGS = dict(
+    passes=UPDATE_PASSES, lr=RL_LR, clip=CLIP_RATIO, value_coef=VALUE_COEF, entropy_coef=ENTROPY_COEF
+)
 
 
-def learner_update(agent, *buffer, passes=UPDATE_PASSES):
-    """One PPO update of a fresh learner at the training settings: (agent, losses)."""
+def learner_update(agent, *buffer):
+    """One PPO update of a fresh learner: (agent, losses)."""
     learner = _Learner(agent)
-    losses = learner.update(*buffer, passes=passes, **PPO_SETTINGS)
+    losses = learner.update(*buffer)
     return learner.trained(), losses
 
 
@@ -394,12 +398,12 @@ class TestInPlaceTraining:
     """The in-place training loops against the step-by-new-network routines they replaced."""
 
     @settings(max_examples=150, deadline=None)
-    @given(buffer=ppo_buffers(), passes=st.integers(1, 4))
-    def test_ppo_update_has_the_bits_of_the_reference(self, buffer, passes):
+    @given(buffer=ppo_buffers())
+    def test_ppo_update_has_the_bits_of_the_reference(self, buffer):
         agent = buffer[0]
         before = [agent.actor.params.copy(), agent.critic.params.copy()]
-        got, losses = learner_update(*buffer, passes=passes)
-        want, want_losses = reference_ppo_update(*buffer, passes=passes, **PPO_SETTINGS)
+        got, losses = learner_update(*buffer)
+        want, want_losses = reference_ppo_update(*buffer, **PPO_SETTINGS)
         assert same_bits(losses, want_losses)
         assert same_bits(got.actor.params, want.actor.params)
         assert same_bits(got.critic.params, want.critic.params)
@@ -463,14 +467,15 @@ class TestInPlaceTraining:
         assert not same_bits(trained.actor.params, before[0])
         assert not same_bits(trained.critic.params, before[1])
 
-    def test_a_non_finite_update_is_refused(self):
+    def test_a_non_finite_update_is_refused(self, monkeypatch):
         rng = np.random.default_rng(61)
         features, scores, labels = blob_problem(rng, n=4)
         head, _ = pretrain_supervised(features, labels, epochs=5)
         agent = PpoAgent.init(head, seed=0)
+        monkeypatch.setattr(selector, "RL_LR", 1e308)
         with pytest.raises(FloatingPointError, match="diverged"):
             with np.errstate(over="ignore", invalid="ignore"):
-                train_rl(agent, features, scores, epochs=2, seed=0, lr=1e308)
+                train_rl(agent, features, scores, epochs=2, seed=0)
 
 
 class TestTrainRl:
@@ -505,20 +510,19 @@ class TestTrainRl:
         trained, curve = train_rl(PpoAgent.init(head, 0), features, scores, epochs=300, seed=0)
         assert np.mean(curve[-100:]) >= np.mean(curve[:100])
 
-    def test_entropy_bonus_keeps_the_policy_softer(self):
+    def test_entropy_bonus_keeps_the_policy_softer(self, monkeypatch):
         rng = np.random.default_rng(16)
         features, scores, labels = blob_problem(rng, n=16, blobs=2)
         head, _ = pretrain_supervised(features, labels, epochs=20)
 
         def final_entropy(coef):
-            agent, _ = train_rl(
-                PpoAgent.init(head, 0), features, scores, epochs=150, seed=1, entropy_coef=coef
-            )
+            monkeypatch.setattr(selector, "ENTROPY_COEF", coef)
+            agent, _ = train_rl(PpoAgent.init(head, 0), features, scores, epochs=150, seed=1)
             states = agent.states(features)
             logp = log_softmax(forward(agent.actor, states)[0])
             return float(-(np.exp(logp) * logp).sum(axis=1).mean())
 
-        assert final_entropy(0.01) >= final_entropy(0.0)
+        assert final_entropy(0.01) > final_entropy(0.0)
 
     def test_rl_leaves_the_prior_head_untouched(self):
         rng = np.random.default_rng(17)
