@@ -162,8 +162,10 @@ def _check_fields(record, fields: Fields) -> None:
 def canonical_json(value) -> str:
     """Deterministic JSON text with floats at 17 significant digits.
 
-    The standard serializer renders floats with shortest-round-trip repr;
-    this one pins the format instead so emitted bytes are stable across
+    Takes `dict` (string keys), `list`, `tuple`, `str`, `int` and finite
+    `float`, matched by exact type, so a bool, None or a numpy scalar is
+    refused. The standard serializer renders floats with shortest-round-trip
+    repr; this one pins the format instead so emitted bytes are stable across
     Python versions, which the manifest hashes rely on.
     """
     out: list[str] = []
@@ -172,29 +174,26 @@ def canonical_json(value) -> str:
 
 
 def _emit(value, out: list[str]) -> None:
-    if value is None or isinstance(value, bool):
-        out.append(json.dumps(value))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        value = float(value)
+    kind = type(value)
+    if kind is float:
         if not math.isfinite(value):
             raise ValueError(f"cannot serialize non-finite number {value!r}")
-        text = format(value, ".17g")
-        out.append(text)
-    elif isinstance(value, str):
+        out.append(format(value, ".17g"))
+    elif kind is int:
+        out.append(str(value))
+    elif kind is str:
         out.append(json.dumps(value))
-    elif isinstance(value, dict):
+    elif kind is dict:
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"object keys must be strings, got {key!r}")
             if i:
                 out.append(",")
             out.append(json.dumps(key) + ":")
             _emit(item, out)
         out.append("}")
-    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray):
+    elif kind in (list, tuple):
         out.append("[")
         for i, item in enumerate(value):
             if i:
@@ -202,7 +201,7 @@ def _emit(value, out: list[str]) -> None:
             _emit(item, out)
         out.append("]")
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 # -- domain types -----------------------------------------------------------------
@@ -381,7 +380,7 @@ def split_ids(
 def instance_line(instance: BenchmarkInstance, features: Iterable[float]) -> dict:
     """One instances.jsonl record: the instance and its feature vector."""
     record = instance_to_record(instance)
-    record["feature_vector"] = list(features)
+    record["feature_vector"] = [float(v) for v in features]
     return record
 
 

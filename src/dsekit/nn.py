@@ -3,8 +3,7 @@
 Everything here is deliberately small and explicit. The package needs only
 one architecture (input -> ReLU hidden -> linear output), three scalar heads
 (cross-entropy, mean entropy, mean squared error) and stochastic gradient
-descent. Checkpoints are line-oriented text with 17 significant digits,
-which round-trips float64 exactly and diffs cleanly.
+descent. `dsekit.selector` writes and reads the networks of its checkpoint.
 
 A network's parameters live in one contiguous float64 vector laid out as
 w1 (hidden, inputs), b1 (hidden), w2 (outputs, hidden), b2 (outputs), each
@@ -21,8 +20,6 @@ both the log-probabilities and the probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, TextIO
-
 import numpy as np
 
 _INIT_TAG = 0x3A91
@@ -170,91 +167,15 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         raise FloatingPointError("training diverged: non-finite parameter update")
 
 
-# -- text checkpoints ----------------------------------------------------------
-
-
-def write_matrix(out: TextIO, name: str, arr: np.ndarray) -> None:
-    """Write one named section, which must hold only finite values."""
-    arr = np.atleast_2d(arr)
-    _require_finite(name, arr)
-    out.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-    for row in arr:
-        out.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
-def read_matrix(lines: Iterator[str], name: str, shape: tuple[int, int]) -> np.ndarray:
-    """Read one named section, which must have the given shape and only finite values."""
-    header = next(lines, None)
-    if header is None:
-        raise ValueError(f"checkpoint truncated before section {name!r}")
-    fields = header.split()
-    if len(fields) != 3 or fields[0] != name:
-        raise ValueError(f"expected section {name!r}, found {header!r}")
-    rows, cols = shape
-    if fields[1:] != [str(rows), str(cols)]:
-        raise ValueError(f"section {name!r} is {fields[1]}x{fields[2]}, wants {rows}x{cols}")
-    data = np.empty((rows, cols))
-    for r in range(rows):
-        line = next(lines, None)
-        if line is None:
-            raise ValueError(f"checkpoint truncated inside section {name!r}")
-        values = line.split()
-        if len(values) != cols:
-            raise ValueError(f"section {name!r} row {r} has {len(values)} values, wants {cols}")
-        try:
-            data[r] = [float(v) for v in values]
-        except ValueError:
-            raise ValueError(f"section {name!r} row {r} holds a non-number") from None
-    _require_finite(name, data)
-    return data
-
-
-def _require_finite(name: str, data: np.ndarray) -> None:
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, c = bad[0]
-        raise ValueError(f"section {name!r} row {r} column {c} is {data[r, c]}, not finite")
-
-
-def save_mlp(out: TextIO, net: Mlp) -> None:
-    inputs, hidden, outputs = net.dims
-    out.write(f"mlp {inputs} {hidden} {outputs}\n")
-    write_matrix(out, "w1", net.w1)
-    write_matrix(out, "b1", net.b1)
-    write_matrix(out, "w2", net.w2)
-    write_matrix(out, "b2", net.b2)
-
-
-def load_mlp(lines: Iterator[str]) -> Mlp:
-    """Read one network record from an iterator of lines."""
-    header = next(lines, None)
-    if header is None or not header.startswith("mlp "):
-        raise ValueError(f"not an mlp checkpoint: {header!r}")
-    dims = [int(v) for v in header.split()[1:]]
-    if len(dims) != 3:
-        raise ValueError(f"malformed mlp header: {header!r}")
-    inputs, hidden, outputs = dims
-    return Mlp.from_arrays(
-        read_matrix(lines, "w1", (hidden, inputs)),
-        read_matrix(lines, "b1", (1, hidden))[0],
-        read_matrix(lines, "w2", (outputs, hidden)),
-        read_matrix(lines, "b2", (1, outputs))[0],
-    )
-
-
 __all__ = [
     "Mlp",
     "backward",
     "cross_entropy",
     "forward",
-    "load_mlp",
     "log_softmax",
     "mean_entropy",
     "mean_squared_error",
-    "read_matrix",
-    "save_mlp",
     "sgd_step",
     "softmax",
     "softmax_parts",
-    "write_matrix",
 ]

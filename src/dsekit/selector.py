@@ -15,6 +15,13 @@ log-probabilities, advantages and critic targets.
 Both stages train with one recipe. Its settings are the module constants
 below, which every checkpoint header records, and the training code reads
 them where it uses them; a caller chooses only the seed and the epoch counts.
+
+This module alone writes and reads `checkpoint.txt`, line-oriented text with
+floats at 17 significant digits, which round-trips float64 exactly and diffs
+cleanly. A header line of settings comes first, then the scaler's
+`scaler_mean` and `scaler_std` sections, then for each of the head, the actor
+and the critic an `mlp INPUTS HIDDEN OUTPUTS` line and its `w1`, `b1`, `w2`
+and `b2` sections. Every section holds only finite values.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -34,16 +41,12 @@ from .nn import (
     backward,
     cross_entropy,
     forward,
-    load_mlp,
     log_softmax,
     mean_entropy,
     mean_squared_error,
-    read_matrix,
-    save_mlp,
     sgd_step,
     softmax,
     softmax_parts,
-    write_matrix,
 )
 
 N_EXPLORERS = len(ExplorerId)
@@ -436,24 +439,27 @@ def _header_settings(fingerprint: str, seed: int) -> dict[str, object]:
     )
 
 
-def save_selector(out, agent: PpoAgent, *, fingerprint: str, seed: int) -> None:
+def save_selector(out: TextIO, agent: PpoAgent, *, fingerprint: str, seed: int) -> None:
     """One text record: header with hyperparameters, scaler, then three nets."""
     settings = _header_settings(fingerprint, seed).items()
     tokens = (f"{k}={v:.17g}" if type(v) is float else f"{k}={v}" for k, v in settings)
     out.write(f"{_CHECKPOINT_HEADER} {' '.join(tokens)}\n")
     head = agent.head
-    write_matrix(out, "scaler_mean", head.scaler.mean)
-    write_matrix(out, "scaler_std", head.scaler.std)
-    save_mlp(out, head.net)
-    save_mlp(out, agent.actor)
-    save_mlp(out, agent.critic)
+    _write_matrix(out, "scaler_mean", head.scaler.mean)
+    _write_matrix(out, "scaler_std", head.scaler.std)
+    for net in (head.net, agent.actor, agent.critic):
+        out.write("mlp {} {} {}\n".format(*net.dims))
+        for name in ("w1", "b1", "w2", "b2"):
+            _write_matrix(out, name, getattr(net, name))
 
 
 def load_selector(lines: Iterable[str]) -> tuple[PpoAgent, dict[str, str]]:
     """Rebuild (agent, header settings) from the lines of one checkpoint record.
 
     The header must carry every setting `save_selector` writes, each parseable
-    as its type, and `hidden` must be the hidden width of all three networks.
+    as its type. Each network's `mlp` line must name its role's inputs and
+    outputs and the header's `hidden`, and its four sections are then read at
+    the shapes that line gives.
     """
     lines = iter(lines)
     header = next(lines, None)
@@ -471,8 +477,8 @@ def load_selector(lines: Iterable[str]) -> tuple[PpoAgent, dict[str, str]]:
         except ValueError:
             raise ValueError(f"header {key}={settings[key]!r} is not {kind.__name__}") from None
     hidden = int(settings["hidden"])
-    mean = read_matrix(lines, "scaler_mean", (1, FEATURE_DIM))[0]
-    std = read_matrix(lines, "scaler_std", (1, FEATURE_DIM))[0]
+    mean = _read_matrix(lines, "scaler_mean", (1, FEATURE_DIM))[0]
+    std = _read_matrix(lines, "scaler_std", (1, FEATURE_DIM))[0]
     if (std <= 0.0).any():
         column = int(np.argmax(std <= 0.0))
         raise ValueError(f"section 'scaler_std' column {column} is not positive")
@@ -483,21 +489,73 @@ def load_selector(lines: Iterable[str]) -> tuple[PpoAgent, dict[str, str]]:
         ("actor", STATE_DIM, N_EXPLORERS),
         ("critic", FEATURE_DIM, 1),
     ):
+        line = next(lines, None)
+        if line is None or not line.startswith("mlp "):
+            raise ValueError(f"{role} network: not an mlp checkpoint: {line!r}")
+        dims = line.split()[1:]
+        if len(dims) != 3:
+            raise ValueError(f"{role} network: malformed mlp header: {line!r}")
+        # dimensions compare as text, as a section's do
+        if (dims[0], dims[2]) != (str(inputs), str(outputs)):
+            raise ValueError(f"{role} network is {'-'.join(dims)}, wants {inputs}-*-{outputs}")
+        if dims[1] != str(hidden):
+            raise ValueError(
+                f"header says hidden={hidden}, the {role} network has {dims[1]} hidden units"
+            )
+        shapes = (
+            ("w1", (hidden, inputs)), ("b1", (1, hidden)),
+            ("w2", (outputs, hidden)), ("b2", (1, outputs)),
+        )
         try:
-            net = load_mlp(lines)
+            params = [_read_matrix(lines, name, shape).ravel() for name, shape in shapes]
         except ValueError as exc:
             raise ValueError(f"{role} network: {exc}") from None
-        if (net.dims[0], net.dims[2]) != (inputs, outputs):
-            raise ValueError(
-                f"{role} network is {'-'.join(map(str, net.dims))}, wants {inputs}-*-{outputs}"
-            )
-        if net.dims[1] != hidden:
-            raise ValueError(
-                f"header says hidden={hidden}, the {role} network has {net.dims[1]} hidden units"
-            )
-        nets.append(net)
+        nets.append(Mlp((inputs, hidden, outputs), np.concatenate(params)))
     head = SupervisedHead(scaler=scaler, net=nets[0])
     return PpoAgent(head=head, actor=nets[1], critic=nets[2]), settings
+
+
+def _write_matrix(out: TextIO, name: str, arr: np.ndarray) -> None:
+    """Write one named section, which must hold only finite values."""
+    arr = np.atleast_2d(arr)
+    _require_finite(name, arr)
+    out.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
+    for row in arr:
+        out.write(" ".join(format(v, ".17g") for v in row) + "\n")
+
+
+def _read_matrix(lines: Iterator[str], name: str, shape: tuple[int, int]) -> np.ndarray:
+    """Read one named section, which must have the given shape and only finite values."""
+    header = next(lines, None)
+    if header is None:
+        raise ValueError(f"checkpoint truncated before section {name!r}")
+    fields = header.split()
+    if len(fields) != 3 or fields[0] != name:
+        raise ValueError(f"expected section {name!r}, found {header!r}")
+    rows, cols = shape
+    if fields[1:] != [str(rows), str(cols)]:
+        raise ValueError(f"section {name!r} is {fields[1]}x{fields[2]}, wants {rows}x{cols}")
+    data = np.empty((rows, cols))
+    for r in range(rows):
+        line = next(lines, None)
+        if line is None:
+            raise ValueError(f"checkpoint truncated inside section {name!r}")
+        values = line.split()
+        if len(values) != cols:
+            raise ValueError(f"section {name!r} row {r} has {len(values)} values, wants {cols}")
+        try:
+            data[r] = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"section {name!r} row {r} holds a non-number") from None
+    _require_finite(name, data)
+    return data
+
+
+def _require_finite(name: str, data: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"section {name!r} row {r} column {c} is {data[r, c]}, not finite")
 
 
 __all__ = [

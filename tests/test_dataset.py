@@ -91,13 +91,18 @@ class TestCanonicalJson:
         assert [float(v) for v in json.loads(text)] == values
 
     def test_deterministic_bytes(self):
-        record = {"a": [1, 2.5, "x"], "b": {"nested": None, "flag": True}}
+        record = {"a": [1, 2.5, "x"], "b": {"nested": (-0.0, 7)}}
         assert canonical_json(record) == canonical_json(record)
-        assert canonical_json(record) == '{"a":[1,2.5,"x"],"b":{"nested":null,"flag":true}}'
+        assert canonical_json(record) == '{"a":[1,2.5,"x"],"b":{"nested":[-0,7]}}'
 
-    def test_numpy_scalars_accepted(self):
-        text = canonical_json({"v": np.float64(0.25), "n": np.int64(3)})
-        assert json.loads(text) == {"v": 0.25, "n": 3}
+    @pytest.mark.parametrize(
+        "value,name",
+        [(np.float64(0.25), "float64"), (np.int64(3), "int64"), (np.zeros(2), "ndarray"),
+         (True, "bool"), (None, "NoneType")],
+    )
+    def test_only_plain_values_are_taken(self, value, name):
+        with pytest.raises(TypeError, match=f"cannot serialize {name}$"):
+            canonical_json({"records": [{"v": value}]})
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -8,7 +8,9 @@ succeed, or raise a ValueError or FileNotFoundError whose message is one line
 naming the edited file. Any other exception fails the test. `run` is held to
 the same on an edited instances file, whose edits also put a negative integer
 in place of an integer. A knob setting of a stored front point that leaves
-the design space must make `train` fail in one line too.
+the design space must make `train` fail in one line too. An instances file
+written with other JSON text for the same values must give `run` the same
+output.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dsekit.dataset import DATA_FILES, INSTANCES_FILE, LABELS_FILE, MANIFEST_FIL
 from dsekit.hashing import fnv1a64_hex
 
 SYNTH = ["synth", "--families", "smooth,clustered", "--seeds", "0..1", "--size", "small"]
+RUN = ["run", "--budget", "20"]
 MUTATIONS = ("delete_key", "swap_type", "bad_number", "drop_line", "cut_line", "flip_byte")
 OTHER_TYPES = ("x", 7, 0.5, True, None, [], {})
 BAD_SETTINGS = (-1, 99, True, 1.0, "1", None)
@@ -41,7 +44,7 @@ def round_dir(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("round")
     d, t, i = root / "d", root / "t", root / "i"
     assert main(SYNTH + ["--out", str(d)]) == 0
-    assert main(["run", "--dataset", str(d), "--budget", "20"]) == 0
+    assert main(RUN + ["--dataset", str(d)]) == 0
     assert main(["train", "--dataset", str(d), "--out", str(t)]) == 0
     infer = ["infer", "--dataset", str(d), "--checkpoints", str(t), "--budget", "20"]
     assert main(infer + ["--out", str(i)]) == 0
@@ -200,3 +203,26 @@ def test_train_rejects_a_front_point_outside_its_design_space(round_dir, data):
         assert code == 1 and err.count("\n") == 1, err
         assert err.startswith(f"error: {d / RUNS_FILE}:{n + 1}: front point "), err
         assert not (d / "t" / CHECKPOINT_FILE).exists()
+
+
+def reversed_keys(value):
+    """The parsed JSON value with every object's keys in reverse order."""
+    if isinstance(value, dict):
+        return {key: reversed_keys(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [reversed_keys(item) for item in value]
+    return value
+
+
+def test_run_reads_the_same_values_in_other_json_text_the_same(round_dir, tmp_path):
+    lines = (round_dir / INSTANCES_FILE).read_text().splitlines()
+    # reversed keys, `json.dumps`' ", " and ": " spacing, and its shortest float text
+    text = "".join(json.dumps(reversed_keys(json.loads(line))) + "\n" for line in lines)
+    assert text.splitlines() != lines
+    (tmp_path / INSTANCES_FILE).write_text(text)
+    assert main(RUN + ["--dataset", str(tmp_path)]) == 0
+    for name in (RUNS_FILE, LABELS_FILE):
+        assert (tmp_path / name).read_bytes() == (round_dir / name).read_bytes(), name
+    manifest, unmutated = (json.loads((d / MANIFEST_FILE).read_text()) for d in (tmp_path, round_dir))
+    assert manifest["hashes"].pop(INSTANCES_FILE) != unmutated["hashes"].pop(INSTANCES_FILE)
+    assert manifest == unmutated

@@ -1,8 +1,6 @@
-"""Tests for the neural core: forward oracle, exact gradients, checkpoints."""
+"""Tests for the neural core: forward oracle, exact gradients, descent steps."""
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 import pytest
@@ -12,10 +10,8 @@ from dsekit.nn import (
     backward,
     cross_entropy,
     forward,
-    load_mlp,
     log_softmax,
     mean_squared_error,
-    save_mlp,
     sgd_step,
     softmax,
     softmax_parts,
@@ -206,64 +202,3 @@ class TestTraining:
         assert again.dims == net.dims and (again.params == net.params).all()
         with pytest.raises(ValueError, match="float64 parameters"):
             Mlp(net.dims, net.params[:-1])
-
-
-class TestCheckpoint:
-    def test_round_trip_is_bit_exact(self):
-        net = Mlp.init(24, 256, 10, seed=3)
-        grad = Mlp.from_arrays(
-            np.full_like(net.w1, 1e-7),
-            np.full_like(net.b1, np.pi),
-            np.full_like(net.w2, -1e-13),
-            np.full_like(net.b2, 1.0 / 3.0),
-        ).params
-        sgd_step(net.params, grad, lr=0.123456789)
-        buf = io.StringIO()
-        save_mlp(buf, net)
-        loaded = load_mlp(io.StringIO(buf.getvalue()))
-        assert (loaded.w1 == net.w1).all()
-        assert (loaded.b1 == net.b1).all()
-        assert (loaded.w2 == net.w2).all()
-        assert (loaded.b2 == net.b2).all()
-
-    def test_same_net_serializes_identically(self):
-        a, b = io.StringIO(), io.StringIO()
-        save_mlp(a, Mlp.init(4, 3, 2, seed=1))
-        save_mlp(b, Mlp.init(4, 3, 2, seed=1))
-        assert a.getvalue() == b.getvalue()
-
-    def test_rejects_wrong_header(self):
-        with pytest.raises(ValueError, match="not an mlp checkpoint"):
-            load_mlp(io.StringIO("policy 3 4 2\n"))
-
-    def test_rejects_truncation(self):
-        buf = io.StringIO()
-        save_mlp(buf, Mlp.init(4, 3, 2, seed=1))
-        clipped = "\n".join(buf.getvalue().splitlines()[:-2]) + "\n"
-        with pytest.raises(ValueError, match="truncated|wants"):
-            load_mlp(io.StringIO(clipped))
-
-    def test_refuses_to_write_non_finite_values(self):
-        net = Mlp.init(4, 3, 2, seed=1)
-        for value in (np.nan, np.inf, -np.inf):
-            net.w2[1, 2] = value
-            buf = io.StringIO()
-            with pytest.raises(ValueError, match=r"section 'w2' row 1 column 2 is .*, not finite"):
-                save_mlp(buf, net)
-            assert "w2" not in buf.getvalue()
-
-    def test_rejects_non_finite_values_and_misshapen_sections(self):
-        buf = io.StringIO()
-        save_mlp(buf, Mlp.init(4, 3, 2, seed=1))
-        lines = buf.getvalue().splitlines()
-        w2_row = lines.index("w2 2 3") + 1
-        for value in ("nan", "inf", "-1e999"):
-            bad = lines.copy()
-            bad[w2_row] = " ".join([value] + bad[w2_row].split()[1:])
-            with pytest.raises(ValueError, match=r"section 'w2' row 0 column 0 is .*, not finite"):
-                load_mlp(iter(bad))
-        for header, shown in (("b1 1 4", "1x4"), ("b1 one 3", "onex3")):
-            bad = lines.copy()
-            bad[lines.index("b1 1 3")] = header
-            with pytest.raises(ValueError, match=rf"section 'b1' is {shown}, wants 1x3"):
-                load_mlp(iter(bad))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
 
@@ -18,6 +19,7 @@ from dsekit.nn import (
     log_softmax,
     mean_entropy,
     mean_squared_error,
+    sgd_step,
     softmax,
     softmax_parts,
 )
@@ -655,10 +657,19 @@ class TestCheckpoint:
         agent, _ = train_rl(agent, features, scores, epochs=5, seed=seed)
         return features, head, agent
 
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        import io
+    def _saved_lines(self, agent):
+        buf = io.StringIO()
+        save_selector(buf, agent, fingerprint="abc123", seed=0)
+        return buf.getvalue().splitlines()
 
+    def test_round_trip_is_bit_exact(self):
         features, head, agent = self._trained_pair()
+        # one step with awkward values leaves parameters whose 17 digits matter
+        for net in (head.net, agent.actor, agent.critic):
+            grad = Mlp(net.dims, np.empty_like(net.params))
+            for layer, value in zip(("w1", "b1", "w2", "b2"), (1e-7, np.pi, -1e-13, 1.0 / 3.0)):
+                getattr(grad, layer)[...] = value
+            sgd_step(net.params, grad.params, lr=0.123456789)
         buf = io.StringIO()
         save_selector(buf, agent, fingerprint="abc123", seed=7)
         loaded_agent, settings = load_selector(io.StringIO(buf.getvalue()))
@@ -673,10 +684,8 @@ class TestCheckpoint:
             (agent.actor, loaded_agent.actor),
             (agent.critic, loaded_agent.critic),
         ):
-            np.testing.assert_array_equal(restored.w1, original.w1)
-            np.testing.assert_array_equal(restored.b1, original.b1)
-            np.testing.assert_array_equal(restored.w2, original.w2)
-            np.testing.assert_array_equal(restored.b2, original.b2)
+            assert restored.dims == original.dims
+            assert restored.params.tobytes() == original.params.tobytes()
 
         choice, policy = recommend(agent, features[0])
         loaded_choice, loaded_policy = recommend(loaded_agent, features[0])
@@ -692,9 +701,63 @@ class TestCheckpoint:
             loaded_agent, _ = load_selector(fh)
         np.testing.assert_array_equal(loaded_agent.actor.w1, agent.actor.w1)
 
-    def test_rejects_a_non_positive_scaler_std(self):
-        import io
+    def test_same_agent_serializes_identically(self):
+        assert self._saved_lines(self._trained_pair()[2]) == self._saved_lines(self._trained_pair()[2])
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("policy 24 256 10", "head network: not an mlp checkpoint: 'policy 24 256 10'"),
+            ("mlp 24 256", "head network: malformed mlp header: 'mlp 24 256'"),
+        ],
+        ids=["foreign", "malformed"],
+    )
+    def test_rejects_a_foreign_mlp_line(self, line, message):
+        lines = self._saved_lines(self._trained_pair()[2])
+        lines[lines.index("mlp 24 256 10")] = line
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_selector(lines)
+
+    def test_rejects_truncation(self):
+        lines = self._saved_lines(self._trained_pair()[2])
+        # cut before and after every header line, and in the middle of the last section
+        headers = [n for n, line in enumerate(lines) if line[:1].isalpha()]
+        for cut in sorted({0, len(lines) - 1, *headers, *(n + 1 for n in headers)} - {len(lines)}):
+            with pytest.raises(ValueError, match=r"truncated|checkpoint: None$"):
+                load_selector(lines[:cut])
+
+    def test_refuses_to_write_non_finite_values(self):
+        _, _, agent = self._trained_pair()
+        for value in (np.nan, np.inf, -np.inf):
+            agent.actor.w2[1, 2] = value
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match=r"section 'w2' row 1 column 2 is .*, not finite"):
+                save_selector(buf, agent, fingerprint="abc123", seed=0)
+            # nothing of the actor's w2 was written: the record stops after its b1
+            written = buf.getvalue().splitlines()
+            assert [line for line in written if line.startswith("mlp ")] == ["mlp 24 256 10", "mlp 34 256 10"]
+            assert written[-2] == "b1 1 256"
+
+    def test_rejects_non_finite_values_and_misshapen_sections(self):
+        lines = self._saved_lines(self._trained_pair()[2])
+        critic = lines.index("mlp 24 256 1")
+        w2_row = lines.index("w2 1 256", critic) + 1
+        for value in ("nan", "inf", "-1e999"):
+            bad = lines.copy()
+            bad[w2_row] = " ".join([value] + bad[w2_row].split()[1:])
+            with pytest.raises(
+                ValueError, match=r"critic network: section 'w2' row 0 column 0 is .*, not finite"
+            ):
+                load_selector(bad)
+        for header, shown in (("b1 1 257", "1x257"), ("b1 one 256", "onex256")):
+            bad = lines.copy()
+            bad[lines.index("b1 1 256", critic)] = header
+            with pytest.raises(
+                ValueError, match=rf"critic network: section 'b1' is {shown}, wants 1x256"
+            ):
+                load_selector(bad)
+
+    def test_rejects_a_non_positive_scaler_std(self):
         _, head, agent = self._trained_pair()
         buf = io.StringIO()
         save_selector(buf, agent, fingerprint="abc123", seed=0)
@@ -716,8 +779,6 @@ class TestCheckpoint:
         ],
     )
     def test_rejects_a_header_unlike_what_save_writes(self, old, new, message):
-        import io
-
         _, head, agent = self._trained_pair()
         buf = io.StringIO()
         save_selector(buf, agent, fingerprint="abc123", seed=0)
@@ -728,7 +789,5 @@ class TestCheckpoint:
             load_selector(lines)
 
     def test_rejects_foreign_header(self):
-        import io
-
         with pytest.raises(ValueError, match="not a selector checkpoint"):
             load_selector(io.StringIO("mlp-checkpoint 2 3 4\n"))
