@@ -15,8 +15,8 @@ generator itself from it.
 The runners read the evaluator's shared front state rather than rebuilding
 it: AC and PG take the cached front objective arrays for their rewards, ACO
 the count of each point's dominators from two binary searches on the
-staircase, SBO and PSO the cached front tuple, and lattice the sorted list of
-the front's unseen neighbours.
+evaluator's `pareto.Staircase`, SBO and PSO its points tuple, and lattice the
+sorted list of the front's unseen neighbours.
 
 AC, PG, ACO, NSGA2 and QLMOEA keep their state in Python floats, updated
 with the IEEE operations numpy made on the arrays they replaced, in the same
@@ -239,7 +239,7 @@ def run_qlmoea(ev: BudgetedEvaluator, draws: Draws) -> None:
     pop = _seed_population(ev, draws, cards, _POP)
     objs = _objectives(pop)
     ranks = _nondominated_ranks(objs)
-    prev_front = len(ev.front_points())
+    prev_front = len(ev.front.points)
     growth_sign = 1
 
     def state() -> tuple[int, int]:
@@ -272,7 +272,7 @@ def run_qlmoea(ev: BudgetedEvaluator, draws: Draws) -> None:
                 kids.append(ev.evaluate(child))
         finally:
             # learn from the partial generation too, then let saturation rise
-            now_front = len(ev.front_points())
+            now_front = len(ev.front.points)
             reward = max(-1.0, min(1.0, (now_front - prev_front) / max(1, prev_front)))
             growth_sign = 1 + (now_front > prev_front) - (now_front < prev_front)
             prev_front = now_front
@@ -343,7 +343,7 @@ def run_aco(ev: BudgetedEvaluator, draws: Draws) -> None:
         batch = [ev.evaluate(tuple([_sample_cumulative(random, cum) for cum in cums])) for _ in range(20)]
         pheromone = [[t * 0.9 for t in tau] for tau in pheromone]
         for point in batch:
-            deposit = 1.0 / (1.0 + ev.dominators(point.objectives))
+            deposit = 1.0 / (1.0 + ev.front.dominators(point.objectives))
             for axis, level in enumerate(point.knobs):
                 pheromone[axis][level] += deposit
         pheromone = [[min(20.0, max(0.05, t)) for t in tau] for tau in pheromone]
@@ -367,7 +367,7 @@ def run_pso(ev: BudgetedEvaluator, draws: Draws) -> None:
     vel = [[0.0] * len(cards) for _ in range(n)]
     best = [ev.evaluate(tuple([round(x) for x in row])) for row in pos]
     while True:
-        front = ev.front_points()
+        front = ev.front.points
         objs = [(p.objectives.area, p.objectives.latency) for p in front]
         crowd = np.array(_crowding(objs, [0] * len(front)))
         finite = crowd[np.isfinite(crowd)]
@@ -428,7 +428,7 @@ def _dominated(front_logs: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
     Columns are (log-latency, log-area) throughout, and the front's rows run
     by non-decreasing log-area and non-increasing log-latency, as the logs of
-    `front_points()` do. Exact 2-D staircase test (Kung, Luccio & Preparata
+    `Staircase.points` do. Exact 2-D staircase test (Kung, Luccio & Preparata
     1975): the last front point with area <= a draw's area has the least
     latency among them, its bound. A draw (l, a) is dominated iff the bound is
     below l, or the bound equals l and some point with area < a has latency
@@ -486,7 +486,7 @@ def run_sbo(ev: BudgetedEvaluator, draws: Draws) -> None:
             fitted_at = ev.evaluations_used
         fresh = ev.evaluated[len(seen) :]
         seen = np.sort(np.concatenate((seen, _level_array([p.knobs for p in fresh], k) @ strides)))
-        front = ev.front_points()
+        front = ev.front.points
         if front is not logs_of:
             logs_of = front
             # column-major, so that each column is contiguous

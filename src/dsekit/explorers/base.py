@@ -2,10 +2,9 @@
 
 Every explorer spends its budget through one BudgetedEvaluator, which owns the
 memo table (repeat proposals are free), the archive of evaluated points, and an
-incrementally maintained archive front. The front is a staircase: parallel
-lists of points, areas and latencies, updated by one binary search and one
-slice assignment per admitted point, and two binary searches count the front
-points that dominate given objectives. Its points tuple and its objective and
+incrementally maintained archive front, `front`: a `pareto.Staircase`, which
+admits each evaluated point with one binary search and counts the front
+points that dominate given objectives with two. The front's objective and
 ADRS-denominator arrays are cached until it next changes. Once an explorer
 first asks, the evaluator also keeps the sorted list of unevaluated points one
 level from a front point on one knob, with a reference count per neighbour,
@@ -20,24 +19,23 @@ An explorer that keeps re-proposing evaluated points is stopped as stalled,
 and `explore` spends the rest of its budget on unseen uniform points, so every
 run ends for a stated reason after bounded work. `explore` is the one way to
 run an explorer, in process or in a pool worker. Wall-clock time is modeled,
-not measured: `explore` multiplies the evaluations by the explorer's nominal
-per-evaluation cost, so reported times are deterministic and identical across
-worker counts and machines.
+not measured: a result's `wall_seconds` is its evaluations times the
+explorer's nominal per-evaluation cost, so reported times are deterministic
+and identical across worker counts and machines.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import neg
 from typing import Optional
 
 import numpy as np
 
 from ..benchmarks import BenchmarkInstance, KnobSchema
 from ..hashing import mix64
-from ..pareto import ZERO_REFERENCE_EPS, DesignPoint, ObjectiveVector, ParetoFront, adrs, pareto_filter
+from ..pareto import ZERO_REFERENCE_EPS, DesignPoint, ParetoFront, Staircase, adrs, pareto_filter
 from ..surrogate import SurrogateModel, exhaustive_front
 from .draws import Draws
 
@@ -57,7 +55,7 @@ class ExplorerId(IntEnum):
     QLMOEA = 9
 
 
-# Nominal per-evaluation cost in seconds. `explore` reports wall_seconds as
+# Nominal per-evaluation cost in seconds. A result's wall_seconds is
 # evaluations_used times this rate: a deterministic model of runtime, chosen
 # so that heavier machinery (surrogate refits, population bookkeeping) reads
 # as slower without making results depend on the host machine.
@@ -113,9 +111,13 @@ class ExplorationResult:
     explorer: ExplorerId
     front: ParetoFront
     evaluations_used: int
-    wall_seconds: float
     stop_reason: str
     proposals: int
+
+    @property
+    def wall_seconds(self) -> float:
+        """Modeled seconds: the evaluations at the explorer's nominal rate."""
+        return self.evaluations_used * NOMINAL_EVAL_SECONDS[self.explorer]
 
 
 @dataclass(frozen=True)
@@ -160,12 +162,8 @@ class BudgetedEvaluator:
         self._streak = 0
         self._proposal_cap = max(2000, 250 * budget.max_evaluations)
         self.evaluated: list[DesignPoint] = []
-        # the front as a staircase: points with their areas and latencies
-        self._front: list[DesignPoint] = []
-        self._areas: list[float] = []
-        self._lats: list[float] = []
-        # caches of the front, dropped whenever it changes
-        self._points: Optional[tuple[DesignPoint, ...]] = None
+        self.front = Staircase()
+        # the front's arrays, dropped whenever it changes
         self._arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
         # neighbour reference counts and the sorted unseen ones, once asked for
         self._refs: Optional[dict[tuple[int, ...], int]] = None
@@ -238,64 +236,20 @@ class BudgetedEvaluator:
         self.evaluated.append(point)
         if self._refs is not None and knobs in self._refs:
             del self._unseen[bisect_left(self._unseen, knobs)]
-        self._admit_to_front(point)
+        displaced = self.front.add(point)
+        if displaced is not None:
+            self._arrays = None
+            if self._refs is not None:
+                for old in displaced:
+                    self._track(old.knobs, -1)
+                self._track(knobs, 1)
         return point
-
-    def _admit_to_front(self, point: DesignPoint) -> None:
-        """Staircase update of the front, whose areas strictly rise while its
-        latencies strictly fall.
-
-        The only front point that can dominate or equal the new one is the
-        last with area <= its area. The points the new one dominates are that
-        point, when its area is equal, and the run after it with latency >= its
-        latency; one slice assignment replaces them. Equal objectives keep the
-        smaller knob vector.
-        """
-        area, latency = point.objectives.area, point.objectives.latency
-        areas, lats = self._areas, self._lats
-        i = bisect_right(areas, area)
-        if i and lats[i - 1] <= latency:
-            equal = areas[i - 1] == area and lats[i - 1] == latency
-            if not equal or self._front[i - 1].knobs <= point.knobs:
-                return
-        start = i - 1 if i and areas[i - 1] == area else i
-        end = i
-        while end < len(lats) and lats[end] >= latency:
-            end += 1
-        if self._refs is not None:
-            for old in self._front[start:end]:
-                self._track(old.knobs, -1)
-            self._track(point.knobs, 1)
-        self._front[start:end] = [point]
-        areas[start:end] = [area]
-        lats[start:end] = [latency]
-        self._points = self._arrays = None
-
-    def front_points(self) -> tuple[DesignPoint, ...]:
-        """Current archive front, sorted by ascending area."""
-        if self._points is None:
-            self._points = tuple(self._front)
-        return self._points
-
-    def dominators(self, objectives: ObjectiveVector) -> int:
-        """How many front points dominate the objectives.
-
-        Two binary searches on the staircase: the points with area <= its
-        area are a prefix, those with latency <= its latency a suffix, and
-        every point in both dominates it except one with equal objectives.
-        """
-        area, latency = objectives.area, objectives.latency
-        end = bisect_right(self._areas, area)
-        start = bisect_left(self._lats, -latency, key=neg)
-        if end and self._areas[end - 1] == area and self._lats[end - 1] == latency:
-            end -= 1
-        return max(0, end - start)
 
     def front_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The front's (n, 2) objectives, columns (area, latency), and their
         ADRS denominators: each objective, or ZERO_REFERENCE_EPS where it is 0."""
         if self._arrays is None:
-            objs = np.array((self._areas, self._lats)).T
+            objs = np.array((self.front.areas, self.front.latencies)).T
             self._arrays = (objs, np.where(objs > 0.0, objs, ZERO_REFERENCE_EPS))
         return self._arrays
 
@@ -307,7 +261,7 @@ class BudgetedEvaluator:
         """
         if self._refs is None:
             self._refs = {}
-            for point in self._front:
+            for point in self.front.points:
                 self._track(point.knobs, 1)
         return self._unseen
 
@@ -365,7 +319,6 @@ def explore(
             explorer=explorer,
             front=exhaustive_front(model),
             evaluations_used=space,
-            wall_seconds=space * NOMINAL_EVAL_SECONDS[explorer],
             stop_reason="exhaustive_fallback",
             proposals=space,
         )
@@ -393,9 +346,8 @@ def explore(
         raise RuntimeError(f"explorer {explorer.name} failed on {instance.id}") from err
     return ExplorationResult(
         explorer=explorer,
-        front=ParetoFront(evaluator.front_points()),
+        front=ParetoFront(evaluator.front.points),
         evaluations_used=evaluator.evaluations_used,
-        wall_seconds=evaluator.evaluations_used * NOMINAL_EVAL_SECONDS[explorer],
         stop_reason=stop_reason,
         proposals=evaluator.proposals,
     )

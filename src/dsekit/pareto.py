@@ -1,16 +1,19 @@
-"""Two-objective Pareto primitives: dominance, filtering, ADRS.
+"""Two-objective Pareto primitives: dominance, the staircase, filtering, ADRS.
 
-All functions are pure and value-based. Fronts are immutable once constructed
-and safe to share across worker processes. Nothing here checks its input: the
+Every Pareto front is built by one `Staircase`, the only mutable type here:
+`pareto_filter` fills one for a set of points, and each explorer's evaluator
+grows one as it admits points. A finished `ParetoFront` is immutable and safe
+to share across worker processes. Nothing here checks its input: the
 surrogate clamps the objectives it computes to finite values >= 0, and
 `dataset.load` checks the ones it reads.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from operator import neg
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -50,9 +53,8 @@ def dominates(p: ObjectiveVector, q: ObjectiveVector) -> bool:
 class ParetoFront:
     """Mutually non-dominated points with distinct objectives, sorted by (area, latency).
 
-    That is strictly increasing area alongside strictly decreasing latency, an
-    order kept by the two constructors, `pareto_filter` and the staircase
-    front of the evaluator in `explore`, and not checked again here.
+    That is strictly increasing area alongside strictly decreasing latency, the
+    order of the `Staircase` that built it, and not checked again here.
     """
 
     points: tuple[DesignPoint, ...]
@@ -73,27 +75,67 @@ class ParetoFront:
         )
 
 
+class Staircase:
+    """A Pareto front grown one point at a time by the 2-D maxima method of
+    Kung, Luccio & Preparata (1975): `points`, a tuple that each admission
+    replaces, with strictly rising `areas` and strictly falling `latencies`."""
+
+    def __init__(self) -> None:
+        self.points: tuple[DesignPoint, ...] = ()
+        self.areas: list[float] = []
+        self.latencies: list[float] = []
+
+    def add(self, point: DesignPoint) -> Optional[tuple[DesignPoint, ...]]:
+        """Admit the point unless the front dominates or equals it; returns
+        the points it displaced, or None when it was not admitted.
+
+        The only front point that can dominate or equal the new one is the
+        last with area <= its area. The points the new one dominates are that
+        point, when its area is equal, and the run after it with latency >= its
+        latency; one slice replaces them. Equal objectives keep the smaller
+        knob vector.
+        """
+        area, latency = point.objectives.area, point.objectives.latency
+        areas, lats, points = self.areas, self.latencies, self.points
+        i = bisect_right(areas, area)
+        if i and lats[i - 1] <= latency:
+            if areas[i - 1] != area or lats[i - 1] != latency or points[i - 1].knobs <= point.knobs:
+                return None
+        start = i - 1 if i and areas[i - 1] == area else i
+        end = i
+        while end < len(lats) and lats[end] >= latency:
+            end += 1
+        self.points = (*points[:start], point, *points[end:])
+        areas[start:end] = [area]
+        lats[start:end] = [latency]
+        return points[start:end]
+
+    def dominators(self, objectives: ObjectiveVector) -> int:
+        """How many front points dominate the objectives.
+
+        The points with area <= its area are a prefix, those with latency <=
+        its latency a suffix, and every point in both dominates it except one
+        with equal objectives.
+        """
+        area, latency = objectives.area, objectives.latency
+        end = bisect_right(self.areas, area)
+        start = bisect_left(self.latencies, -latency, key=neg)
+        if end and self.areas[end - 1] == area and self.latencies[end - 1] == latency:
+            end -= 1
+        return max(0, end - start)
+
+
 def pareto_filter(points: Iterable[DesignPoint]) -> ParetoFront:
-    """Non-dominated subset of the points.
+    """Non-dominated subset of the points, in any order.
 
     Each distinct objective vector keeps a single representative (the
     lexicographically smallest knob vector); the result is sorted ascending
     by (area, latency).
     """
-    pts = list(points)
-    pts.sort(key=lambda p: (p.objectives.area, p.objectives.latency, p.knobs))
-    kept: list[DesignPoint] = []
-    best_latency = math.inf
-    last_objs: tuple[float, float] | None = None
-    for p in pts:
-        objs = (p.objectives.area, p.objectives.latency)
-        if objs == last_objs:
-            continue  # duplicate objectives; the first occurrence had the lowest knobs
-        last_objs = objs
-        if p.objectives.latency < best_latency:
-            kept.append(p)
-            best_latency = p.objectives.latency
-    return ParetoFront(tuple(kept))
+    front = Staircase()
+    for p in points:
+        front.add(p)
+    return ParetoFront(front.points)
 
 
 def adrs(reference: ParetoFront, approx: ParetoFront) -> float:

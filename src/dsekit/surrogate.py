@@ -30,6 +30,8 @@ _MODEL_TAG = 0x60DE
 _NOISE_TAG = 0x7A11
 _KIND_LATENCY_WEIGHT = {"unroll": 1.3, "pipeline": 1.0, "partition": 0.6}
 _KIND_AREA_WEIGHT = {"unroll": 1.1, "pipeline": 0.7, "partition": 1.3}
+# CLUSTERED scales both objectives of a point outside every pocket band by this
+_OUTSIDE_PENALTY = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +39,6 @@ class SurrogateModel:
     """Closed-form quality-of-results model for one benchmark instance."""
 
     family: Family
-    seed: int
     cardinalities: tuple[int, ...]
     latency_tables: tuple[tuple[float, ...], ...]
     area_tables: tuple[tuple[float, ...], ...]
@@ -49,7 +50,6 @@ class SurrogateModel:
     quant_step: float = 0.0
     pocket_bands: tuple[tuple[float, float], ...] = ()
     pocket_latency: tuple[float, ...] = ()
-    outside_penalty: float = 1.0
 
     def __getstate__(self) -> dict:
         """The fields alone: a model sent to a pool worker leaves its
@@ -121,10 +121,8 @@ class SurrogateModel:
             centers = _separated_centers(rng, n_pockets, width)
             extras["pocket_bands"] = tuple((c - width, c + width) for c in centers)
             extras["pocket_latency"] = tuple(float(rng.uniform(0.45, 0.60)) for _ in range(n_pockets))
-            extras["outside_penalty"] = 2.0
         return cls(
             family=family,
-            seed=seed,
             cardinalities=cards,
             latency_tables=latency_tables,
             area_tables=area_tables,
@@ -168,8 +166,8 @@ class SurrogateModel:
                 if band >= 0:
                     latency *= self.pocket_latency[band]
                 else:
-                    latency *= self.outside_penalty
-                    area *= self.outside_penalty
+                    latency *= _OUTSIDE_PENALTY
+                    area *= _OUTSIDE_PENALTY
         latency = min(max(latency, OBJECTIVE_MIN), OBJECTIVE_MAX)
         area = min(max(area, OBJECTIVE_MIN), OBJECTIVE_MAX)
         return ObjectiveVector(area=area, latency=latency)

@@ -43,8 +43,8 @@ def brute_force_pareto_indices(objs: np.ndarray, knobs: list[tuple[int, ...]]) -
 
 
 def assert_staircase(points) -> None:
-    """A front's order, which `ParetoFront` leaves to its constructors: area
-    strictly rising and latency strictly falling from each point to the next."""
+    """A front's order, which `ParetoFront` leaves to the `Staircase` that built
+    it: area strictly rising and latency strictly falling from each point to the next."""
     objs = [(p.objectives.area, p.objectives.latency) for p in points]
     for (a0, l0), (a1, l1) in zip(objs, objs[1:]):
         assert a1 > a0 and l1 < l0, f"({a0}, {l0}) then ({a1}, {l1})"
@@ -173,7 +173,7 @@ def reference_run_sbo(ev, schema, rng: np.random.Generator) -> None:
             resid = y - x @ coef
             sigma = np.maximum(resid.std(axis=0), 1e-3)
             fitted_at = ev.evaluations_used
-        front = ev.front_points()
+        front = ev.front.points
         pool = {_scalar_random_knobs(rng, cards) for _ in range(256)}
         for p in front:
             for axis in range(k):
@@ -617,7 +617,7 @@ def reference_run_lattice(ev, schema, rng: np.random.Generator) -> None:
         neighbors = sorted(
             {
                 p.knobs[:axis] + (p.knobs[axis] + move,) + p.knobs[axis + 1 :]
-                for p in ev.front_points()
+                for p in ev.front.points
                 for axis in range(k)
                 for move in (-1, 1)
                 if 0 <= p.knobs[axis] + move < cards[axis]
@@ -640,7 +640,7 @@ def reference_run_aco(ev, schema, rng: np.random.Generator) -> None:
         for _ in range(20):
             knobs = tuple(_loop_sample_categorical(rng, tau / tau.sum()) for tau in pheromone)
             batch.append(ev.evaluate(knobs))
-        front = ev.front_points()
+        front = ev.front.points
         for tau in pheromone:
             tau *= 0.9
         for point in batch:
@@ -666,7 +666,7 @@ def reference_run_policy(ev, schema, rng: np.random.Generator, with_baseline: bo
             else:
                 actions.append(_loop_sample_categorical(rng, softmax(table)))
         point = ev.evaluate(tuple(actions))
-        front = ev.front_points()
+        front = ev.front.points
         reward = -min(coverage_distance(p.objectives, point.objectives) for p in front)
         for axis, table in enumerate(tables):
             advantage = reward - baseline[axis] if with_baseline else reward
@@ -757,7 +757,7 @@ def reference_run_pso(ev, schema, rng: np.random.Generator) -> None:
     vel = np.zeros((n, k))
     best = [ev.evaluate(tuple(int(round(v)) for v in row)) for row in pos]
     while True:
-        front = ev.front_points()
+        front = ev.front.points
         crowd = _front_crowding([(p.objectives.area, p.objectives.latency) for p in front])
         finite = crowd[np.isfinite(crowd)]
         cap = (finite.max() if finite.size else 0.0) * 2.0 + 1.0
@@ -838,7 +838,7 @@ def reference_run_qlmoea(ev, schema, rng: np.random.Generator) -> None:
     k = len(cards)
     q: dict[tuple[int, int], np.ndarray] = {}
     pop = [ev.evaluate(_scalar_unseen_random(ev, rng, cards)) for _ in range(40)]
-    prev_front = len(ev.front_points())
+    prev_front = len(ev.front.points)
     growth_sign = 1
 
     def state() -> tuple[int, int]:
@@ -868,7 +868,7 @@ def reference_run_qlmoea(ev, schema, rng: np.random.Generator) -> None:
                     child = _scalar_random_knobs(rng, cards)
                 kids.append(ev.evaluate(child))
         finally:
-            now_front = len(ev.front_points())
+            now_front = len(ev.front.points)
             reward = max(-1.0, min(1.0, (now_front - prev_front) / max(1, prev_front)))
             growth_sign = 1 + (now_front > prev_front) - (now_front < prev_front)
             prev_front = now_front

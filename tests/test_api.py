@@ -1,5 +1,6 @@
 """The package exports only what the package itself uses, has no parameter
-that only tests set, and reads every JSONL input through a field table.
+that only tests set, reads every JSONL input through a field table, and
+builds every Pareto front with one staircase.
 
 A public name (one listed in a module's `__all__`) that no code in `src/`
 reads is API kept alive only by tests; such code belongs in the tests. So is
@@ -199,6 +200,34 @@ def test_every_table_key_is_a_key_its_writer_emits(tmp_path):
         fields = getattr(dataset, name)
         assert set(fields) <= set(record), name
         dataset._check_fields(json.loads(dataset.canonical_json(record)), fields)
+
+
+def calls_by_enclosing_def(tree: ast.Module, callee: str) -> list[tuple[str, int]]:
+    """(innermost enclosing def, line) of each call of `callee`, bare or as an attribute."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and callee in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append((owner, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_staircase_callers_build_a_pareto_front():
+    """`ParetoFront` trusts the order it is given, so only the two callers that
+    hold a `Staircase`'s points build one: `pareto_filter` and `explore`."""
+    builders = {
+        (path.relative_to(PACKAGE).as_posix(), owner)
+        for path, tree in parsed_modules().items()
+        for owner, _ in calls_by_enclosing_def(tree, "ParetoFront")
+    }
+    assert builders == {("pareto.py", "pareto_filter"), ("explorers/base.py", "explore")}
 
 
 # Bare `sum(...)` calls whose argument is a list of ints, by module and

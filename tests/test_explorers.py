@@ -47,7 +47,6 @@ from dsekit.pareto import (
     ObjectiveVector,
     ParetoFront,
     adrs,
-    dominates,
     pareto_filter,
 )
 from dsekit.surrogate import SurrogateModel, exhaustive_front
@@ -472,7 +471,7 @@ class TestExhaustiveFallback:
             ev.evaluate(knobs)
         results = [explore(e, instance, model, budget, seed=3) for e in ExplorerId]
         for result in results:
-            assert result.front == ParetoFront(ev.front_points())
+            assert result.front == ParetoFront(ev.front.points)
             assert result.front is results[0].front
             assert (result.evaluations_used, result.proposals, result.stop_reason) == (
                 ev.evaluations_used,
@@ -661,7 +660,7 @@ class TestArchiveFront:
         front: list = []
         for ev, point in self.admitting(small_case, admissions):
             front = reference_admit_to_front(front, point)
-            assert ev.front_points() == tuple(front)
+            assert ev.front.points == tuple(front)
             assert_staircase(front)
             objs, denom = ev.front_arrays()
             assert objs.tolist() == [[p.objectives.area, p.objectives.latency] for p in front]
@@ -676,18 +675,8 @@ class TestArchiveFront:
         for n, (ev, _) in enumerate(self.admitting(small_case, admissions)):
             if n < asked_after:
                 continue
-            near = {nbr for p in ev.front_points() for nbr in neighbours(p.knobs, cards)}
+            near = {nbr for p in ev.front.points for nbr in neighbours(p.knobs, cards)}
             assert ev.unseen_neighbours() == sorted(near - {p.knobs for p in ev.evaluated})
-
-    @settings(max_examples=200, deadline=None)
-    @given(admissions=ADMISSIONS, probes=st.lists(GRID_POINTS, min_size=1, max_size=10))
-    @example(admissions=[(0, 1, 1), (1, 2, 0), (2, 0, 2)], probes=[(1.0, 1.0), (2.0, 2.0), (0.5, 0.0)])
-    def test_dominators_match_the_pairwise_count(self, small_case, admissions, probes):
-        """Probes on and off the grid, among them the points just admitted."""
-        for ev, point in self.admitting(small_case, admissions):
-            for obj in [point.objectives] + [ObjectiveVector(*xy) for xy in probes]:
-                expected = sum(1 for p in ev.front_points() if dominates(p.objectives, obj))
-                assert ev.dominators(obj) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(objs=st.lists(GRID_POINTS, max_size=40))

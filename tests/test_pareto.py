@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from dsekit.pareto import (
     DesignPoint,
     ObjectiveVector,
+    Staircase,
     adrs,
     dominates,
     pareto_filter,
@@ -22,6 +23,7 @@ from oracles import (
     brute_force_pareto_indices,
     coverage_distance,
     naive_adrs,
+    reference_admit_to_front,
     reference_adrs,
 )
 
@@ -38,6 +40,10 @@ edge_values = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0, 3.0, 1e300, 1.7976931348623157e308]),
     objective_values,
 )
+
+# lists of (area, latency, knob) on a 0..4 grid, so that equal objectives,
+# ties in one objective and zero coordinates are common
+GRID_INPUTS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)), max_size=60)
 
 
 class TestObjectiveVector:
@@ -72,6 +78,53 @@ class TestDominates:
         """Two vectors never dominate each other simultaneously."""
         p, q = ObjectiveVector(a1, l1), ObjectiveVector(a2, l2)
         assert not (dominates(p, q) and dominates(q, p))
+
+
+class TestStaircase:
+    """`add` and `dominators` against a scan of the whole front."""
+
+    @staticmethod
+    def growing(raw):
+        """A staircase fed the grid points; yields it after each `add`, with
+        the point and what `add` returned."""
+        staircase = Staircase()
+        for area, latency, knob in raw:
+            point = pt(float(area), float(latency), (knob,))
+            yield staircase, point, staircase.add(point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=GRID_INPUTS)
+    @example(raw=[(1, 1, 2), (1, 1, 2), (1, 1, 0), (1, 1, 1)])
+    @example(raw=[(0, 4, 0), (2, 2, 0), (4, 0, 0), (1, 1, 0), (0, 0, 1)])
+    @example(raw=[(2, 2, 0), (2, 1, 0), (1, 2, 0), (2, 0, 0), (0, 2, 0)])
+    def test_add_matches_the_full_scan(self, raw):
+        """`add` returns None exactly when the front is unchanged, and otherwise
+        the points that left it, in front order."""
+        front: list = []
+        for staircase, point, displaced in self.growing(raw):
+            after = reference_admit_to_front(front, point)
+            if after == front:
+                assert displaced is None
+            else:
+                assert list(displaced) == [p for p in front if p not in after]
+            front = after
+            assert staircase.points == tuple(front)
+            assert staircase.areas == [p.objectives.area for p in front]
+            assert staircase.latencies == [p.objectives.latency for p in front]
+            assert_staircase(front)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=GRID_INPUTS,
+        probes=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=10),
+    )
+    @example(raw=[(1, 1, 0), (2, 0, 0), (0, 2, 0)], probes=[(2, 2), (4, 4), (1, 0)])
+    def test_dominators_match_the_pairwise_count(self, raw, probes):
+        """Probes on and off the grid, among them the point just offered."""
+        for staircase, point, _ in self.growing(raw):
+            for obj in [point.objectives] + [ObjectiveVector(a / 2, l / 2) for a, l in probes]:
+                expected = sum(1 for p in staircase.points if dominates(p.objectives, obj))
+                assert staircase.dominators(obj) == expected
 
 
 class TestParetoFilter:
@@ -118,7 +171,7 @@ class TestParetoFilter:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, raw):
-        """Sweep-based filter equals the O(n^2) pairwise-dominance oracle."""
+        """The staircase filter equals the O(n^2) pairwise-dominance oracle."""
         points = [pt(float(a), float(l), (k,)) for a, l, k in raw]
         front = pareto_filter(points)
         assert_staircase(front)
@@ -128,6 +181,14 @@ class TestParetoFilter:
         assert [p.objectives.as_tuple() for p in front] == [
             (objs[i, 0], objs[i, 1]) for i in expect
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=GRID_INPUTS, data=st.data())
+    def test_input_order_does_not_matter(self, raw, data):
+        """A shuffled input gives the unshuffled input's front, representatives included."""
+        points = [pt(float(a), float(l), (k,)) for a, l, k in raw]
+        shuffled = data.draw(st.permutations(points))
+        assert pareto_filter(shuffled) == pareto_filter(points)
 
     @given(
         st.lists(
